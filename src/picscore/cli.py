@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -84,9 +85,12 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
 def _row_float(row: dict, column: str, row_number: int) -> float:
     raw = (row.get(column) or "").strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ValueError(f"row {row_number}: invalid {column} value {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"row {row_number}: invalid {column} value {raw!r}")
+    return value
 
 
 def _require_columns(fields: list[str], needed: tuple[str, ...], path: str) -> None:

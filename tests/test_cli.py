@@ -136,6 +136,15 @@ class TestScoreCommand:
         expected_conf = values[17] if decision == "genuine" else 1 - values[17]
         assert float(rows[17]["confidence"]) == pytest.approx(expected_conf, abs=1e-6)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_score_names_row(self, tmp_path, model_file, capsys, raw):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"score,label\n0.9,genuine\n{raw},imposter\n")
+        out = tmp_path / "s.csv"
+        assert run_inprocess("score", model_file, bad, out) == 2
+        assert f"row 2: invalid score value '{raw}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_version_guard(self, tmp_path, synth_csv, model_file):
         doc = json.loads(Path(model_file).read_text())
         doc["version"] = "42"
@@ -178,6 +187,15 @@ class TestFuseCommand:
         run_inprocess("fuse", model_file, synth_csv, fused, "--max-refs", 2)
         header = fused.read_text().splitlines()[0]
         assert header == "probe_id,claimed_id,label,n_used,pic,decision,confidence"
+
+    def test_non_finite_score_names_row(self, tmp_path, model_file, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "score,label,probe_id,subject_b\n"
+            "0.9,genuine,p1,s1\n0.8,genuine,p1,s1\nnan,imposter,p1,s2\n"
+        )
+        assert run_inprocess("fuse", model_file, bad, tmp_path / "f.csv") == 2
+        assert "row 3: invalid score value 'nan'" in capsys.readouterr().err
 
     def test_missing_ids_exit_2(self, tmp_path, model_file):
         bare = tmp_path / "bare.csv"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from picscore.dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSe
 from picscore.density import (
     DENSITY_FLOOR,
     MODEL_VERSION,
+    _kernel_sum,
     default_bandwidth,
     eval_density,
     fit_kde,
@@ -143,6 +145,50 @@ class TestEvalDensity:
         assert isinstance(eval_density(density, 0.5), float)
 
 
+def _brute_kernel_sum(train, h, queries):
+    z = (queries[:, None] - train[None, :]) / h
+    return np.exp(-0.5 * z * z).sum(axis=1) / (train.size * h * math.sqrt(2 * math.pi))
+
+
+class TestWindowedKernelSum:
+    """The +-9h window against a full sum: every skipped term is below
+    phi(9) / (n h), so the two differ by less than phi(9) / h ~= 1.03e-18 / h
+    plus rounding."""
+
+    def _assert_within_bound(self, train, h, queries):
+        window = _kernel_sum(train, h, queries)
+        brute = _brute_kernel_sum(train, h, queries)
+        assert np.all(np.abs(window - brute) <= 1.03e-18 / h + 1e-14 * brute.max())
+
+    def test_clusters_further_apart_than_window(self):
+        rng = np.random.default_rng(31)
+        h = 0.02
+        train = np.concatenate([rng.normal(0.0, 0.01, 300), rng.normal(1.0, 0.01, 300)])
+        self._assert_within_bound(train, h, np.linspace(-0.5, 1.5, 801))
+
+    def test_unsorted_duplicate_and_out_of_range_queries(self):
+        rng = np.random.default_rng(32)
+        train = rng.normal(0.5, 0.1, 500)
+        inside = rng.uniform(0.0, 1.0, 200)
+        queries = rng.permutation(
+            np.concatenate([inside, inside[:50], np.full(7, 0.5), [-3.0, 4.0, -50.0, 50.0]])
+        )
+        self._assert_within_bound(train, default_bandwidth(train), queries)
+
+    def test_bandwidth_below_grid_spacing(self):
+        grid = np.linspace(-5.0, 6.0, 4096)
+        self._assert_within_bound(np.array([0.0, 1.0]), 0.001, grid)
+
+    def test_non_finite_queries(self):
+        # Enough NaNs that some query block holds nothing else.
+        density = fit_kde([0.4, 0.6], bandwidth=0.05)
+        queries = np.concatenate([np.full(100, np.nan), [-np.inf, 0.5, np.inf]])
+        out = eval_density(density, queries, mode="exact")
+        assert np.all(np.isnan(out[:100]))
+        assert out[100] == out[102] == DENSITY_FLOOR
+        assert out[101] == eval_density(density, 0.5, mode="exact")
+
+
 def _toy_set(genuine, imposter):
     records = [ComparisonRecord(float(s), GENUINE) for s in genuine]
     records += [ComparisonRecord(float(s), IMPOSTER) for s in imposter]
@@ -244,3 +290,50 @@ class TestSerialization:
         loaded = load_model(path)
         with pytest.raises(ValueError, match="exact"):
             eval_density(loaded.genuine, 0.5, mode="exact")
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("prior_genuine", 1.5),
+            ("prior_genuine", 0.0),
+            ("genuine.bandwidth", 0.0),
+            ("imposter.bandwidth", float("inf")),
+            ("genuine.grid_min", float("nan")),
+            ("imposter.grid_max", float("-inf")),
+        ],
+    )
+    def test_invalid_field_names_field(self, tmp_path, field, value):
+        model = self._model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        target = doc[parents[0]] if parents else doc
+        target[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(field)):
+            load_model(path)
+
+    def test_swapped_grid_bounds_rejected(self, tmp_path):
+        model = self._model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        for name in ("genuine", "imposter"):
+            doc[name]["grid_min"], doc[name]["grid_max"] = (
+                doc[name]["grid_max"], doc[name]["grid_min"]
+            )
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"genuine\.grid_min must be below"):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+    def test_bad_grid_value_rejected(self, tmp_path, bad):
+        model = self._model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["imposter"]["grid_values"][17] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"imposter\.grid_values\[17\]"):
+            load_model(path)
