@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,10 +26,21 @@ from .baselines import (
     fit_lrc,
     lrc_confidence,
 )
-from .dataset import GENUINE, IMPOSTER, load_scores, save_scores, split_subject_exclusive
+from .dataset import (
+    GENUINE,
+    IMPOSTER,
+    RowError,
+    check_rows,
+    load_scores,
+    parse_floats,
+    parse_labels,
+    read_columns,
+    save_scores,
+    split_subject_exclusive,
+)
 from .density import fit_model, load_model, save_model
 from .metrics import calibration_report, ccc, fnmr_at_fmr
-from .pic import pic_multi, pic_threshold_for_fmr, pic_values
+from .pic import decide, fuse_groups, pic_threshold_for_fmr, pic_values
 from .synth import SynthConfig, generate
 
 FUSED_COLUMNS = ("probe_id", "claimed_id", "label", "n_used", "pic", "decision", "confidence")
@@ -40,6 +50,14 @@ CALIBRATION_COLUMNS = ("bin_lo", "bin_hi", "count", "p_true", "p_pred_mean", "p_
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
+
+
+def _fmt_column(values) -> list[str]:
+    return list(map("{:.6f}".format, np.asarray(values).tolist()))
+
+
+def _decision_column(is_genuine) -> list[str]:
+    return np.where(is_genuine, GENUINE, IMPOSTER).tolist()
 
 
 def _write_manifest(command: str, inputs: dict, outputs: dict, parameters: dict) -> None:
@@ -70,31 +88,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_rows(path: str) -> tuple[list[str], list[dict]]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: no records (empty file)")
-        fields = list(reader.fieldnames)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: no records")
-    return fields, rows
-
-
-def _row_float(row: dict, column: str, row_number: int) -> float:
-    raw = (row.get(column) or "").strip()
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"row {row_number}: invalid {column} value {raw!r}")
-    return value
-
-
-def _require_columns(fields: list[str], needed: tuple[str, ...], path: str) -> None:
-    missing = [c for c in needed if c not in fields]
+def _require_columns(columns: dict, needed: tuple[str, ...], path: str) -> None:
+    missing = [c for c in needed if c not in columns]
     if missing:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
 
@@ -183,30 +178,25 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    fields, rows = _read_rows(args.input)
-    _require_columns(fields, ("score",), args.input)
+    header, n_rows, columns = read_columns(args.input)
+    _require_columns(columns, ("score",), args.input)
     for appended in ("pic", "decision", "confidence"):
-        if appended in fields:
+        if appended in columns:
             raise ValueError(f"{args.input}: column {appended!r} already present")
 
-    scores = np.array(
-        [_row_float(row, "score", i) for i, row in enumerate(rows, start=1)], dtype=float
-    )
-    values = pic_values(model, scores)
+    values = pic_values(model, parse_floats(columns["score"], "score"))
     threshold = pic_threshold_for_fmr(args.fmr)
+    is_genuine, confidence = decide(values, threshold)
 
-    out_fields = fields + ["pic", "decision", "confidence"]
     with open(args.out, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=out_fields, lineterminator="\n")
-        writer.writeheader()
-        for row, value in zip(rows, values):
-            decision = GENUINE if value >= threshold else IMPOSTER
-            confidence = value if decision == GENUINE else 1.0 - value
-            row = dict(row)
-            row["pic"] = _fmt(value)
-            row["decision"] = decision
-            row["confidence"] = _fmt(confidence)
-            writer.writerow(row)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header + ["pic", "decision", "confidence"])
+        writer.writerows(zip(
+            *columns.values(),
+            _fmt_column(values),
+            _decision_column(is_genuine),
+            _fmt_column(confidence),
+        ))
 
     _write_manifest(
         "score",
@@ -214,53 +204,70 @@ def cmd_score(args) -> int:
         {"scored": args.out},
         {"fmr": args.fmr},
     )
-    print(f"scored {len(rows)} rows at pic threshold {_fmt(threshold)}")
+    print(f"scored {n_rows} rows at pic threshold {_fmt(threshold)}")
     return 0
+
+
+def _require_ids(probes: np.ndarray, claimed: np.ndarray) -> None:
+    missing = np.flatnonzero((probes == "") | (claimed == ""))
+    if missing.size:
+        raise RowError(int(missing[0]) + 1, "probe_id and subject_b are required for fusion")
+
+
+def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, claimed) -> None:
+    """Every row's label, normalized, equals that of its group's first row."""
+    normalized = {raw: raw.strip().lower() for raw in set(labels)}
+    label = np.fromiter(map(normalized.__getitem__, labels), dtype=object, count=len(labels))
+    mixed = np.flatnonzero(label != label[first][groups])
+    if mixed.size:
+        i = int(mixed[0])
+        raise RowError(
+            i + 1, f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels"
+        )
 
 
 def cmd_fuse(args) -> int:
     model = load_model(args.model)
-    fields, rows = _read_rows(args.input)
-    _require_columns(fields, ("score", "label", "probe_id", "subject_b"), args.input)
+    _, n_rows, columns = read_columns(args.input)
+    _require_columns(columns, ("score", "label", "probe_id", "subject_b"), args.input)
 
-    groups: dict[tuple[str, str], dict] = {}
-    for i, row in enumerate(rows, start=1):
-        probe = (row.get("probe_id") or "").strip()
-        claimed = (row.get("subject_b") or "").strip()
-        label = (row.get("label") or "").strip().lower()
-        if not probe or not claimed:
-            raise ValueError(f"row {i}: probe_id and subject_b are required for fusion")
-        if label not in (GENUINE, IMPOSTER):
-            raise ValueError(f"row {i}: unknown label {row.get('label')!r}")
-        score = _row_float(row, "score", i)
-        key = (probe, claimed)
-        group = groups.setdefault(key, {"label": label, "scores": []})
-        if group["label"] != label:
-            raise ValueError(
-                f"row {i}: group ({probe}, {claimed}) mixes genuine and imposter labels"
-            )
-        group["scores"].append(score)
+    probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
+    claimed = np.fromiter(map(str.strip, columns["subject_b"]), dtype=object, count=n_rows)
+    group_of = dict.fromkeys(zip(probes, claimed))  # (probe, claimed) in first-seen order
+    for i, key in enumerate(group_of):
+        group_of[key] = i
+    groups = np.fromiter(
+        map(group_of.__getitem__, zip(probes, claimed)), dtype=np.intp, count=n_rows
+    )
+    order = np.argsort(groups, kind="stable")  # file order within each group
+    sizes = np.bincount(groups)
+    starts = np.cumsum(sizes) - sizes
+    first = order[starts]  # each group's first row
+    _, is_genuine, scores, _ = check_rows(
+        lambda: _require_ids(probes, claimed),
+        lambda: parse_labels(columns["label"], "label"),
+        lambda: parse_floats(columns["score"], "score"),
+        lambda: _require_one_label(columns["label"], groups, first, probes, claimed),
+    )
 
-    threshold = pic_threshold_for_fmr(args.fmr)
+    # The first --max-refs rows of each group in file order.
+    rank = np.arange(n_rows) - np.repeat(starts, sizes)
+    kept = order[rank < args.max_refs]
+    values, _ = fuse_groups(model, scores[kept], groups[kept])
+    is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
+    n_used = np.minimum(sizes, args.max_refs)
+
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FUSED_COLUMNS)
-        for (probe, claimed), group in groups.items():
-            used = group["scores"][: args.max_refs]
-            joint = pic_multi(model, used)
-            decision = GENUINE if joint.value >= threshold else IMPOSTER
-            confidence = joint.value if decision == GENUINE else 1.0 - joint.value
-            writer.writerow(
-                [
-                    probe,
-                    claimed,
-                    group["label"],
-                    len(used),
-                    _fmt(joint.value),
-                    decision,
-                    _fmt(confidence),
-                ]
-            )
+        writer.writerows(zip(
+            *zip(*group_of),
+            _decision_column(is_genuine[first]),
+            n_used.tolist(),
+            _fmt_column(values),
+            _decision_column(is_accepted),
+            _fmt_column(confidence),
+        ))
 
     _write_manifest(
         "fuse",
@@ -268,41 +275,32 @@ def cmd_fuse(args) -> int:
         {"fused": args.out},
         {"max_refs": args.max_refs, "fmr": args.fmr},
     )
-    print(f"fused {len(rows)} rows into {len(groups)} groups (max {args.max_refs} refs)")
+    print(f"fused {n_rows} rows into {len(group_of)} groups (max {args.max_refs} refs)")
+    print(f"truncated {int(np.count_nonzero(sizes > args.max_refs))} groups to "
+          f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
     return 0
 
 
-def _eval_pic(fields, rows, path):
-    _require_columns(fields, ("label", "pic", "decision", "confidence"), path)
-    labels, values, decisions, confidences = [], [], [], []
-    for i, row in enumerate(rows, start=1):
-        label = (row.get("label") or "").strip().lower()
-        if label not in (GENUINE, IMPOSTER):
-            raise ValueError(f"row {i}: unknown label {row.get('label')!r}")
-        decision = (row.get("decision") or "").strip().lower()
-        if decision not in (GENUINE, IMPOSTER):
-            raise ValueError(f"row {i}: unknown decision {row.get('decision')!r}")
-        labels.append(label)
-        decisions.append(decision)
-        values.append(_row_float(row, "pic", i))
-        confidences.append(_row_float(row, "confidence", i))
-    return labels, np.array(values), decisions, np.array(confidences)
+def _eval_pic(columns, path):
+    _require_columns(columns, ("label", "pic", "decision", "confidence"), path)
+    is_genuine, accepted, values, confidences = check_rows(
+        lambda: parse_labels(columns["label"], "label"),
+        lambda: parse_labels(columns["decision"], "decision"),
+        lambda: parse_floats(columns["pic"], "pic"),
+        lambda: parse_floats(columns["confidence"], "confidence"),
+    )
+    return is_genuine, values, accepted, confidences
 
 
-def _eval_baseline(args, fields, rows, path):
-    _require_columns(fields, ("score", "label"), path)
+def _eval_baseline(args, columns, path):
+    _require_columns(columns, ("score", "label"), path)
     if not args.train:
         raise ValueError(f"--train is required for estimator {args.estimator!r}")
     train = load_scores(args.train)
-
-    labels, scores = [], []
-    for i, row in enumerate(rows, start=1):
-        label = (row.get("label") or "").strip().lower()
-        if label not in (GENUINE, IMPOSTER):
-            raise ValueError(f"row {i}: unknown label {row.get('label')!r}")
-        labels.append(label)
-        scores.append(_row_float(row, "score", i))
-    scores = np.array(scores)
+    is_genuine, scores = check_rows(
+        lambda: parse_labels(columns["label"], "label"),
+        lambda: parse_floats(columns["score"], "score"),
+    )
 
     if args.estimator == "dtc":
         est = fit_dtc(train, args.fmr)
@@ -317,33 +315,32 @@ def _eval_baseline(args, fields, rows, path):
         est = fit_lrc(train, model, args.fmr)
         confidences = lrc_confidence(est, model, scores)
 
-    decisions = [GENUINE if s >= est.threshold else IMPOSTER for s in scores]
-    return labels, scores, decisions, confidences
+    accepted, _ = decide(scores, est.threshold)
+    return is_genuine, scores, accepted, confidences
 
 
 def cmd_eval(args) -> int:
-    fields, rows = _read_rows(args.input)
+    _, _, columns = read_columns(args.input)
     if args.estimator == "pic":
-        labels, values, decisions, confidences = _eval_pic(fields, rows, args.input)
+        is_genuine, values, accepted, confidences = _eval_pic(columns, args.input)
     else:
-        if "score" not in fields:
+        if "score" not in columns:
             raise ValueError(
                 f"{args.input}: estimator {args.estimator!r} needs raw scores "
                 "(fused input supports the pic estimator only)"
             )
-        labels, values, decisions, confidences = _eval_baseline(args, fields, rows, args.input)
+        is_genuine, values, accepted, confidences = _eval_baseline(args, columns, args.input)
 
-    correct = np.array([d == l for d, l in zip(decisions, labels)], dtype=bool)
-    keep = np.ones(len(rows), dtype=bool)
+    correct = accepted == is_genuine
+    keep = np.ones(correct.size, dtype=bool)
     if args.decisions != "all":
-        keep = np.array([d == args.decisions for d in decisions], dtype=bool)
+        keep = accepted == (args.decisions == GENUINE)
         if not keep.any():
             raise ValueError(f"no rows with decision {args.decisions!r} to evaluate")
     report = calibration_report(np.asarray(confidences)[keep], correct[keep], args.ece_bins)
 
-    label_arr = np.array(labels)
-    genuine_vals = np.asarray(values)[label_arr == GENUINE]
-    imposter_vals = np.asarray(values)[label_arr == IMPOSTER]
+    genuine_vals = values[is_genuine]
+    imposter_vals = values[~is_genuine]
     if genuine_vals.size == 0 or imposter_vals.size == 0:
         raise ValueError(f"{args.input}: need both genuine and imposter rows for verification")
     verification = fnmr_at_fmr(genuine_vals, imposter_vals, args.fmr)
@@ -397,21 +394,17 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     model = load_model(args.test_model)
-    fields, rows = _read_rows(args.input)
-    _require_columns(fields, ("score", "decision", "confidence"), args.input)
+    _, n_rows, columns = read_columns(args.input)
+    _require_columns(columns, ("score", "decision", "confidence"), args.input)
+    accepted, scores, predicted = check_rows(
+        lambda: parse_labels(columns["decision"], "decision"),
+        lambda: parse_floats(columns["score"], "score"),
+        lambda: parse_floats(columns["confidence"], "confidence"),
+    )
 
-    scores, predicted, genuine_decision = [], [], []
-    for i, row in enumerate(rows, start=1):
-        decision = (row.get("decision") or "").strip().lower()
-        if decision not in (GENUINE, IMPOSTER):
-            raise ValueError(f"row {i}: unknown decision {row.get('decision')!r}")
-        scores.append(_row_float(row, "score", i))
-        predicted.append(_row_float(row, "confidence", i))
-        genuine_decision.append(decision == GENUINE)
-
-    posterior = pic_values(model, np.array(scores))
-    true_conf = np.where(np.array(genuine_decision), posterior, 1.0 - posterior)
-    series = ccc(true_conf, np.array(predicted), args.bins)
+    posterior = pic_values(model, scores)
+    true_conf = np.where(accepted, posterior, 1.0 - posterior)
+    series = ccc(true_conf, predicted, args.bins)
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -427,7 +420,7 @@ def cmd_curve(args) -> int:
         {"curve": args.out},
         {"bins": args.bins},
     )
-    print(f"wrote {args.bins}-bin calibration curve for {len(rows)} samples to {args.out}")
+    print(f"wrote {args.bins}-bin calibration curve for {n_rows} samples to {args.out}")
     return 0
 
 

@@ -76,28 +76,136 @@ def partition(records: Sequence[ComparisonRecord]) -> tuple[np.ndarray, np.ndarr
     return np.asarray(genuine, dtype=float), np.asarray(imposter, dtype=float)
 
 
-def _parse_row(row: dict, row_number: int) -> ComparisonRecord:
-    raw_score = (row.get("score") or "").strip()
+class RowError(ValueError):
+    """A validation error at a 1-based data row (blank lines are not counted)."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+
+
+def read_columns(path: str | Path) -> tuple[list[str], int, dict[str, np.ndarray]]:
+    """Read a CSV file with a header row into columns of raw strings.
+
+    Returns ``(header, n_rows, columns)``: the header as written, the number
+    of data rows, and one array of ``str`` objects per column keyed by the
+    column name stripped and lower-cased. Quoting and line endings follow
+    the ``csv`` module; blank lines are skipped and not counted as rows.
+    Every row must have as many fields as the header.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        while header == []:
+            header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: no records (empty file)")
+        width = len(header)
+        # One flat list of all fields: a list per row would leave one
+        # container per row for the cyclic GC to rescan.
+        flat: list[str] = []
+        extend = flat.extend
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                row_number = len(flat) // width + 1
+                raise RowError(row_number, f"expected {width} fields, got {len(row)}")
+            extend(row)
+    n_rows = len(flat) // width
+    if not n_rows:
+        raise ValueError(f"{path}: no records")
+    names = [name.strip().lower() for name in header]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{path}: duplicate column {name!r}")
+    # Numpy object arrays, unlike lists or tuples, are never traversed by the
+    # cyclic GC, so later allocations do not rescan millions of strings. Each
+    # column is a copy that owns its strings: dropping it frees them.
+    table = np.fromiter(flat, dtype=object, count=len(flat))
+    del flat, extend
+    return header, n_rows, {name: table[i::width].copy() for i, name in enumerate(names)}
+
+
+def parse_floats(column: Sequence[str], name: str) -> np.ndarray:
+    """Parse a column of finite numbers: ``row N: invalid <name> value '...'``."""
     try:
-        score = float(raw_score)
+        values = np.fromiter(map(float, column), dtype=float, count=len(column))
     except ValueError:
-        raise ValueError(f"row {row_number}: invalid score {raw_score!r}") from None
-    if not math.isfinite(score):
-        raise ValueError(f"row {row_number}: non-finite score {raw_score!r}")
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for i, raw in enumerate(column, start=1):
+            try:
+                ok = math.isfinite(float(raw))
+            except ValueError:
+                ok = False
+            if not ok:
+                raise RowError(i, f"invalid {name} value {raw.strip()!r}")
+    return values
 
-    label = (row.get("label") or "").strip().lower()
-    if label not in LABELS:
-        raise ValueError(f"row {row_number}: unknown label {row.get('label')!r}")
 
-    optional = {}
-    for field in CSV_COLUMNS[2:]:
-        value = (row.get(field) or "").strip()
-        optional[field] = value or None
+def parse_labels(column: Sequence[str], name: str) -> np.ndarray:
+    """Parse a ``genuine``/``imposter`` column (any case) into ``is_genuine`` flags.
 
-    try:
-        return ComparisonRecord(score=score, label=label, **optional)
-    except ValueError as exc:
-        raise ValueError(f"row {row_number}: {exc}") from None
+    Unknown values fail as ``row N: unknown <name> '...'``.
+    """
+    distinct = set(column)
+    is_genuine = {}
+    for raw in distinct:
+        value = raw.strip().lower()
+        if value in LABELS:
+            is_genuine[raw] = value == GENUINE
+    if len(is_genuine) < len(distinct):
+        for i, raw in enumerate(column, start=1):
+            if raw not in is_genuine:
+                raise RowError(i, f"unknown {name} {raw!r}")
+    return np.fromiter(map(is_genuine.__getitem__, column), dtype=bool, count=len(column))
+
+
+def check_rows(*checks):
+    """Run column checks and return their results in order.
+
+    When several fail, the error of the lowest row is raised; on the same
+    row, the error of the earlier check. Each check is a function of no
+    arguments that may raise ``RowError``.
+    """
+    results, errors = [], []
+    for check in checks:
+        try:
+            results.append(check())
+        except RowError as exc:
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda exc: exc.row)
+    return results
+
+
+def _ids(columns: dict, field: str, n: int) -> list[str | None]:
+    """Stripped ids of one column (None when blank), removed from ``columns``.
+
+    Equal ids share one string, so the raw column's repeats are freed
+    before any record exists.
+    """
+    if field not in columns:
+        return [None] * n
+    column = columns.pop(field)
+    distinct = {raw: raw.strip() or None for raw in set(column)}
+    return list(map(distinct.__getitem__, column))
+
+
+def _records(columns: dict, scores: np.ndarray, is_genuine: np.ndarray) -> list[ComparisonRecord]:
+    """Records from parsed scores and labels plus the id columns, which are consumed."""
+    ids = [_ids(columns, field, len(scores)) for field in CSV_COLUMNS[2:]]
+    labels = (IMPOSTER, GENUINE)
+    records = []
+    for i, (score, genuine, *optional) in enumerate(
+        zip(scores.tolist(), is_genuine.tolist(), *ids), start=1
+    ):
+        try:
+            records.append(ComparisonRecord(score, labels[genuine], *optional))
+        except ValueError as exc:
+            raise RowError(i, str(exc)) from None
+    return records
 
 
 def load_scores(path: str | Path, format: str = "csv") -> LabeledScoreSet:
@@ -105,25 +213,28 @@ def load_scores(path: str | Path, format: str = "csv") -> LabeledScoreSet:
 
     The file must carry a header with at least ``score`` and ``label``
     columns; ``probe_id``, ``reference_id``, ``subject_a``, ``subject_b``
-    are optional. Labels are case-insensitive and canonicalized on load.
+    are optional. Column names and labels are case-insensitive; labels are
+    canonicalized on load.
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}, only 'csv' is available")
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: no records (empty file)")
-        fields = [f.strip().lower() for f in reader.fieldnames]
-        if "score" not in fields or "label" not in fields:
-            raise ValueError(f"{path}: header must include 'score' and 'label' columns")
-        records = []
-        for i, row in enumerate(reader, start=1):
-            normalized = {k.strip().lower(): v for k, v in row.items() if k is not None}
-            records.append(_parse_row(normalized, i))
-    if not records:
-        raise ValueError(f"{path}: no records")
-    return LabeledScoreSet(records)
+    _, _, columns = read_columns(path)
+    if "score" not in columns or "label" not in columns:
+        raise ValueError(f"{path}: header must include 'score' and 'label' columns")
+    try:
+        scores, is_genuine = check_rows(
+            lambda: parse_floats(columns["score"], "score"),
+            lambda: parse_labels(columns["label"], "label"),
+        )
+    except RowError as exc:
+        # The rows above the bad one pass both checks, but one of them may
+        # still fail as a record; that lower row is reported instead.
+        above = {name: column[: exc.row - 1] for name, column in columns.items()}
+        _records(above, parse_floats(above["score"], "score"), parse_labels(above["label"], "label"))
+        raise
+    del columns["score"], columns["label"]  # their strings are freed before the records exist
+    return LabeledScoreSet(_records(columns, scores, is_genuine))
 
 
 def save_scores(score_set: LabeledScoreSet, path: str | Path) -> None:

@@ -9,6 +9,7 @@ numerically stable sigmoid, so fusing hundreds of scores cannot underflow.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,34 +63,61 @@ def pic_single(model: DensityModel, s: float, mode: str = "lookup") -> PicScore:
     return PicScore(value=value, n_comparisons=1, log_lr_sum=llr)
 
 
+def fuse_groups(model: DensityModel, scores, groups, mode: str = "lookup"):
+    """Joint posterior of every group of scores of one claimed identity.
+
+    ``groups[i]`` is the group index (0 .. G-1) of ``scores[i]``, and every
+    index in that range must occur. Assumes the scores of a group are drawn
+    independently, so the class likelihoods are per-score products; each
+    group's ratio is accumulated in log space with an exactly rounded sum,
+    making the result independent of score order. All scores go through
+    one density lookup. Returns ``(values, log_lr_sums)``, one per group.
+    """
+    arr = np.asarray(scores, dtype=float).ravel()
+    groups = np.asarray(groups).ravel()
+    if arr.size == 0:
+        raise ValueError("fusion requires at least one score")
+    if groups.shape != arr.shape:
+        raise ValueError(f"got {groups.size} group indices for {arr.size} scores")
+    if not np.isfinite(arr).all():
+        raise ValueError("scores must all be finite")
+    sizes = np.bincount(groups)  # raises ValueError on a negative index
+    if not sizes.all():
+        raise ValueError("every group index 0 .. G-1 must occur")
+    ends = list(itertools.accumulate(sizes.tolist()))
+    llrs = log_likelihood_ratio(model, arr[np.argsort(groups, kind="stable")], mode=mode).tolist()
+    sums = np.array([math.fsum(llrs[a:b]) for a, b in zip([0, *ends], ends)])
+    return _stable_sigmoid(sums + _prior_logit(model)), sums
+
+
 def pic_multi(model: DensityModel, scores, mode: str = "lookup") -> PicScore:
     """Joint posterior for several scores of one claimed identity.
 
-    Assumes the scores are drawn independently, so the class likelihoods
-    are per-score products; the ratio is accumulated in log space with an
-    exactly rounded sum, making the result independent of score order.
+    The single-group case of ``fuse_groups``: independent scores, log
+    likelihood ratios summed exactly, independent of score order.
     """
     arr = np.asarray(scores, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("pic_multi requires at least one score")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("scores must all be finite")
-    llrs = log_likelihood_ratio(model, arr, mode=mode)
-    total = math.fsum(llrs.tolist())
-    value = _stable_sigmoid(total + _prior_logit(model))
-    return PicScore(value=value, n_comparisons=int(arr.size), log_lr_sum=total)
+    values, sums = fuse_groups(model, arr, np.zeros(arr.size, dtype=np.intp), mode=mode)
+    return PicScore(value=float(values[0]), n_comparisons=int(arr.size), log_lr_sum=float(sums[0]))
 
 
-def decision_confidence(pic: PicScore, threshold: float) -> tuple[str, float]:
-    """Threshold a PIC score into a decision and its correctness probability.
+def decide(values, threshold: float):
+    """Threshold posterior values into decisions and their confidences.
 
     A value at or above the threshold decides genuine (ties accept) with
     confidence equal to the value itself; below decides imposter with
-    confidence one minus the value.
+    confidence one minus the value. Returns ``(is_genuine, confidence)``
+    arrays shaped like ``values``.
     """
-    if pic.value >= threshold:
-        return GENUINE, pic.value
-    return IMPOSTER, 1.0 - pic.value
+    values = np.asarray(values, dtype=float)
+    is_genuine = values >= threshold
+    return is_genuine, np.where(is_genuine, values, 1.0 - values)
+
+
+def decision_confidence(pic: PicScore, threshold: float) -> tuple[str, float]:
+    """Threshold a PIC score into a decision and its correctness probability (see ``decide``)."""
+    is_genuine, confidence = decide(pic.value, threshold)
+    return (GENUINE if is_genuine else IMPOSTER), float(confidence)
 
 
 def pic_threshold_for_fmr(target_fmr: float) -> float:

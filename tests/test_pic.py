@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from picscore.dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSet
 from picscore.density import DensityModel, KdeDensity, fit_model
 from picscore.pic import (
+    decide,
     decision_confidence,
+    fuse_groups,
     pic_multi,
     pic_single,
     pic_threshold_for_fmr,
@@ -167,6 +169,44 @@ class TestDecisionConfidence:
     def test_tie_decides_genuine(self):
         pic = pic_score(0.5)
         assert decision_confidence(pic, 0.5)[0] == GENUINE
+
+
+class TestFuseGroups:
+    def test_matches_pic_multi_per_group(self, synth_model):
+        _, model = synth_model
+        rng = np.random.default_rng(4)
+        groups = rng.integers(0, 40, 300)
+        groups[:40] = np.arange(40)  # every group occurs
+        scores = rng.normal(0.45, 0.3, groups.size)
+        values, sums = fuse_groups(model, scores, groups)
+        for g in range(40):
+            joint = pic_multi(model, scores[groups == g])
+            assert values[g] == joint.value
+            assert sums[g] == joint.log_lr_sum
+
+    def test_independent_of_row_order(self, synth_model):
+        _, model = synth_model
+        rng = np.random.default_rng(5)
+        groups = np.repeat(np.arange(25), 4)
+        scores = rng.normal(0.45, 0.3, groups.size)
+        perm = rng.permutation(groups.size)
+        assert np.array_equal(
+            fuse_groups(model, scores, groups)[0], fuse_groups(model, scores[perm], groups[perm])[0]
+        )
+
+    @pytest.mark.parametrize("groups", [[0, 2], [1, 1], [-1, 0], [0]])
+    def test_rejects_bad_group_indices(self, synth_model, groups):
+        _, model = synth_model
+        with pytest.raises(ValueError):
+            fuse_groups(model, [0.4, 0.5], groups)
+
+
+class TestDecide:
+    def test_vectorized_rule(self):
+        values = np.array([0.2, 0.5, 0.9, 0.49999])
+        is_genuine, confidence = decide(values, 0.5)
+        assert is_genuine.tolist() == [False, True, True, False]
+        assert confidence.tolist() == [0.8, 0.5, 0.9, 1.0 - 0.49999]
 
 
 def pic_score(value):
