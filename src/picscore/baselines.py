@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledScoreSet
+from .dataset import ScoreTable
 from .density import DensityModel
 from .metrics import threshold_at_fmr
 from .pic import log_likelihood_ratio
@@ -50,7 +50,7 @@ def _require_kind(est: BaselineEstimator, kind: str) -> None:
         raise ValueError(f"estimator of kind {est.kind!r} passed to a {kind!r} scorer")
 
 
-def _train_arrays(train: LabeledScoreSet) -> tuple[np.ndarray, np.ndarray]:
+def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     g = np.asarray(train.genuine_scores, dtype=float)
     f = np.asarray(train.imposter_scores, dtype=float)
     if g.size == 0 or f.size == 0:
@@ -58,7 +58,7 @@ def _train_arrays(train: LabeledScoreSet) -> tuple[np.ndarray, np.ndarray]:
     return g, f
 
 
-def fit_dtc(train: LabeledScoreSet, target_fmr: float = 1e-3) -> BaselineEstimator:
+def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> BaselineEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
     all_scores = np.concatenate([g, f])
@@ -95,7 +95,7 @@ def dtc_confidence(est: BaselineEstimator, s):
 
 
 def fit_lrc(
-    train: LabeledScoreSet, model: DensityModel, target_fmr: float = 1e-3
+    train: ScoreTable, model: DensityModel, target_fmr: float = 1e-3
 ) -> BaselineEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
@@ -129,7 +129,7 @@ def lrc_confidence(est: BaselineEstimator, model: DensityModel, s):
 
 
 def fit_erbc(
-    train: LabeledScoreSet, target_fmr: float = 1e-3, grid_size: int = _ERBC_GRID_SIZE
+    train: ScoreTable, target_fmr: float = 1e-3, grid_size: int = _ERBC_GRID_SIZE
 ) -> BaselineEstimator:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")

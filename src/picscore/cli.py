@@ -29,8 +29,8 @@ from .baselines import (
 from .dataset import (
     GENUINE,
     IMPOSTER,
-    RowError,
     check_rows,
+    fail_first_row,
     load_scores,
     parse_floats,
     parse_labels,
@@ -39,7 +39,7 @@ from .dataset import (
     split_subject_exclusive,
 )
 from .density import fit_model, load_model, save_model
-from .metrics import calibration_report, ccc, fnmr_at_fmr
+from .metrics import calibration_report, ccc, fnmr_at_fmr, true_confidence
 from .pic import decide, fuse_groups, pic_threshold_for_fmr, pic_values
 from .synth import SynthConfig, generate
 
@@ -131,7 +131,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     score_set = load_scores(args.input)
-    train, test = split_subject_exclusive(score_set.records, args.fraction, args.seed)
+    train, test = split_subject_exclusive(score_set, args.fraction, args.seed)
     dropped = len(score_set) - len(train) - len(test)
     save_scores(train, args.out_train)
     save_scores(test, args.out_test)
@@ -209,21 +209,16 @@ def cmd_score(args) -> int:
 
 
 def _require_ids(probes: np.ndarray, claimed: np.ndarray) -> None:
-    missing = np.flatnonzero((probes == "") | (claimed == ""))
-    if missing.size:
-        raise RowError(int(missing[0]) + 1, "probe_id and subject_b are required for fusion")
+    fail_first_row((probes == "") | (claimed == ""),
+                   lambda i: "probe_id and subject_b are required for fusion")
 
 
 def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, claimed) -> None:
     """Every row's label, normalized, equals that of its group's first row."""
     normalized = {raw: raw.strip().lower() for raw in set(labels)}
     label = np.fromiter(map(normalized.__getitem__, labels), dtype=object, count=len(labels))
-    mixed = np.flatnonzero(label != label[first][groups])
-    if mixed.size:
-        i = int(mixed[0])
-        raise RowError(
-            i + 1, f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels"
-        )
+    fail_first_row(label != label[first][groups],
+                   lambda i: f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels")
 
 
 def cmd_fuse(args) -> int:
@@ -402,9 +397,7 @@ def cmd_curve(args) -> int:
         lambda: parse_floats(columns["confidence"], "confidence"),
     )
 
-    posterior = pic_values(model, scores)
-    true_conf = np.where(accepted, posterior, 1.0 - posterior)
-    series = ccc(true_conf, predicted, args.bins)
+    series = ccc(true_confidence(model, scores, accepted), predicted, args.bins)
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")

@@ -1,13 +1,16 @@
-"""Labeled comparison scores: CSV ingestion, class partitioning, subject-exclusive splitting."""
+"""The columnar score table, CSV reading and writing, and subject-exclusive splitting.
+
+The CSV readers (``read_columns``, ``parse_*``, ``check_rows``) also serve every CLI command.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -16,64 +19,65 @@ IMPOSTER = "imposter"
 LABELS = (GENUINE, IMPOSTER)
 
 CSV_COLUMNS = ("score", "label", "probe_id", "reference_id", "subject_a", "subject_b")
+ID_COLUMNS = CSV_COLUMNS[2:]
 
 
-@dataclass(frozen=True)
-class ComparisonRecord:
-    """One labeled comparison score with optional pair/subject identifiers."""
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Labeled comparison scores: one numpy column per field, rows in order.
 
-    score: float
-    label: str
-    probe_id: str | None = None
-    reference_id: str | None = None
-    subject_a: str | None = None
-    subject_b: str | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.score):
-            raise ValueError(f"comparison score must be finite, got {self.score!r}")
-        if self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS}, got {self.label!r}")
-        if (
-            self.label == GENUINE
-            and self.subject_a is not None
-            and self.subject_b is not None
-            and self.subject_a != self.subject_b
-        ):
-            raise ValueError(
-                f"genuine comparison between different subjects "
-                f"({self.subject_a!r} vs {self.subject_b!r})"
-            )
-
-
-class LabeledScoreSet:
-    """Comparison records plus cached genuine/imposter score arrays.
-
-    The record tuple is the source of truth; the per-class arrays are derived
-    once at construction and preserve record order within each class.
+    ``score`` is float64 and ``is_genuine`` bool; the id columns hold
+    stripped strings, ``""`` where blank (a column left out is all blank).
+    Rejects columns of unequal length and, naming the row, a non-finite
+    score or a genuine row whose two non-blank subjects differ.
     """
 
-    def __init__(self, records: Iterable[ComparisonRecord]):
-        self.records: tuple[ComparisonRecord, ...] = tuple(records)
-        self.genuine_scores, self.imposter_scores = partition(self.records)
+    score: np.ndarray
+    is_genuine: np.ndarray
+    probe_id: np.ndarray | None = None
+    reference_id: np.ndarray | None = None
+    subject_a: np.ndarray | None = None
+    subject_b: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = np.size(self.score)
+        for field in fields(self):
+            column = getattr(self, field.name)
+            dtype = {"score": float, "is_genuine": bool}.get(field.name, object)
+            column = np.full(n, "", dtype) if column is None else np.asarray(column, dtype)
+            if column.shape != (n,):
+                raise ValueError(f"column {field.name!r} has shape {column.shape}, expected ({n},)")
+            object.__setattr__(self, field.name, column)
+        fail_first_row(~np.isfinite(self.score),
+                       lambda i: f"comparison score must be finite, got {float(self.score[i])!r}")
+        _check_subjects(self.is_genuine, self.subject_a, self.subject_b)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.score.size
+
+    @property
+    def genuine_scores(self) -> np.ndarray:
+        return self.score[self.is_genuine]
+
+    @property
+    def imposter_scores(self) -> np.ndarray:
+        return self.score[~self.is_genuine]
 
     @property
     def n_genuine(self) -> int:
-        return int(self.genuine_scores.size)
+        return int(np.count_nonzero(self.is_genuine))
 
     @property
     def n_imposter(self) -> int:
-        return int(self.imposter_scores.size)
+        return len(self) - self.n_genuine
 
 
-def partition(records: Sequence[ComparisonRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Split records into (genuine, imposter) score arrays by label."""
-    genuine = [r.score for r in records if r.label == GENUINE]
-    imposter = [r.score for r in records if r.label == IMPOSTER]
-    return np.asarray(genuine, dtype=float), np.asarray(imposter, dtype=float)
+def _check_subjects(is_genuine: np.ndarray, subject_a: np.ndarray, subject_b: np.ndarray) -> None:
+    fail_first_row(
+        is_genuine & (subject_a != subject_b) & (subject_a != "") & (subject_b != ""),
+        lambda i: f"genuine comparison between different subjects "
+                  f"({subject_a[i]!r} vs {subject_b[i]!r})",
+    )
 
 
 class RowError(ValueError):
@@ -82,6 +86,14 @@ class RowError(ValueError):
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
         self.row = row
+
+
+def fail_first_row(bad: np.ndarray, message) -> None:
+    """Raise ``RowError`` at the first row where ``bad`` is set, with ``message(i)`` for index i."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        i = int(rows[0])
+        raise RowError(i + 1, message(i))
 
 
 def read_columns(path: str | Path) -> tuple[list[str], int, dict[str, np.ndarray]]:
@@ -149,17 +161,11 @@ def parse_labels(column: Sequence[str], name: str) -> np.ndarray:
 
     Unknown values fail as ``row N: unknown <name> '...'``.
     """
-    distinct = set(column)
-    is_genuine = {}
-    for raw in distinct:
-        value = raw.strip().lower()
-        if value in LABELS:
-            is_genuine[raw] = value == GENUINE
-    if len(is_genuine) < len(distinct):
-        for i, raw in enumerate(column, start=1):
-            if raw not in is_genuine:
-                raise RowError(i, f"unknown {name} {raw!r}")
-    return np.fromiter(map(is_genuine.__getitem__, column), dtype=bool, count=len(column))
+    value = {raw: raw.strip().lower() for raw in set(column)}
+    unknown = [raw for raw in value if value[raw] not in LABELS]
+    if unknown:
+        fail_first_row(np.isin(column, unknown), lambda i: f"unknown {name} {column[i]!r}")
+    return np.isin(column, [raw for raw in value if value[raw] == GENUINE])
 
 
 def check_rows(*checks):
@@ -180,147 +186,109 @@ def check_rows(*checks):
     return results
 
 
-def _ids(columns: dict, field: str, n: int) -> list[str | None]:
-    """Stripped ids of one column (None when blank), removed from ``columns``.
-
-    Equal ids share one string, so the raw column's repeats are freed
-    before any record exists.
-    """
-    if field not in columns:
-        return [None] * n
-    column = columns.pop(field)
-    distinct = {raw: raw.strip() or None for raw in set(column)}
-    return list(map(distinct.__getitem__, column))
+def _stripped(column: np.ndarray) -> np.ndarray:
+    """Stripped strings of an id column; equal ids share one string."""
+    distinct = {raw: raw.strip() for raw in set(column)}
+    return np.fromiter(map(distinct.__getitem__, column), dtype=object, count=len(column))
 
 
-def _records(columns: dict, scores: np.ndarray, is_genuine: np.ndarray) -> list[ComparisonRecord]:
-    """Records from parsed scores and labels plus the id columns, which are consumed."""
-    ids = [_ids(columns, field, len(scores)) for field in CSV_COLUMNS[2:]]
-    labels = (IMPOSTER, GENUINE)
-    records = []
-    for i, (score, genuine, *optional) in enumerate(
-        zip(scores.tolist(), is_genuine.tolist(), *ids), start=1
-    ):
-        try:
-            records.append(ComparisonRecord(score, labels[genuine], *optional))
-        except ValueError as exc:
-            raise RowError(i, str(exc)) from None
-    return records
-
-
-def load_scores(path: str | Path, format: str = "csv") -> LabeledScoreSet:
-    """Load a labeled score set from a CSV file.
+def load_scores(path: str | Path) -> ScoreTable:
+    """Load a labeled score table from a CSV file.
 
     The file must carry a header with at least ``score`` and ``label``
     columns; ``probe_id``, ``reference_id``, ``subject_a``, ``subject_b``
-    are optional. Column names and labels are case-insensitive; labels are
-    canonicalized on load.
+    are optional. Column names and labels are case-insensitive; ids are
+    stripped. A bad score, an unknown label or a genuine row between two
+    different subjects fails with the number of the lowest bad row.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}, only 'csv' is available")
     path = Path(path)
-    _, _, columns = read_columns(path)
+    _, n_rows, columns = read_columns(path)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
-    try:
-        scores, is_genuine = check_rows(
-            lambda: parse_floats(columns["score"], "score"),
-            lambda: parse_labels(columns["label"], "label"),
-        )
-    except RowError as exc:
-        # The rows above the bad one pass both checks, but one of them may
-        # still fail as a record; that lower row is reported instead.
-        above = {name: column[: exc.row - 1] for name, column in columns.items()}
-        _records(above, parse_floats(above["score"], "score"), parse_labels(above["label"], "label"))
-        raise
-    del columns["score"], columns["label"]  # their strings are freed before the records exist
-    return LabeledScoreSet(_records(columns, scores, is_genuine))
+    # The raw id strings are freed as each column is replaced.
+    blank = np.full(n_rows, "", dtype=object)
+    ids = {name: _stripped(columns.pop(name)) if name in columns else blank
+           for name in ID_COLUMNS}
+    labels = columns["label"]
+    # The subject check takes rows with a bad label as not genuine, so it
+    # can still name a lower row than the label check.
+    genuine = [raw for raw in set(labels) if raw.strip().lower() == GENUINE]
+    scores, is_genuine, _ = check_rows(
+        lambda: parse_floats(columns["score"], "score"),
+        lambda: parse_labels(labels, "label"),
+        lambda: _check_subjects(np.isin(labels, genuine), ids["subject_a"], ids["subject_b"]),
+    )
+    return ScoreTable(scores, is_genuine, **ids)
 
 
-def save_scores(score_set: LabeledScoreSet, path: str | Path) -> None:
-    """Write a score set as CSV with the canonical column layout."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
+def save_scores(table: ScoreTable, path: str | Path) -> None:
+    """Write a score table as CSV with the canonical column layout."""
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for r in score_set.records:
-            writer.writerow(
-                [
-                    f"{r.score:.6f}",
-                    r.label,
-                    r.probe_id or "",
-                    r.reference_id or "",
-                    r.subject_a or "",
-                    r.subject_b or "",
-                ]
-            )
+        writer.writerows(zip(
+            map("{:.6f}".format, table.score.tolist()),
+            np.where(table.is_genuine, GENUINE, IMPOSTER).tolist(),
+            *(getattr(table, name) for name in ID_COLUMNS),
+        ))
 
 
 def split_subject_exclusive(
-    records: Sequence[ComparisonRecord],
+    table: ScoreTable,
     train_fraction: float = 0.5,
     seed: int = 0,
-) -> tuple[LabeledScoreSet, LabeledScoreSet]:
-    """Partition records into train/test with no subject shared across sides.
+) -> tuple[ScoreTable, ScoreTable]:
+    """Partition rows into train/test with no subject shared across sides.
 
     Subjects are assigned greedily: sorted by their genuine (within-subject)
     comparison count descending, each subject goes to the side whose
     weighted fill is currently lower, so both sides end up with a similar
     genuine comparison total. Cross-subject comparisons whose two subjects
     land on different sides are dropped; the caller can recover the drop
-    count as ``len(records) - len(train) - len(test)``.
+    count as ``len(table) - len(train) - len(test)``. Both sides keep row
+    order.
 
-    Deterministic for a fixed (records, train_fraction, seed): the seed only
+    Deterministic for a fixed (table, train_fraction, seed): the seed only
     controls tie ordering among subjects with equal counts.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    if not records:
-        raise ValueError("cannot split an empty record list")
+    if not len(table):
+        raise ValueError("cannot split an empty score table")
+    fail_first_row((table.subject_a == "") | (table.subject_b == ""),
+                   lambda i: "subject_a and subject_b are required for splitting")
 
-    for i, r in enumerate(records, start=1):
-        if not r.subject_a or not r.subject_b:
-            raise ValueError(f"record {i}: subject_a and subject_b are required for splitting")
-
-    weight: dict[str, int] = {}
-    for r in records:
-        weight.setdefault(r.subject_a, 0)
-        weight.setdefault(r.subject_b, 0)
-        if r.label == GENUINE and r.subject_a == r.subject_b:
-            weight[r.subject_a] += 1
-
-    if len(weight) < 2:
+    subjects = sorted(set(table.subject_a) | set(table.subject_b))
+    if len(subjects) < 2:
         raise ValueError("cannot split: all records belong to a single subject")
+    code = {subject: i for i, subject in enumerate(subjects)}
+    a = np.fromiter(map(code.__getitem__, table.subject_a), dtype=np.intp, count=len(table))
+    b = np.fromiter(map(code.__getitem__, table.subject_b), dtype=np.intp, count=len(table))
+    # A genuine row's two subjects are equal (the table checks it).
+    weight = np.bincount(a[table.is_genuine], minlength=len(subjects)).tolist()
 
-    subjects = sorted(weight)
-    random.Random(seed).shuffle(subjects)
-    subjects.sort(key=lambda s: -weight[s])  # stable: shuffled order breaks ties
+    order = list(range(len(subjects)))  # the sorted subjects, by index
+    random.Random(seed).shuffle(order)
+    order.sort(key=lambda i: -weight[i])  # stable: shuffled order breaks ties
 
     test_fraction = 1.0 - train_fraction
-    train_subjects: set[str] = set()
-    test_subjects: set[str] = set()
+    in_train = np.zeros(len(subjects), dtype=bool)
     train_load = 0.0
     test_load = 0.0
-    for subj in subjects:
+    for i in order:
         if train_load / train_fraction <= test_load / test_fraction:
-            train_subjects.add(subj)
-            train_load += weight[subj]
+            in_train[i] = True
+            train_load += weight[i]
         else:
-            test_subjects.add(subj)
-            test_load += weight[subj]
+            test_load += weight[i]
 
-    train_records = []
-    test_records = []
-    for r in records:
-        in_train = (r.subject_a in train_subjects) and (r.subject_b in train_subjects)
-        in_test = (r.subject_a in test_subjects) and (r.subject_b in test_subjects)
-        if in_train:
-            train_records.append(r)
-        elif in_test:
-            test_records.append(r)
-        # else: cross-partition pair, dropped to preserve exclusivity
-
-    if not train_records or not test_records:
+    # Rows whose subjects land on different sides are in neither mask.
+    train_rows = in_train[a] & in_train[b]
+    test_rows = ~(in_train[a] | in_train[b])
+    if not train_rows.any() or not test_rows.any():
         raise ValueError("cannot split: one side would be empty")
+    return _rows(table, train_rows), _rows(table, test_rows)
 
-    return LabeledScoreSet(train_records), LabeledScoreSet(test_records)
+
+def _rows(table: ScoreTable, mask: np.ndarray) -> ScoreTable:
+    return ScoreTable(*(getattr(table, field.name)[mask] for field in fields(ScoreTable)))

@@ -15,6 +15,7 @@ tails.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -61,13 +62,6 @@ def default_bandwidth(scores: np.ndarray) -> float:
     return spread * factor
 
 
-def gaussian_kernel(x):
-    """Standard Gaussian kernel exp(-x^2/2) / sqrt(2*pi)."""
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if arr.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class KdeDensity:
     """A fitted one-dimensional Gaussian KDE plus its lookup grid.
@@ -84,7 +78,14 @@ class KdeDensity:
     grid_resolution: int
 
     def grid_points(self) -> np.ndarray:
-        return np.linspace(self.grid_min, self.grid_max, self.grid_resolution)
+        """The grid's scores: one read-only array, built on first use."""
+        return self._grid
+
+    @functools.cached_property
+    def _grid(self) -> np.ndarray:
+        grid = np.linspace(self.grid_min, self.grid_max, self.grid_resolution)
+        grid.flags.writeable = False
+        return grid
 
 
 def _kernel_sum(train: np.ndarray, bandwidth: float, queries: np.ndarray) -> np.ndarray:

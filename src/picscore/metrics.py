@@ -221,12 +221,12 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> list[CccBin]:
     return series
 
 
-def true_confidence(model_test: DensityModel, s: float, threshold: float) -> float:
-    """Empirical correctness probability of the decision at a raw threshold.
+def true_confidence(model_test: DensityModel, scores, accepted):
+    """Empirical correctness probability of each decision.
 
     Uses a model fitted on held-out (test) scores as the ground-truth
-    posterior: the probability the score is genuine if the decision is
-    genuine (score >= threshold), otherwise its complement.
+    posterior: the probability the score is genuine where the decision
+    accepted it as genuine, otherwise its complement.
     """
-    p = float(pic_values(model_test, float(s)))
-    return p if s >= threshold else 1.0 - p
+    p = pic_values(model_test, scores)
+    return np.where(accepted, p, 1.0 - p)

@@ -2,9 +2,9 @@
 
 Genuine and imposter scores are drawn from one Gaussian each, so the exact
 Bayes posterior is available in closed form and every calibration claim can
-be checked against it at desk scale. Generated records carry deterministic
-round-robin subject and probe identifiers, which makes them splittable by
-subject and groupable for multi-reference fusion.
+be checked against it at desk scale. A generated score table carries
+deterministic round-robin subject and probe identifier columns, which makes
+it splittable by subject and groupable for multi-reference fusion.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSet
+from .dataset import ScoreTable
 from .pic import _stable_sigmoid
 
 
@@ -22,7 +22,7 @@ from .pic import _stable_sigmoid
 class SynthConfig:
     """Two-Gaussian score generator parameters.
 
-    ``refs_per_probe`` controls how many consecutive records share one
+    ``refs_per_probe`` controls how many consecutive rows share one
     (probe, claimed identity) group, so fused scoring has groups to work
     with; the default of 1 yields plain independent comparisons.
     """
@@ -50,14 +50,10 @@ class SynthConfig:
             raise ValueError("refs_per_probe must be >= 1")
 
 
-def _subject(index: int) -> str:
-    return f"S{index:05d}"
+def generate(config: SynthConfig) -> ScoreTable:
+    """Draw a labeled score table from the configured Gaussians.
 
-
-def generate(config: SynthConfig) -> LabeledScoreSet:
-    """Draw a labeled score set from the configured Gaussians.
-
-    Deterministic per seed. Genuine records come first, then imposters.
+    Deterministic per seed. Genuine rows come first, then imposters.
     Genuine groups compare a probe against references of its own subject;
     imposter groups claim a different subject, cycling over subject pairs.
     """
@@ -65,36 +61,23 @@ def generate(config: SynthConfig) -> LabeledScoreSet:
     genuine = rng.normal(config.genuine_mean, config.genuine_std, config.n_genuine)
     imposter = rng.normal(config.imposter_mean, config.imposter_std, config.n_imposter)
 
-    records = []
-    for i, score in enumerate(genuine):
-        group = i // config.refs_per_probe
-        subj = _subject(group % config.n_subjects)
-        records.append(
-            ComparisonRecord(
-                score=float(score),
-                label=GENUINE,
-                probe_id=f"gp{group:07d}",
-                reference_id=f"gr{i:07d}",
-                subject_a=subj,
-                subject_b=subj,
-            )
-        )
-    for j, score in enumerate(imposter):
-        group = j // config.refs_per_probe
-        a_idx = group % config.n_subjects
-        offset = 1 + (group // config.n_subjects) % (config.n_subjects - 1)
-        b_idx = (a_idx + offset) % config.n_subjects
-        records.append(
-            ComparisonRecord(
-                score=float(score),
-                label=IMPOSTER,
-                probe_id=f"ip{group:07d}",
-                reference_id=f"ir{j:07d}",
-                subject_a=_subject(a_idx),
-                subject_b=_subject(b_idx),
-            )
-        )
-    return LabeledScoreSet(records)
+    n = config.n_subjects
+    is_genuine = np.arange(config.n_genuine + config.n_imposter) < config.n_genuine
+    # Each row's position within its class.
+    index = np.concatenate([np.arange(config.n_genuine), np.arange(config.n_imposter)])
+    group = index // config.refs_per_probe
+    subject_a = group % n
+    subject_b = np.where(is_genuine, subject_a, (subject_a + 1 + (group // n) % (n - 1)) % n)
+    kind = np.where(is_genuine, "g", "i").tolist()
+    subjects = np.array([f"S{k:05d}" for k in range(n)], dtype=object)
+    return ScoreTable(
+        np.concatenate([genuine, imposter]),
+        is_genuine,
+        probe_id=[f"{k}p{g:07d}" for k, g in zip(kind, group.tolist())],
+        reference_id=[f"{k}r{i:07d}" for k, i in zip(kind, index.tolist())],
+        subject_a=subjects[subject_a],
+        subject_b=subjects[subject_b],
+    )
 
 
 def _log_density_ratio(config: SynthConfig, s) -> np.ndarray:

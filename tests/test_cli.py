@@ -67,8 +67,8 @@ class TestSplitCommand:
         assert run_inprocess("split", synth_csv, "--out-train", train,
                              "--out-test", test, "--seed", 1) == 0
         train_set, test_set = load_scores(train), load_scores(test)
-        train_subjects = {r.subject_a for r in train_set.records}
-        test_subjects = {r.subject_a for r in test_set.records}
+        train_subjects = set(train_set.subject_a)
+        test_subjects = set(test_set.subject_a)
         assert train_subjects.isdisjoint(test_subjects)
 
     def test_drop_count_printed(self, tmp_path, synth_csv, capsys):
@@ -83,6 +83,15 @@ class TestSplitCommand:
         code = run_inprocess("split", bare, "--out-train", tmp_path / "a.csv",
                              "--out-test", tmp_path / "b.csv")
         assert code == 2
+
+    def test_blank_subject_names_row(self, tmp_path, capsys):
+        source = tmp_path / "in.csv"
+        source.write_text("score,label,subject_a,subject_b\n0.9,genuine,A,A\n0.1,imposter,A, \n")
+        code = run_inprocess("split", source, "--out-train", tmp_path / "a.csv",
+                             "--out-test", tmp_path / "b.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "row 2: subject_a and subject_b are required for splitting" in err
 
     def test_byte_identical_reruns(self, tmp_path, synth_csv):
         outs = []

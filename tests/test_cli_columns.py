@@ -269,13 +269,17 @@ class TestMessages:
         source.write_text("label,pic,decision,confidence\n" + "\n".join(rows) + "\n")
         self.fails_with(capsys, message, "eval", source, tmp_path / "r")
 
-    @pytest.mark.parametrize("rows, row", [
-        (["0.9,genuine,A,B", "nan,genuine,A,A"], 1),
-        (["abc,genuine,A,A", "0.9,genuine,A,B"], 1),
-        (["0.9,genuine,A,A", "0.9,genuine,A,B", "0.1,bogus,A,B"], 2),
+    @pytest.mark.parametrize("rows, error", [
+        pytest.param(["0.9,genuine,A,B", "nan,genuine,A,A"], "row 1: ", id="rows0-1"),
+        pytest.param(["abc,genuine,A,A", "0.9,genuine,A,B"], "row 1: ", id="rows1-1"),
+        pytest.param(["0.9,genuine,A,A", "0.9,genuine,A,B", "0.1,bogus,A,B"], "row 2: ",
+                     id="rows2-2"),
+        # One row with two faults: the score error wins, as it would in a per-row check.
+        pytest.param(["0.9,genuine,A,A", "nan,genuine,A,B"], "row 2: invalid score value 'nan'$",
+                     id="rows3-2"),
     ])
-    def test_load_scores_names_lower_row(self, tmp_path, rows, row):
+    def test_load_scores_names_lower_row(self, tmp_path, rows, error):
         source = tmp_path / "in.csv"
         source.write_text("score,label,subject_a,subject_b\n" + "\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=rf"^row {row}: "):
+        with pytest.raises(ValueError, match=rf"^{error}"):
             load_scores(source)

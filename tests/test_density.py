@@ -4,10 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from picscore.dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSet
+from picscore.dataset import ScoreTable
 from picscore.density import (
     DENSITY_FLOOR,
     MODEL_VERSION,
@@ -16,7 +14,6 @@ from picscore.density import (
     eval_density,
     fit_kde,
     fit_model,
-    gaussian_kernel,
     load_model,
     save_model,
     scott_bandwidth,
@@ -46,23 +43,6 @@ class TestScottBandwidth:
     def test_default_bandwidth_constant_data_falls_back(self):
         scores = np.full(50, 0.3)
         assert default_bandwidth(scores) == scott_bandwidth(50)
-
-
-class TestGaussianKernel:
-    def test_value_at_zero(self):
-        assert gaussian_kernel(0.0) == pytest.approx(0.3989422804, abs=1e-9)
-
-    def test_value_at_one(self):
-        assert gaussian_kernel(1.0) == pytest.approx(0.2419707245, abs=1e-9)
-
-    @given(st.floats(min_value=-30, max_value=30))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry(self, x):
-        assert gaussian_kernel(x) == gaussian_kernel(-x)
-
-    def test_maximum_at_zero(self):
-        xs = np.linspace(-4, 4, 101)
-        assert np.argmax(gaussian_kernel(xs)) == 50
 
 
 class TestFitKde:
@@ -112,6 +92,13 @@ class TestEvalDensity:
         xs = density.grid_points()
         for i in (0, 100, 2047, 4095):
             assert eval_density(density, float(xs[i])) == density.grid_values[i]
+
+    def test_grid_points_built_once(self):
+        density = fit_kde([0.1, 0.5, 0.9], bandwidth=0.1, resolution=64)
+        xs = density.grid_points()
+        assert density.grid_points() is xs
+        assert not xs.flags.writeable
+        assert np.array_equal(xs, np.linspace(density.grid_min, density.grid_max, 64))
 
     def test_lookup_matches_exact_in_range(self):
         rng = np.random.default_rng(8)
@@ -190,9 +177,8 @@ class TestWindowedKernelSum:
 
 
 def _toy_set(genuine, imposter):
-    records = [ComparisonRecord(float(s), GENUINE) for s in genuine]
-    records += [ComparisonRecord(float(s), IMPOSTER) for s in imposter]
-    return LabeledScoreSet(records)
+    scores = np.concatenate([np.asarray(genuine, dtype=float), np.asarray(imposter, dtype=float)])
+    return ScoreTable(scores, np.arange(scores.size) < len(genuine))
 
 
 class TestFitModel:
@@ -222,9 +208,9 @@ class TestFitModel:
 
     def test_empty_class_error(self):
         with pytest.raises(ValueError, match="genuine"):
-            fit_model(LabeledScoreSet([ComparisonRecord(0.1, IMPOSTER)]))
+            fit_model(ScoreTable([0.1], [False]))
         with pytest.raises(ValueError, match="imposter"):
-            fit_model(LabeledScoreSet([ComparisonRecord(0.9, GENUINE)]))
+            fit_model(ScoreTable([0.9], [True]))
 
     def test_prior_out_of_range_error(self):
         with pytest.raises(ValueError, match="prior"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picscore.dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSet
+from picscore.dataset import ScoreTable
 from picscore.density import fit_model
 from picscore.metrics import (
     calibration_report,
@@ -247,14 +247,12 @@ class TestTrueConfidence:
 
     def test_equal_density_point_genuine_decision(self):
         scores = [0.2, 0.5, 0.8]
-        records = [ComparisonRecord(s, GENUINE) for s in scores]
-        records += [ComparisonRecord(s, IMPOSTER) for s in scores]
-        model = fit_model(LabeledScoreSet(records))
-        assert true_confidence(model, 0.5, threshold=0.4) == pytest.approx(0.5, abs=1e-12)
+        model = fit_model(ScoreTable(scores + scores, [True] * 3 + [False] * 3))
+        assert true_confidence(model, 0.5, accepted=0.5 >= 0.4) == pytest.approx(0.5, abs=1e-12)
 
     def test_deep_genuine_region(self, test_fitted):
         _, model = test_fitted
-        assert true_confidence(model, 0.95, threshold=0.5) >= 0.999
+        assert true_confidence(model, 0.95, accepted=0.95 >= 0.5) >= 0.999
 
     def test_agrees_with_analytic_oracle(self, test_fitted):
         config, model = test_fitted
@@ -266,5 +264,5 @@ class TestTrueConfidence:
             analytic_posterior(config, scores),
             1 - analytic_posterior(config, scores),
         )
-        got = np.array([true_confidence(model, float(s), threshold) for s in scores])
+        got = true_confidence(model, scores, accepted=scores >= threshold)
         assert np.mean(np.abs(got - folded_oracle)) <= 0.02

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picscore.dataset import GENUINE, IMPOSTER, ComparisonRecord, LabeledScoreSet
+from picscore.dataset import GENUINE, IMPOSTER, ScoreTable
 from picscore.density import DensityModel, KdeDensity, fit_model
 from picscore.pic import (
     decide,
@@ -45,9 +45,7 @@ def synth_model():
 class TestPicSingle:
     def test_equal_densities_give_half(self):
         scores = [0.2, 0.5, 0.8]
-        records = [ComparisonRecord(s, GENUINE) for s in scores]
-        records += [ComparisonRecord(s, IMPOSTER) for s in scores]
-        model = fit_model(LabeledScoreSet(records))
+        model = fit_model(ScoreTable(scores + scores, [True] * 3 + [False] * 3))
         for s in (0.1, 0.5, 0.76):
             assert pic_single(model, s).value == pytest.approx(0.5, abs=1e-12)
 

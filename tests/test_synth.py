@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from picscore.dataset import GENUINE, split_subject_exclusive
+from picscore.dataset import split_subject_exclusive
 from picscore.synth import (
     SynthConfig,
     analytic_fused_posterior,
@@ -20,8 +20,8 @@ class TestGenerate:
     def test_determinism(self):
         config = SynthConfig(n_genuine=500, n_imposter=400, seed=9)
         a, b = generate(config), generate(config)
-        assert [r.score for r in a.records] == [r.score for r in b.records]
-        assert [r.probe_id for r in a.records] == [r.probe_id for r in b.records]
+        assert a.score.tolist() == b.score.tolist()
+        assert a.probe_id.tolist() == b.probe_id.tolist()
 
     def test_counts_exact(self):
         out = generate(SynthConfig(n_genuine=123, n_imposter=456, seed=1))
@@ -36,26 +36,26 @@ class TestGenerate:
 
     def test_subject_structure(self):
         out = generate(SynthConfig(n_genuine=60, n_imposter=60, seed=2, n_subjects=5))
-        for r in out.records:
-            if r.label == GENUINE:
-                assert r.subject_a == r.subject_b
+        for is_genuine, subject_a, subject_b in zip(out.is_genuine, out.subject_a, out.subject_b):
+            if is_genuine:
+                assert subject_a == subject_b
             else:
-                assert r.subject_a != r.subject_b
+                assert subject_a != subject_b
 
     def test_refs_per_probe_groups(self):
         out = generate(
             SynthConfig(n_genuine=50, n_imposter=50, seed=2, n_subjects=4, refs_per_probe=5)
         )
-        genuine = [r for r in out.records if r.label == GENUINE]
+        genuine = zip(out.probe_id[out.is_genuine], out.subject_b[out.is_genuine])
         groups = {}
-        for r in genuine:
-            groups.setdefault((r.probe_id, r.subject_b), 0)
-            groups[(r.probe_id, r.subject_b)] += 1
+        for probe_id, subject_b in genuine:
+            groups.setdefault((probe_id, subject_b), 0)
+            groups[(probe_id, subject_b)] += 1
         assert set(groups.values()) == {5}
 
     def test_split_applies(self):
         out = generate(SynthConfig(n_genuine=400, n_imposter=400, seed=3, n_subjects=20))
-        train, test = split_subject_exclusive(out.records, 0.5, seed=0)
+        train, test = split_subject_exclusive(out, 0.5, seed=0)
         assert train.n_genuine > 0 and test.n_genuine > 0
 
     def test_invalid_configs(self):
