@@ -2,7 +2,8 @@
 
 All three express decision confidence (the probability the accept/reject
 decision is correct) so their calibration can be compared directly with
-posterior-based confidence. Fitted state comes from training scores only.
+posterior-based confidence. Fitted state comes from training scores only,
+and each estimator type holds exactly the state its confidence function uses.
 
 DTC  - distance to the decision threshold, min-max normalized so the
        threshold maps to 0.5 and the training extremes map to 1.0.
@@ -23,31 +24,35 @@ from .density import DensityModel
 from .metrics import threshold_at_fmr
 from .pic import log_likelihood_ratio
 
-DTC = "dtc"
-LRC = "lrc"
-ERBC = "erbc"
-
 _ERBC_GRID_SIZE = 2048
 
 
 @dataclass(frozen=True)
-class BaselineEstimator:
-    """A fitted baseline scorer; only the fields for its kind are set."""
+class DtcEstimator:
+    """Fitted DTC: the decision threshold and the training score range."""
 
-    kind: str
     threshold: float
-    score_min: float | None = None
-    score_max: float | None = None
-    abs_llr_min: float | None = None
-    abs_llr_max: float | None = None
-    grid_thresholds: np.ndarray | None = None
-    grid_fmr: np.ndarray | None = None
-    grid_fnmr: np.ndarray | None = None
+    score_min: float
+    score_max: float
 
 
-def _require_kind(est: BaselineEstimator, kind: str) -> None:
-    if est.kind != kind:
-        raise ValueError(f"estimator of kind {est.kind!r} passed to a {kind!r} scorer")
+@dataclass(frozen=True)
+class LrcEstimator:
+    """Fitted LRC: the decision threshold and the training |log LR| range."""
+
+    threshold: float
+    abs_llr_min: float
+    abs_llr_max: float
+
+
+@dataclass(frozen=True)
+class ErbcEstimator:
+    """Fitted ERBC: the decision threshold and the training FMR and FNMR per grid threshold."""
+
+    threshold: float
+    grid_thresholds: np.ndarray
+    grid_fmr: np.ndarray
+    grid_fnmr: np.ndarray
 
 
 def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
@@ -58,23 +63,19 @@ def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
     return g, f
 
 
-def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> BaselineEstimator:
+def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> DtcEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
     all_scores = np.concatenate([g, f])
-    return BaselineEstimator(
-        kind=DTC,
+    return DtcEstimator(
         threshold=float(threshold),
         score_min=float(all_scores.min()),
         score_max=float(all_scores.max()),
     )
 
 
-def dtc_confidence(est: BaselineEstimator, s):
+def dtc_confidence(est: DtcEstimator, s):
     """Distance-to-threshold confidence, clamped to [0, 1]."""
-    _require_kind(est, DTC)
-    if est.score_min is None or est.score_max is None:
-        raise ValueError("DTC estimator is not fitted")
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     x = np.atleast_1d(arr)
@@ -96,23 +97,19 @@ def dtc_confidence(est: BaselineEstimator, s):
 
 def fit_lrc(
     train: ScoreTable, model: DensityModel, target_fmr: float = 1e-3
-) -> BaselineEstimator:
+) -> LrcEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
     abs_llr = np.abs(log_likelihood_ratio(model, np.concatenate([g, f])))
-    return BaselineEstimator(
-        kind=LRC,
+    return LrcEstimator(
         threshold=float(threshold),
         abs_llr_min=float(abs_llr.min()),
         abs_llr_max=float(abs_llr.max()),
     )
 
 
-def lrc_confidence(est: BaselineEstimator, model: DensityModel, s):
+def lrc_confidence(est: LrcEstimator, model: DensityModel, s):
     """Likelihood-ratio confidence mapped onto [0.5, 1] per decision branch."""
-    _require_kind(est, LRC)
-    if est.abs_llr_min is None or est.abs_llr_max is None:
-        raise ValueError("LRC estimator is not fitted")
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     x = np.atleast_1d(arr)
@@ -128,21 +125,16 @@ def lrc_confidence(est: BaselineEstimator, model: DensityModel, s):
     return float(conf[0]) if scalar else conf
 
 
-def fit_erbc(
-    train: ScoreTable, target_fmr: float = 1e-3, grid_size: int = _ERBC_GRID_SIZE
-) -> BaselineEstimator:
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
     all_scores = np.concatenate([g, f])
-    grid = np.linspace(float(all_scores.min()), float(all_scores.max()), grid_size)
+    grid = np.linspace(float(all_scores.min()), float(all_scores.max()), _ERBC_GRID_SIZE)
     g_sorted = np.sort(g)
     f_sorted = np.sort(f)
     fmr_curve = (f_sorted.size - np.searchsorted(f_sorted, grid, side="left")) / f_sorted.size
     fnmr_curve = np.searchsorted(g_sorted, grid, side="left") / g_sorted.size
-    return BaselineEstimator(
-        kind=ERBC,
+    return ErbcEstimator(
         threshold=float(threshold),
         grid_thresholds=grid,
         grid_fmr=fmr_curve,
@@ -150,11 +142,8 @@ def fit_erbc(
     )
 
 
-def erbc_confidence(est: BaselineEstimator, s):
+def erbc_confidence(est: ErbcEstimator, s):
     """Error-rate-based confidence from the nearest tabulated threshold."""
-    _require_kind(est, ERBC)
-    if est.grid_thresholds is None or est.grid_fmr is None or est.grid_fnmr is None:
-        raise ValueError("ERBC estimator is not fitted")
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
     x = np.atleast_1d(arr)

@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .dataset import (
     read_columns,
     save_scores,
     split_subject_exclusive,
+    write_rows,
 )
 from .density import fit_model, load_model, save_model
 from .metrics import calibration_report, ccc, fnmr_at_fmr, true_confidence
@@ -188,15 +188,12 @@ def cmd_score(args) -> int:
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header + ["pic", "decision", "confidence"])
-        writer.writerows(zip(
-            *columns.values(),
-            _fmt_column(values),
-            _decision_column(is_genuine),
-            _fmt_column(confidence),
-        ))
+    write_rows(args.out, header + ["pic", "decision", "confidence"], zip(
+        *columns.values(),
+        _fmt_column(values),
+        _decision_column(is_genuine),
+        _fmt_column(confidence),
+    ))
 
     _write_manifest(
         "score",
@@ -252,17 +249,14 @@ def cmd_fuse(args) -> int:
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
     n_used = np.minimum(sizes, args.max_refs)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FUSED_COLUMNS)
-        writer.writerows(zip(
-            *zip(*group_of),
-            _decision_column(is_genuine[first]),
-            n_used.tolist(),
-            _fmt_column(values),
-            _decision_column(is_accepted),
-            _fmt_column(confidence),
-        ))
+    write_rows(args.out, FUSED_COLUMNS, zip(
+        *zip(*group_of),
+        _decision_column(is_genuine[first]),
+        n_used.tolist(),
+        _fmt_column(values),
+        _decision_column(is_accepted),
+        _fmt_column(confidence),
+    ))
 
     _write_manifest(
         "fuse",
@@ -342,14 +336,10 @@ def cmd_eval(args) -> int:
 
     calibration_path = f"{args.out}.calibration.csv"
     summary_path = f"{args.out}.summary.csv"
-    with open(calibration_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CALIBRATION_COLUMNS)
-        for b in report.bins:
-            writer.writerow(
-                [_fmt(b.lo), _fmt(b.hi), b.count, _fmt(b.p_true), _fmt(b.p_pred_mean),
-                 _fmt(b.p_pred_std)]
-            )
+    write_rows(calibration_path, CALIBRATION_COLUMNS, (
+        [_fmt(b.lo), _fmt(b.hi), b.count, _fmt(b.p_true), _fmt(b.p_pred_mean), _fmt(b.p_pred_std)]
+        for b in report.bins
+    ))
     summary_rows = [
         ("estimator", args.estimator),
         ("decision_filter", args.decisions),
@@ -364,10 +354,7 @@ def cmd_eval(args) -> int:
         ("n_genuine", verification.n_genuine),
         ("n_imposter", verification.n_imposter),
     ]
-    with open(summary_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows(summary_rows)
+    write_rows(summary_path, ("key", "value"), summary_rows)
 
     _write_manifest(
         "eval",
@@ -399,13 +386,10 @@ def cmd_curve(args) -> int:
 
     series = ccc(true_confidence(model, scores, accepted), predicted, args.bins)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CCC_COLUMNS)
-        for point in series:
-            writer.writerow(
-                [_fmt(point.center), _fmt(point.pred_mean), _fmt(point.pred_std), point.count]
-            )
+    write_rows(args.out, CCC_COLUMNS, (
+        [_fmt(point.center), _fmt(point.pred_mean), _fmt(point.pred_std), point.count]
+        for point in series
+    ))
 
     _write_manifest(
         "curve",

@@ -1,6 +1,7 @@
 """The columnar score table, CSV reading and writing, and subject-exclusive splitting.
 
-The CSV readers (``read_columns``, ``parse_*``, ``check_rows``) also serve every CLI command.
+The CSV readers (``read_columns``, ``parse_*``, ``check_rows``) and the CSV writer
+(``write_rows``) also serve every CLI command.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -139,6 +140,17 @@ def read_columns(path: str | Path) -> tuple[list[str], int, dict[str, np.ndarray
     return header, n_rows, {name: table[i::width].copy() for i, name in enumerate(names)}
 
 
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and data rows as CSV, each line ended by ``\\n``.
+
+    The dialect is the ``csv`` module's default, the one ``read_columns`` reads.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_floats(column: Sequence[str], name: str) -> np.ndarray:
     """Parse a column of finite numbers: ``row N: invalid <name> value '...'``."""
     try:
@@ -223,14 +235,11 @@ def load_scores(path: str | Path) -> ScoreTable:
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:
     """Write a score table as CSV with the canonical column layout."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(
-            map("{:.6f}".format, table.score.tolist()),
-            np.where(table.is_genuine, GENUINE, IMPOSTER).tolist(),
-            *(getattr(table, name) for name in ID_COLUMNS),
-        ))
+    write_rows(path, CSV_COLUMNS, zip(
+        map("{:.6f}".format, table.score.tolist()),
+        np.where(table.is_genuine, GENUINE, IMPOSTER).tolist(),
+        *(getattr(table, name) for name in ID_COLUMNS),
+    ))
 
 
 def split_subject_exclusive(

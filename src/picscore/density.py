@@ -3,14 +3,15 @@
 Genuine and imposter score distributions are each fitted with a Gaussian
 KDE. The fitted density is tabulated on a uniform grid spanning the data
 range plus five bandwidths per side, which keeps the untabulated tail mass
-below 1e-4; queries use linear interpolation of that grid by default, with
-the exact kernel sum available for verification. Both the grid and exact
-queries come from one kernel sum that skips training points more than nine
-bandwidths from the query: each skipped term is below phi(9) / (n * h), so
-the sum is off by less than phi(9) / h ~= 1.03e-18 / h, under
-``DENSITY_FLOOR`` for any bandwidth above 1.03e-6. Every evaluated density
-is floored at ``DENSITY_FLOOR`` so posterior ratios stay finite in the
-tails.
+below 1e-4, and queries linearly interpolate that grid. The grid is all a
+fitted density keeps, so a model reloaded from disk equals the fitted one.
+The grid is tabulated with ``kernel_density``, the exact kernel sum, which
+also serves as the reference the lookups are checked against. It skips
+training points more than nine bandwidths from the query: each skipped term
+is below phi(9) / (n * h), so the sum is off by less than
+phi(9) / h ~= 1.03e-18 / h, under ``DENSITY_FLOOR`` for any bandwidth above
+1.03e-6. Every evaluated density is floored at ``DENSITY_FLOOR`` so
+posterior ratios stay finite in the tails.
 """
 
 from __future__ import annotations
@@ -62,20 +63,33 @@ def default_bandwidth(scores: np.ndarray) -> float:
     return spread * factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KdeDensity:
-    """A fitted one-dimensional Gaussian KDE plus its lookup grid.
+    """A fitted one-dimensional Gaussian KDE, tabulated on a uniform grid.
 
-    ``train_scores`` is empty for models restored from disk; exact-mode
-    evaluation is then unavailable (the file stores only tabulated state).
+    ``grid_values`` holds the density at ``grid_resolution`` evenly spaced
+    scores from ``grid_min`` to ``grid_max``; the training scores are not
+    kept. Two densities are equal when their bandwidths, grid bounds and
+    grid values are.
     """
 
-    train_scores: np.ndarray
     bandwidth: float
     grid_min: float
     grid_max: float
     grid_values: np.ndarray
-    grid_resolution: int
+
+    def __eq__(self, other):
+        if not isinstance(other, KdeDensity):
+            return NotImplemented
+        return (
+            (self.bandwidth, self.grid_min, self.grid_max)
+            == (other.bandwidth, other.grid_min, other.grid_max)
+            and np.array_equal(self.grid_values, other.grid_values)
+        )
+
+    @property
+    def grid_resolution(self) -> int:
+        return self.grid_values.size
 
     def grid_points(self) -> np.ndarray:
         """The grid's scores: one read-only array, built on first use."""
@@ -127,6 +141,18 @@ def _kernel_sum(train: np.ndarray, bandwidth: float, queries: np.ndarray) -> np.
     return out
 
 
+def kernel_density(scores, bandwidth: float, queries) -> np.ndarray:
+    """The exact Gaussian KDE of ``scores`` at ``queries``, floored at ``DENSITY_FLOOR``.
+
+    Sums the kernel over the training scores within nine bandwidths of each
+    query; the terms left out add less than phi(9) / h ~= 1.03e-18 / h in
+    total. Returns one value per query, flattened; NaN queries give NaN.
+    """
+    scores = np.asarray(scores, dtype=float).ravel()
+    queries = np.asarray(queries, dtype=float).ravel()
+    return np.maximum(_kernel_sum(scores, bandwidth, queries), DENSITY_FLOOR)
+
+
 def fit_kde(
     scores,
     bandwidth: float | None = None,
@@ -168,46 +194,29 @@ def fit_kde(
             raise ValueError(f"grid range must satisfy lo < hi, got ({lo}, {hi})")
 
     grid = np.linspace(lo, hi, resolution)
-    values = np.maximum(_kernel_sum(scores, h, grid), DENSITY_FLOOR)
     return KdeDensity(
-        train_scores=scores.copy(),
         bandwidth=h,
         grid_min=lo,
         grid_max=hi,
-        grid_values=values,
-        grid_resolution=resolution,
+        grid_values=kernel_density(scores, h, grid),
     )
 
 
-def eval_density(density: KdeDensity, s, mode: str = "lookup"):
-    """Evaluate a fitted density at score(s) ``s``.
+def eval_density(density: KdeDensity, s):
+    """Evaluate a fitted density at score(s) ``s`` from its grid.
 
-    ``lookup`` linearly interpolates the tabulated grid and clamps
-    out-of-grid queries to the density floor. ``exact`` sums the kernel
-    over the training points within nine bandwidths of each query; the
-    terms left out add less than phi(9) / h ~= 1.03e-18 / h in total.
-    Results are always >= ``DENSITY_FLOOR``.
+    Linearly interpolates the tabulated grid and clamps out-of-grid queries
+    to the density floor. Results are always >= ``DENSITY_FLOOR``.
     """
     arr = np.asarray(s, dtype=float)
     scalar = arr.ndim == 0
-    queries = np.atleast_1d(arr)
-    if mode == "lookup":
-        values = np.interp(
-            queries,
-            density.grid_points(),
-            density.grid_values,
-            left=DENSITY_FLOOR,
-            right=DENSITY_FLOOR,
-        )
-    elif mode == "exact":
-        if density.train_scores.size == 0:
-            raise ValueError(
-                "exact evaluation unavailable: this density carries no training "
-                "scores (models restored from disk are lookup-only)"
-            )
-        values = _kernel_sum(density.train_scores, density.bandwidth, queries)
-    else:
-        raise ValueError(f"mode must be 'lookup' or 'exact', got {mode!r}")
+    values = np.interp(
+        np.atleast_1d(arr),
+        density.grid_points(),
+        density.grid_values,
+        left=DENSITY_FLOOR,
+        right=DENSITY_FLOOR,
+    )
     values = np.maximum(values, DENSITY_FLOOR)
     return float(values[0]) if scalar else values
 
@@ -219,7 +228,6 @@ class DensityModel:
     genuine: KdeDensity
     imposter: KdeDensity
     prior_genuine: float = 0.5
-    version: str = MODEL_VERSION
 
     @property
     def prior_imposter(self) -> float:
@@ -295,24 +303,22 @@ def _density_from_dict(data: dict, name: str) -> KdeDensity:
             f"{name}.grid_values[{i}] must be finite and >= 0, got {float(values[i])!r}"
         )
     return KdeDensity(
-        train_scores=np.empty(0, dtype=float),
         bandwidth=bandwidth,
         grid_min=grid_min,
         grid_max=grid_max,
         grid_values=values,
-        grid_resolution=resolution,
     )
 
 
 def save_model(model: DensityModel, path: str | Path) -> None:
-    """Serialize a model to versioned JSON.
+    """Serialize a model to JSON at format version ``MODEL_VERSION``.
 
-    Grid values round-trip bit-exactly (full-precision decimal repr).
-    Training scores are not stored; reloaded models are lookup-only.
+    Every field round-trips bit-exactly (full-precision decimal repr), so
+    ``load_model`` returns a model equal to the one saved.
     """
     doc = {
         "format": MODEL_FORMAT,
-        "version": model.version,
+        "version": MODEL_VERSION,
         "prior_genuine": model.prior_genuine,
         "genuine": _density_to_dict(model.genuine),
         "imposter": _density_to_dict(model.imposter),
@@ -353,7 +359,6 @@ def load_model(path: str | Path) -> DensityModel:
             genuine=_density_from_dict(doc["genuine"], "genuine"),
             imposter=_density_from_dict(doc["imposter"], "imposter"),
             prior_genuine=prior_genuine,
-            version=str(version),
         )
     except KeyError as exc:
         raise ValueError(f"corrupt model file {path}: missing field {exc}") from None

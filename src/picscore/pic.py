@@ -40,30 +40,30 @@ def _prior_logit(model: DensityModel) -> float:
     return math.log(model.prior_genuine) - math.log(model.prior_imposter)
 
 
-def log_likelihood_ratio(model: DensityModel, scores, mode: str = "lookup"):
+def log_likelihood_ratio(model: DensityModel, scores):
     """log g(s) - log f(s) for each score; scalar in, scalar out."""
-    g = eval_density(model.genuine, scores, mode=mode)
-    f = eval_density(model.imposter, scores, mode=mode)
+    g = eval_density(model.genuine, scores)
+    f = eval_density(model.imposter, scores)
     return np.log(g) - np.log(f)
 
 
-def pic_values(model: DensityModel, scores, mode: str = "lookup"):
+def pic_values(model: DensityModel, scores):
     """Vectorized single-comparison posterior for an array of scores."""
-    return _stable_sigmoid(log_likelihood_ratio(model, scores, mode=mode) + _prior_logit(model))
+    return _stable_sigmoid(log_likelihood_ratio(model, scores) + _prior_logit(model))
 
 
-def pic_single(model: DensityModel, s: float, mode: str = "lookup") -> PicScore:
+def pic_single(model: DensityModel, s: float) -> PicScore:
     """Posterior probability that one comparison score is genuine.
 
     value = g(s) * P(g) / (g(s) * P(g) + f(s) * P(f)), computed as a
     sigmoid of the log likelihood ratio plus the prior log-odds.
     """
-    llr = float(log_likelihood_ratio(model, float(s), mode=mode))
+    llr = float(log_likelihood_ratio(model, float(s)))
     value = _stable_sigmoid(llr + _prior_logit(model))
     return PicScore(value=value, n_comparisons=1, log_lr_sum=llr)
 
 
-def fuse_groups(model: DensityModel, scores, groups, mode: str = "lookup"):
+def fuse_groups(model: DensityModel, scores, groups):
     """Joint posterior of every group of scores of one claimed identity.
 
     ``groups[i]`` is the group index (0 .. G-1) of ``scores[i]``, and every
@@ -85,19 +85,19 @@ def fuse_groups(model: DensityModel, scores, groups, mode: str = "lookup"):
     if not sizes.all():
         raise ValueError("every group index 0 .. G-1 must occur")
     ends = list(itertools.accumulate(sizes.tolist()))
-    llrs = log_likelihood_ratio(model, arr[np.argsort(groups, kind="stable")], mode=mode).tolist()
+    llrs = log_likelihood_ratio(model, arr[np.argsort(groups, kind="stable")]).tolist()
     sums = np.array([math.fsum(llrs[a:b]) for a, b in zip([0, *ends], ends)])
     return _stable_sigmoid(sums + _prior_logit(model)), sums
 
 
-def pic_multi(model: DensityModel, scores, mode: str = "lookup") -> PicScore:
+def pic_multi(model: DensityModel, scores) -> PicScore:
     """Joint posterior for several scores of one claimed identity.
 
     The single-group case of ``fuse_groups``: independent scores, log
     likelihood ratios summed exactly, independent of score order.
     """
     arr = np.asarray(scores, dtype=float).ravel()
-    values, sums = fuse_groups(model, arr, np.zeros(arr.size, dtype=np.intp), mode=mode)
+    values, sums = fuse_groups(model, arr, np.zeros(arr.size, dtype=np.intp))
     return PicScore(value=float(values[0]), n_comparisons=int(arr.size), log_lr_sum=float(sums[0]))
 
 

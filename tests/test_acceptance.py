@@ -319,26 +319,28 @@ def test_c07_numerical_stability(cal_model):
     assert abs(joint.value - oracle) <= 1e-6
 
 
-def test_c08_kde_correctness(cal_model):
+def test_c08_kde_correctness(cal_train, cal_model):
     """Closed-form kernel values, unit mass, and lookup fidelity."""
-    from picscore.density import fit_kde
+    from picscore.density import kernel_density
 
-    single = fit_kde([0.5], bandwidth=0.1)
-    assert eval_density(single, 0.5, mode="exact") == pytest.approx(3.9894228, abs=1e-6)
-    assert eval_density(single, 0.6, mode="exact") == pytest.approx(2.4197072, abs=1e-6)
+    assert kernel_density([0.5], 0.1, 0.5)[0] == pytest.approx(3.9894228, abs=1e-6)
+    assert kernel_density([0.5], 0.1, 0.6)[0] == pytest.approx(2.4197072, abs=1e-6)
 
     rng = np.random.default_rng(88)
     worst_rel = 0.0
-    for density in (cal_model.genuine, cal_model.imposter):
+    for density, class_scores in (
+        (cal_model.genuine, cal_train.genuine_scores),
+        (cal_model.imposter, cal_train.imposter_scores),
+    ):
         xs = density.grid_points()
         integral = np.trapezoid(density.grid_values, xs)
         assert abs(integral - 1.0) <= 1e-3
         assert density.grid_resolution == 4096
 
-        lo, hi = density.train_scores.min(), density.train_scores.max()
+        lo, hi = class_scores.min(), class_scores.max()
         points = rng.uniform(lo, hi, 1000)
-        lookup = eval_density(density, points, mode="lookup")
-        exact = eval_density(density, points, mode="exact")
+        lookup = eval_density(density, points)
+        exact = kernel_density(class_scores, density.bandwidth, points)
         worst_rel = max(worst_rel, float(np.max(np.abs(lookup - exact) / exact)))
     print(f"\n  max lookup relative error = {worst_rel:.2e} (<= 1e-3)")
     assert worst_rel <= 1e-3

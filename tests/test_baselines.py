@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from picscore.baselines import (
-    BaselineEstimator,
+    DtcEstimator,
+    ErbcEstimator,
+    LrcEstimator,
     dtc_confidence,
     erbc_confidence,
     fit_dtc,
@@ -27,7 +29,7 @@ def synth_fitted(synth_train):
 
 class TestDtc:
     def est(self):
-        return BaselineEstimator(kind="dtc", threshold=0.5, score_min=0.0, score_max=1.0)
+        return DtcEstimator(threshold=0.5, score_min=0.0, score_max=1.0)
 
     def test_confidence_half_at_threshold(self):
         assert dtc_confidence(self.est(), 0.5) == 0.5
@@ -64,10 +66,6 @@ class TestDtc:
         assert est.score_max == all_scores.max()
         assert empirical_fmr(synth_train.imposter_scores, est.threshold) <= 1e-3
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="kind"):
-            dtc_confidence(BaselineEstimator(kind="lrc", threshold=0.5), 0.2)
-
     def test_in_unit_interval(self, synth_train):
         est = fit_dtc(synth_train, 1e-2)
         conf = dtc_confidence(est, np.linspace(-3, 3, 301))
@@ -76,9 +74,7 @@ class TestDtc:
 
 class TestLrc:
     def test_unit_ratio_gives_half(self, synth_fitted):
-        est = BaselineEstimator(
-            kind="lrc", threshold=0.45, abs_llr_min=0.0, abs_llr_max=10.0
-        )
+        est = LrcEstimator(threshold=0.45, abs_llr_min=0.0, abs_llr_max=10.0)
         # force llr == 0 by querying a model point where g == f
         from picscore.pic import log_likelihood_ratio
 
@@ -114,12 +110,6 @@ class TestLrc:
         conf = lrc_confidence(est, synth_fitted, np.linspace(-3, 3, 301))
         assert np.all((conf >= 0) & (conf <= 1))
 
-    def test_kind_mismatch(self, synth_fitted):
-        with pytest.raises(ValueError, match="kind"):
-            lrc_confidence(
-                BaselineEstimator(kind="dtc", threshold=0.5), synth_fitted, 0.2
-            )
-
 
 class TestErbc:
     def test_above_all_imposters_genuine_decision(self, synth_train):
@@ -151,8 +141,7 @@ class TestErbc:
         est = fit_erbc(FakeSet(), target_fmr=0.5)
         eer = empirical_fmr(records_f, 0.5)
         assert eer == pytest.approx(empirical_fnmr(records_g, 0.5), abs=2e-3)
-        est_at_half = BaselineEstimator(
-            kind="erbc",
+        est_at_half = ErbcEstimator(
             threshold=0.5,
             grid_thresholds=est.grid_thresholds,
             grid_fmr=est.grid_fmr,
@@ -173,11 +162,3 @@ class TestErbc:
         est = fit_erbc(synth_train, 1e-2)
         conf = erbc_confidence(est, np.linspace(-3, 3, 301))
         assert np.all((conf >= 0) & (conf <= 1))
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="kind"):
-            erbc_confidence(BaselineEstimator(kind="dtc", threshold=0.5), 0.2)
-
-    def test_unfitted_state_rejected(self):
-        with pytest.raises(ValueError, match="not fitted"):
-            erbc_confidence(BaselineEstimator(kind="erbc", threshold=0.5), 0.2)

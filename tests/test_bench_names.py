@@ -8,8 +8,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from picscore import density
 from picscore.dataset import load_scores
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -40,3 +42,17 @@ def test_row_counters_accept_a_loaded_table(tracing, tmp_path):
     _, saved_rows = tracing.COUNTERS["dataset.save"]
     assert loaded_rows((path,), {}, table) == 3
     assert saved_rows((table, tmp_path / "out.csv"), {}, None) == 3
+
+
+def test_lookup_counter_reads_a_real_eval_density_call(tracing):
+    fitted = density.fit_kde([0.3, 0.5, 0.7], bandwidth=0.1, resolution=64)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        density.eval_density(fitted, np.zeros(5))
+        assert tracer.counts["density.lookup_queries"] == 5
+        density.eval_density(fitted, s=np.zeros(3))
+        assert tracer.counts["density.lookup_queries"] == 8
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["density.lookup"]["calls"] == 2

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from picscore.density import (
     eval_density,
     fit_kde,
     fit_model,
+    kernel_density,
     load_model,
     save_model,
     scott_bandwidth,
 )
+from picscore.pic import pic_values
+from picscore.synth import SynthConfig, generate
 
 
 class TestScottBandwidth:
@@ -46,11 +50,6 @@ class TestScottBandwidth:
 
 
 class TestFitKde:
-    def test_single_point_exact_values(self):
-        density = fit_kde([0.5], bandwidth=0.1)
-        assert eval_density(density, 0.5, mode="exact") == pytest.approx(3.9894228, abs=1e-6)
-        assert eval_density(density, 0.6, mode="exact") == pytest.approx(2.4197072, abs=1e-6)
-
     def test_monte_carlo_matches_normal_pdf(self):
         rng = np.random.default_rng(12)
         scores = rng.normal(0.5, 0.1, 10000)
@@ -100,15 +99,6 @@ class TestEvalDensity:
         assert not xs.flags.writeable
         assert np.array_equal(xs, np.linspace(density.grid_min, density.grid_max, 64))
 
-    def test_lookup_matches_exact_in_range(self):
-        rng = np.random.default_rng(8)
-        scores = rng.normal(0.5, 0.15, 20000)
-        density = fit_kde(scores)
-        points = rng.uniform(scores.min(), scores.max(), 1000)
-        lookup = eval_density(density, points, mode="lookup")
-        exact = eval_density(density, points, mode="exact")
-        assert np.max(np.abs(lookup - exact) / exact) <= 1e-3
-
     def test_far_outside_grid_returns_floor(self):
         density = fit_kde([0.4, 0.6], bandwidth=0.05)
         assert eval_density(density, 100.0) == DENSITY_FLOOR
@@ -118,18 +108,40 @@ class TestEvalDensity:
         density = fit_kde([0.5], bandwidth=0.01)
         points = np.linspace(-10, 10, 500)
         assert np.all(eval_density(density, points) >= DENSITY_FLOOR)
-        assert np.all(eval_density(density, points, mode="exact") >= DENSITY_FLOOR)
-
-    def test_unknown_mode_error(self):
-        density = fit_kde([0.5], bandwidth=0.1)
-        with pytest.raises(ValueError, match="mode"):
-            eval_density(density, 0.5, mode="table")
 
     def test_array_shape_preserved(self):
         density = fit_kde([0.5], bandwidth=0.1)
         out = eval_density(density, np.array([0.4, 0.5, 0.6]))
         assert out.shape == (3,)
         assert isinstance(eval_density(density, 0.5), float)
+
+
+class TestKernelDensity:
+    """The exact kernel sum that tabulates the grid and checks its lookups."""
+
+    def test_single_point_exact_values(self):
+        assert kernel_density([0.5], 0.1, 0.5)[0] == pytest.approx(3.9894228, abs=1e-6)
+        assert kernel_density([0.5], 0.1, 0.6)[0] == pytest.approx(2.4197072, abs=1e-6)
+
+    def test_lookup_matches_exact_in_range(self):
+        rng = np.random.default_rng(8)
+        scores = rng.normal(0.5, 0.15, 20000)
+        density = fit_kde(scores)
+        points = rng.uniform(scores.min(), scores.max(), 1000)
+        lookup = eval_density(density, points)
+        exact = kernel_density(scores, density.bandwidth, points)
+        assert np.max(np.abs(lookup - exact) / exact) <= 1e-3
+
+    def test_result_never_below_floor(self):
+        points = np.linspace(-10, 10, 500)
+        assert np.all(kernel_density([0.5], 0.01, points) >= DENSITY_FLOOR)
+
+    def test_grid_is_tabulated_from_it(self):
+        scores = [0.1, 0.5, 0.55, 0.9]
+        density = fit_kde(scores, bandwidth=0.05, resolution=64)
+        assert np.array_equal(
+            density.grid_values, kernel_density(scores, 0.05, density.grid_points())
+        )
 
 
 def _brute_kernel_sum(train, h, queries):
@@ -168,12 +180,11 @@ class TestWindowedKernelSum:
 
     def test_non_finite_queries(self):
         # Enough NaNs that some query block holds nothing else.
-        density = fit_kde([0.4, 0.6], bandwidth=0.05)
         queries = np.concatenate([np.full(100, np.nan), [-np.inf, 0.5, np.inf]])
-        out = eval_density(density, queries, mode="exact")
+        out = kernel_density([0.4, 0.6], 0.05, queries)
         assert np.all(np.isnan(out[:100]))
         assert out[100] == out[102] == DENSITY_FLOOR
-        assert out[101] == eval_density(density, 0.5, mode="exact")
+        assert out[101] == kernel_density([0.4, 0.6], 0.05, 0.5)[0]
 
 
 def _toy_set(genuine, imposter):
@@ -217,6 +228,32 @@ class TestFitModel:
             fit_model(_toy_set([0.5], [0.1]), prior_genuine=1.0)
 
 
+class TestModelEquality:
+    def _table(self):
+        rng = np.random.default_rng(6)
+        return _toy_set(rng.normal(0.7, 0.1, 300), rng.normal(0.2, 0.1, 300))
+
+    def test_same_fit_is_equal(self):
+        table = self._table()
+        assert fit_model(table, resolution=256) == fit_model(table, resolution=256)
+
+    def test_different_prior_is_not_equal(self):
+        table = self._table()
+        assert fit_model(table, prior_genuine=0.3) != fit_model(table)
+
+    def test_densities_compare_every_field(self):
+        density = fit_kde([0.2, 0.4, 0.7], bandwidth=0.1, resolution=64)
+        assert density == fit_kde([0.2, 0.4, 0.7], bandwidth=0.1, resolution=64)
+        for change in (
+            {"bandwidth": 0.2},
+            {"grid_min": density.grid_min - 1.0},
+            {"grid_max": density.grid_max + 1.0},
+            {"grid_values": density.grid_values * 2.0},
+            {"grid_values": density.grid_values[:-1]},
+        ):
+            assert density != replace(density, **change)
+
+
 class TestSerialization:
     def _model(self):
         rng = np.random.default_rng(5)
@@ -239,7 +276,7 @@ class TestSerialization:
             assert original.grid_min == restored.grid_min
             assert original.grid_max == restored.grid_max
         assert loaded.prior_genuine == model.prior_genuine
-        assert loaded.version == MODEL_VERSION
+        assert json.loads(path.read_text())["version"] == MODEL_VERSION
         xs = model.genuine.grid_points()
         assert np.array_equal(
             eval_density(model.genuine, xs), eval_density(loaded.genuine, xs)
@@ -269,13 +306,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not a"):
             load_model(path)
 
-    def test_exact_mode_unavailable_after_load(self, tmp_path):
+    def test_reloaded_model_equals_fitted(self, tmp_path):
         model = self._model()
         path = tmp_path / "model.json"
         save_model(model, path)
+        assert load_model(path) == model
+
+    @pytest.mark.parametrize("seed", [1, 101])
+    def test_reloaded_posterior_bit_identical(self, tmp_path, seed):
+        model = fit_model(generate(SynthConfig(n_genuine=50000, n_imposter=50000, seed=seed)))
+        path = tmp_path / "model.json"
+        save_model(model, path)
         loaded = load_model(path)
-        with pytest.raises(ValueError, match="exact"):
-            eval_density(loaded.genuine, 0.5, mode="exact")
+        xs = np.linspace(model.genuine.grid_min - 1.0, model.genuine.grid_max + 1.0, 40001)
+        assert np.array_equal(pic_values(model, xs), pic_values(loaded, xs))
 
     @pytest.mark.parametrize(
         ("field", "value"),

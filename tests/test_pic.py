@@ -22,14 +22,7 @@ from picscore.synth import SynthConfig, analytic_posterior, generate
 def flat_density(values, lo=0.0, hi=1.0):
     """Grid density with hand-chosen values, for exact likelihood ratios."""
     arr = np.asarray(values, dtype=float)
-    return KdeDensity(
-        train_scores=np.empty(0),
-        bandwidth=1.0,
-        grid_min=lo,
-        grid_max=hi,
-        grid_values=arr,
-        grid_resolution=arr.size,
-    )
+    return KdeDensity(bandwidth=1.0, grid_min=lo, grid_max=hi, grid_values=arr)
 
 
 def ratio_model(g_values, f_values):
@@ -56,8 +49,8 @@ class TestPicSingle:
         assert pic_single(model, 0.47).value == pytest.approx(expected, abs=0.02)
 
     def test_deep_genuine_region(self, synth_model):
-        _, model = synth_model
-        top = float(model.genuine.train_scores.max())
+        config, model = synth_model
+        top = float(generate(config).genuine_scores.max())
         assert pic_single(model, top).value >= 0.999
 
     def test_matches_vectorized_path(self, synth_model):
