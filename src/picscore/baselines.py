@@ -45,7 +45,7 @@ class LrcEstimator:
     abs_llr_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErbcEstimator:
     """Fitted ERBC: the decision threshold and the training FMR and FNMR per grid threshold."""
 
@@ -53,6 +53,14 @@ class ErbcEstimator:
     grid_thresholds: np.ndarray
     grid_fmr: np.ndarray
     grid_fnmr: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, ErbcEstimator):
+            return NotImplemented
+        return self.threshold == other.threshold and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("grid_thresholds", "grid_fmr", "grid_fnmr")
+        )
 
 
 def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,8 +221,9 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
 
 def cmd_fuse(args) -> int:
     model = load_model(args.model)
-    _, n_rows, columns = read_columns(args.input)
-    _require_columns(columns, ("score", "label", "probe_id", "subject_b"), args.input)
+    needed = ("score", "label", "probe_id", "subject_b")
+    _, n_rows, columns = read_columns(args.input, needed)
+    _require_columns(columns, needed, args.input)
 
     probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
     claimed = np.fromiter(map(str.strip, columns["subject_b"]), dtype=object, count=n_rows)
@@ -270,8 +272,10 @@ def cmd_fuse(args) -> int:
     return 0
 
 
-def _eval_pic(columns, path):
-    _require_columns(columns, ("label", "pic", "decision", "confidence"), path)
+def _eval_pic(path):
+    needed = ("label", "pic", "decision", "confidence")
+    _, _, columns = read_columns(path, needed)
+    _require_columns(columns, needed, path)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
         lambda: parse_labels(columns["decision"], "decision"),
@@ -281,8 +285,15 @@ def _eval_pic(columns, path):
     return is_genuine, values, accepted, confidences
 
 
-def _eval_baseline(args, columns, path):
-    _require_columns(columns, ("score", "label"), path)
+def _eval_baseline(args, path):
+    needed = ("score", "label")
+    _, _, columns = read_columns(path, needed)
+    if "score" not in columns:
+        raise ValueError(
+            f"{path}: estimator {args.estimator!r} needs raw scores "
+            "(fused input supports the pic estimator only)"
+        )
+    _require_columns(columns, needed, path)
     if not args.train:
         raise ValueError(f"--train is required for estimator {args.estimator!r}")
     train = load_scores(args.train)
@@ -309,16 +320,10 @@ def _eval_baseline(args, columns, path):
 
 
 def cmd_eval(args) -> int:
-    _, _, columns = read_columns(args.input)
     if args.estimator == "pic":
-        is_genuine, values, accepted, confidences = _eval_pic(columns, args.input)
+        is_genuine, values, accepted, confidences = _eval_pic(args.input)
     else:
-        if "score" not in columns:
-            raise ValueError(
-                f"{args.input}: estimator {args.estimator!r} needs raw scores "
-                "(fused input supports the pic estimator only)"
-            )
-        is_genuine, values, accepted, confidences = _eval_baseline(args, columns, args.input)
+        is_genuine, values, accepted, confidences = _eval_baseline(args, args.input)
 
     correct = accepted == is_genuine
     keep = np.ones(correct.size, dtype=bool)
@@ -376,8 +381,9 @@ def cmd_eval(args) -> int:
 
 def cmd_curve(args) -> int:
     model = load_model(args.test_model)
-    _, n_rows, columns = read_columns(args.input)
-    _require_columns(columns, ("score", "decision", "confidence"), args.input)
+    needed = ("score", "decision", "confidence")
+    _, n_rows, columns = read_columns(args.input, needed)
+    _require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),
         lambda: parse_floats(columns["score"], "score"),
@@ -480,11 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Each warning prints as one plain line, without the library's file path
+    # and source line.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            status, error = args.func(args), None
+        except (ValueError, OSError) as exc:
+            status, error = 2, exc
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -97,23 +98,73 @@ def fail_first_row(bad: np.ndarray, message) -> None:
         raise RowError(i + 1, message(i))
 
 
-def read_columns(path: str | Path) -> tuple[list[str], int, dict[str, np.ndarray]]:
+def read_columns(
+    path: str | Path, names: Iterable[str] | None = None
+) -> tuple[list[str], int, dict[str, np.ndarray]]:
     """Read a CSV file with a header row into columns of raw strings.
 
     Returns ``(header, n_rows, columns)``: the header as written, the number
     of data rows, and one array of ``str`` objects per column keyed by the
-    column name stripped and lower-cased. Quoting and line endings follow
-    the ``csv`` module; blank lines are skipped and not counted as rows.
-    Every row must have as many fields as the header.
+    column name stripped and lower-cased, in header order. ``names`` (lower
+    case) selects the columns returned; those the file lacks are left out,
+    and ``None`` returns every column. Quoting and line endings follow the
+    ``csv`` module; blank lines are skipped and not counted as rows. Every
+    row must have as many fields as the header.
+
+    The header is read with ``csv.reader`` and the data rows with numpy's C
+    tokenizer (``np.loadtxt``). A column nobody asked for is read into a
+    zero-width string field, so its fields are counted but no string is
+    built for them. When numpy rejects the file, the rows are scanned again
+    with ``csv.reader`` (``_scan_rows``), which names the first bad row, or
+    returns the columns if it finds none.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        while header == []:
-            header = next(reader, None)
+        header = _first_row(csv.reader(handle))
         if header is None:
             raise ValueError(f"{path}: no records (empty file)")
-        width = len(header)
+        keys = [name.strip().lower() for name in header]
+        wanted = set(keys if names is None else names)
+        # Positional field names: a header may hold names numpy rejects or renames.
+        dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
+                          "formats": [object if key in wanted else "U0" for key in keys]})
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, encoding=None)
+        except ValueError:
+            table = None
+    if table is None:
+        n_rows, columns = _scan_rows(path, keys, wanted)
+    else:
+        n_rows = table.size
+        columns = {key: table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
+    if not n_rows:
+        raise ValueError(f"{path}: no records")
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(f"{path}: duplicate column {key!r}")
+    return header, n_rows, columns
+
+
+def _first_row(reader) -> list[str] | None:
+    """The first non-blank row of a ``csv.reader``, or ``None`` if there is none."""
+    row = next(reader, None)
+    while row == []:
+        row = next(reader, None)
+    return row
+
+
+def _scan_rows(path: str | Path, keys: list[str], wanted: set[str]):
+    """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
+
+    Runs only after numpy has rejected the file: raises ``RowError`` at the
+    first row whose field count differs from the header's.
+    """
+    width = len(keys)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        _first_row(reader)  # the header
         # One flat list of all fields: a list per row would leave one
         # container per row for the cyclic GC to rescan.
         flat: list[str] = []
@@ -125,19 +176,12 @@ def read_columns(path: str | Path) -> tuple[list[str], int, dict[str, np.ndarray
                 row_number = len(flat) // width + 1
                 raise RowError(row_number, f"expected {width} fields, got {len(row)}")
             extend(row)
-    n_rows = len(flat) // width
-    if not n_rows:
-        raise ValueError(f"{path}: no records")
-    names = [name.strip().lower() for name in header]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"{path}: duplicate column {name!r}")
     # Numpy object arrays, unlike lists or tuples, are never traversed by the
-    # cyclic GC, so later allocations do not rescan millions of strings. Each
-    # column is a copy that owns its strings: dropping it frees them.
+    # cyclic GC, so later allocations do not rescan millions of strings.
     table = np.fromiter(flat, dtype=object, count=len(flat))
     del flat, extend
-    return header, n_rows, {name: table[i::width].copy() for i, name in enumerate(names)}
+    return table.size // width, {key: table[i::width].copy()
+                                 for i, key in enumerate(keys) if key in wanted}
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -214,7 +258,7 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path)
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.

@@ -162,3 +162,8 @@ class TestErbc:
         est = fit_erbc(synth_train, 1e-2)
         conf = erbc_confidence(est, np.linspace(-3, 3, 301))
         assert np.all((conf >= 0) & (conf <= 1))
+
+    def test_equal_fits_compare_equal(self):
+        train = generate(SynthConfig(n_genuine=500, n_imposter=500, seed=1))
+        assert fit_erbc(train, 1e-2) == fit_erbc(train, 1e-2)
+        assert fit_erbc(train, 1e-2) != fit_erbc(train, 1e-1)

@@ -261,6 +261,22 @@ class TestEvalCommand:
         assert run_inprocess("eval", fused, tmp_path / "fr2", "--estimator", "dtc",
                              "--train", synth_csv) == 2
 
+    def test_tied_imposters_warn_in_one_line(self, tmp_path, child_env):
+        fused = tmp_path / "fused.csv"
+        fused.write_text(
+            "probe_id,claimed_id,label,n_used,pic,decision,confidence\n"
+            "p1,s1,genuine,1,0.900000,genuine,0.900000\n"
+            "p2,s2,genuine,1,0.800000,genuine,0.800000\n"
+            + "p3,s1,imposter,1,0.000000,imposter,1.000000\n" * 4
+        )
+        proc = run_subprocess(child_env, "eval", fused, tmp_path / "r", "--fmr", "0.5")
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: target FMR 0.5 unreachable due to tied scores; returning a "
+            "threshold above the maximum imposter score (FMR 0)\n"
+        )
+        assert ".py:" not in proc.stderr
+
     def test_decision_filter(self, tmp_path, scored_csv):
         assert run_inprocess("eval", scored_csv, tmp_path / "g", "--decisions", "genuine") == 0
 

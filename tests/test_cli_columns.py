@@ -9,6 +9,8 @@ import csv
 import io
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +181,17 @@ class TestFieldCount:
         bad.write_text("score,label,subject_a,subject_b\n0.9,genuine,S1,S1\n0.9,genuine,S1,S1,S1\n")
         with pytest.raises(ValueError, match=r"row 2: expected 4 fields, got 5"):
             load_scores(bad)
+
+
+class TestHeaderOnly:
+    @pytest.mark.parametrize("text", ["score,label\n", "score,label\n\n\r\n"])
+    def test_no_records_and_nothing_else(self, tmp_path, child_env, text):
+        source = tmp_path / "in.csv"
+        source.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "picscore", "eval", str(source),
+                               str(tmp_path / "r")], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == ("", f"error: {source}: no records\n")
 
 
 class TestHeaderNames:

@@ -1,14 +1,21 @@
+import csv
+import io
 import random
+import warnings
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from picscore.dataset import (
     GENUINE,
     IMPOSTER,
+    RowError,
     ScoreTable,
     load_scores,
+    read_columns,
     save_scores,
     split_subject_exclusive,
 )
@@ -117,6 +124,120 @@ class TestLoadScores:
         assert loaded.subject_a[0] == "A"
         assert loaded.subject_b[1] == "B"
         assert loaded.score[0] == pytest.approx(0.812345)
+
+
+def reference_read(path, names=None):
+    """The ``csv.reader`` row loop ``read_columns`` used before numpy read the data rows.
+
+    Returns ``(header, n_rows, columns)`` with each column a list; raises
+    ``RowError`` at the first row whose field count differs from the
+    header's, and ``ValueError`` when the file has no header.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        while header == []:
+            header = next(reader, None)
+        if header is None:
+            raise ValueError("no header")
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                if not row:
+                    continue
+                raise RowError(len(rows) + 1, f"expected {len(header)} fields, got {len(row)}")
+            rows.append(row)
+    keys = [name.strip().lower() for name in header]
+    columns = {key: [row[i] for row in rows]
+               for i, key in enumerate(keys) if names is None or key in names}
+    return header, len(rows), columns
+
+
+FIELDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "中", "a", "1"]),
+                 max_size=5)
+
+
+@st.composite
+def csv_tables(draw, resize_one_row=False):
+    """A header and rows of equal width; one row one field longer or shorter if asked."""
+    header = draw(st.lists(FIELDS, min_size=1, max_size=4,
+                           unique_by=lambda name: name.strip().lower()))
+    rows = draw(st.lists(st.lists(FIELDS, min_size=len(header), max_size=len(header)),
+                         min_size=int(resize_one_row), max_size=6))
+    if resize_one_row:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.append(draw(FIELDS))
+        else:
+            row.pop()
+    return header, rows
+
+
+def write_csv(path, header, rows, data):
+    """Rows written by ``csv.writer``, each ended by \\n or \\r\\n, blank lines at random."""
+    buffer = io.StringIO()
+    writers = {end: csv.writer(buffer, lineterminator=end) for end in ("\n", "\r\n")}
+    for row in [header] + rows:
+        if data.draw(st.booleans()):
+            buffer.write(data.draw(st.sampled_from(["\n", "\r\n"])))
+        writers[data.draw(st.sampled_from(["\n", "\r\n"]))].writerow(row)
+    path.write_bytes(buffer.getvalue().encode())
+    keys = [name.strip().lower() for name in header]
+    return data.draw(st.one_of(st.none(), st.sets(st.sampled_from(keys + ["absent"]))))
+
+
+def assert_reads_like_reference(path, names):
+    try:
+        header, n_rows, columns = reference_read(path, names)
+    except RowError as expected:
+        with pytest.raises(RowError) as got:
+            read_columns(path, names)
+        assert (got.value.row, str(got.value)) == (expected.row, str(expected))
+        return
+    except ValueError:
+        # a lone \r header field is written unquoted and reads as a blank line
+        with pytest.raises(ValueError, match="no records"):
+            read_columns(path, names)
+        return
+    if not n_rows:
+        with pytest.raises(ValueError, match="no records"):
+            read_columns(path, names)
+        return
+    got_header, got_rows, got_columns = read_columns(path, names)
+    assert (got_header, got_rows) == (header, n_rows)
+    assert {key: column.tolist() for key, column in got_columns.items()} == columns
+
+
+class TestReadColumns:
+    """``read_columns`` against the ``csv.reader`` loop it replaced."""
+
+    @given(csv_tables(), st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_csv_reader(self, tmp_path, table, data):
+        path = tmp_path / "table.csv"
+        assert_reads_like_reference(path, write_csv(path, *table, data))
+
+    @given(csv_tables(resize_one_row=True), st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_bad_field_count_names_the_same_row(self, tmp_path, table, data):
+        path = tmp_path / "table.csv"
+        assert_reads_like_reference(path, write_csv(path, *table, data))
+
+    def test_columns_in_header_order(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("C,b,a\n1,2,3\n")
+        _, _, columns = read_columns(path, ["a", "c"])
+        assert list(columns) == ["c", "a"]
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("score,label\n\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no records$"):
+                read_columns(path)
 
 
 class TestPartition:
