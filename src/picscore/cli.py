@@ -53,8 +53,9 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _fmt_column(values) -> list[str]:
-    return list(map("{:.6f}".format, np.asarray(values).tolist()))
+def _floats(values) -> np.ndarray:
+    """A float64 column, which ``write_rows`` writes with 6 decimals."""
+    return np.fromiter(values, dtype=float)
 
 
 def _decision_column(is_genuine) -> list[str]:
@@ -189,12 +190,12 @@ def cmd_score(args) -> int:
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
-    write_rows(args.out, header + ["pic", "decision", "confidence"], zip(
+    write_rows(args.out, header + ["pic", "decision", "confidence"], [
         *columns.values(),
-        _fmt_column(values),
+        values,
         _decision_column(is_genuine),
-        _fmt_column(confidence),
-    ))
+        confidence,
+    ])
 
     _write_manifest(
         "score",
@@ -222,7 +223,7 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
 def cmd_fuse(args) -> int:
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed)
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
     _require_columns(columns, needed, args.input)
 
     probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
@@ -251,14 +252,14 @@ def cmd_fuse(args) -> int:
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
     n_used = np.minimum(sizes, args.max_refs)
 
-    write_rows(args.out, FUSED_COLUMNS, zip(
+    write_rows(args.out, FUSED_COLUMNS, [
         *zip(*group_of),
         _decision_column(is_genuine[first]),
-        n_used.tolist(),
-        _fmt_column(values),
+        list(map(str, n_used.tolist())),
+        values,
         _decision_column(is_accepted),
-        _fmt_column(confidence),
-    ))
+        confidence,
+    ])
 
     _write_manifest(
         "fuse",
@@ -274,7 +275,7 @@ def cmd_fuse(args) -> int:
 
 def _eval_pic(path):
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(path, needed)
+    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"))
     _require_columns(columns, needed, path)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
@@ -287,7 +288,7 @@ def _eval_pic(path):
 
 def _eval_baseline(args, path):
     needed = ("score", "label")
-    _, _, columns = read_columns(path, needed)
+    _, _, columns = read_columns(path, needed, numbers=("score",))
     if "score" not in columns:
         raise ValueError(
             f"{path}: estimator {args.estimator!r} needs raw scores "
@@ -341,10 +342,15 @@ def cmd_eval(args) -> int:
 
     calibration_path = f"{args.out}.calibration.csv"
     summary_path = f"{args.out}.summary.csv"
-    write_rows(calibration_path, CALIBRATION_COLUMNS, (
-        [_fmt(b.lo), _fmt(b.hi), b.count, _fmt(b.p_true), _fmt(b.p_pred_mean), _fmt(b.p_pred_std)]
-        for b in report.bins
-    ))
+    bins = report.bins
+    write_rows(calibration_path, CALIBRATION_COLUMNS, [
+        _floats(b.lo for b in bins),
+        _floats(b.hi for b in bins),
+        [str(b.count) for b in bins],
+        _floats(b.p_true for b in bins),
+        _floats(b.p_pred_mean for b in bins),
+        _floats(b.p_pred_std for b in bins),
+    ])
     summary_rows = [
         ("estimator", args.estimator),
         ("decision_filter", args.decisions),
@@ -359,7 +365,8 @@ def cmd_eval(args) -> int:
         ("n_genuine", verification.n_genuine),
         ("n_imposter", verification.n_imposter),
     ]
-    write_rows(summary_path, ("key", "value"), summary_rows)
+    keys, values = zip(*summary_rows)
+    write_rows(summary_path, ("key", "value"), [keys, list(map(str, values))])
 
     _write_manifest(
         "eval",
@@ -382,7 +389,7 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
-    _, n_rows, columns = read_columns(args.input, needed)
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"))
     _require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),
@@ -392,10 +399,12 @@ def cmd_curve(args) -> int:
 
     series = ccc(true_confidence(model, scores, accepted), predicted, args.bins)
 
-    write_rows(args.out, CCC_COLUMNS, (
-        [_fmt(point.center), _fmt(point.pred_mean), _fmt(point.pred_std), point.count]
-        for point in series
-    ))
+    write_rows(args.out, CCC_COLUMNS, [
+        _floats(point.center for point in series),
+        _floats(point.pred_mean for point in series),
+        _floats(point.pred_std for point in series),
+        [str(point.count) for point in series],
+    ])
 
     _write_manifest(
         "curve",

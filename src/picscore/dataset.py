@@ -99,34 +99,48 @@ def fail_first_row(bad: np.ndarray, message) -> None:
 
 
 def read_columns(
-    path: str | Path, names: Iterable[str] | None = None
+    path: str | Path, names: Iterable[str] | None = None, numbers: Iterable[str] = ()
 ) -> tuple[list[str], int, dict[str, np.ndarray]]:
-    """Read a CSV file with a header row into columns of raw strings.
+    """Read a CSV file with a header row into columns of raw strings or numbers.
 
     Returns ``(header, n_rows, columns)``: the header as written, the number
-    of data rows, and one array of ``str`` objects per column keyed by the
-    column name stripped and lower-cased, in header order. ``names`` (lower
-    case) selects the columns returned; those the file lacks are left out,
-    and ``None`` returns every column. Quoting and line endings follow the
-    ``csv`` module; blank lines are skipped and not counted as rows. Every
-    row must have as many fields as the header.
+    of data rows, and one array per column keyed by the column name stripped
+    and lower-cased, in header order. ``names`` (lower case) selects the
+    columns returned; those the file lacks are left out, and ``None`` returns
+    every column. Quoting and line endings follow the ``csv`` module; blank
+    lines are skipped and not counted as rows. Every row must have as many
+    fields as the header, and no two header names may be equal.
+
+    A column is an array of ``str`` objects, except that a returned column
+    named in ``numbers`` is a float64 array when every one of its fields
+    parses as a finite number. Those numbers are parsed by numpy with
+    ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
+    what ``float()`` gives bit for bit.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``). A column nobody asked for is read into a
     zero-width string field, so its fields are counted but no string is
-    built for them. When numpy rejects the file, the rows are scanned again
-    with ``csv.reader`` (``_scan_rows``), which names the first bad row, or
-    returns the columns if it finds none.
+    built for them. When numpy rejects the file, or a number column holds a
+    non-finite value, the rows are read again as strings with ``csv.reader``
+    (``_scan_rows``), which names the first row with a bad field count, or
+    returns every column as strings if it finds none. ``parse_floats`` then
+    names the first bad number, including those ``float()`` accepts and
+    numpy does not, such as ``1_0`` or non-ASCII digits.
     """
     with open(path, newline="") as handle:
         header = _first_row(csv.reader(handle))
         if header is None:
             raise ValueError(f"{path}: no records (empty file)")
         keys = [name.strip().lower() for name in header]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise ValueError(f"{path}: duplicate column {key!r}")
         wanted = set(keys if names is None else names)
+        floats = wanted.intersection(keys, numbers)
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
-                          "formats": [object if key in wanted else "U0" for key in keys]})
+                          "formats": [float if key in floats else object if key in wanted
+                                      else "U0" for key in keys]})
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -134,16 +148,18 @@ def read_columns(
                                    comments=None, ndmin=1, encoding=None)
         except ValueError:
             table = None
+    if table is not None:
+        # A number column is copied, so that it does not keep the table's strings alive.
+        columns = {key: table[f"f{i}"].copy() if key in floats else table[f"f{i}"]
+                   for i, key in enumerate(keys) if key in wanted}
+        if all(np.isfinite(columns[key]).all() for key in floats):
+            n_rows = table.size
+        else:
+            table = None
     if table is None:
         n_rows, columns = _scan_rows(path, keys, wanted)
-    else:
-        n_rows = table.size
-        columns = {key: table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
     if not n_rows:
         raise ValueError(f"{path}: no records")
-    for i, key in enumerate(keys):
-        if key in keys[:i]:
-            raise ValueError(f"{path}: duplicate column {key!r}")
     return header, n_rows, columns
 
 
@@ -158,8 +174,10 @@ def _first_row(reader) -> list[str] | None:
 def _scan_rows(path: str | Path, keys: list[str], wanted: set[str]):
     """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
 
-    Runs only after numpy has rejected the file: raises ``RowError`` at the
-    first row whose field count differs from the header's.
+    Runs only after numpy has rejected the file or found a non-finite number:
+    raises ``RowError`` at the first row whose field count differs from the
+    header's, and otherwise returns ``(n_rows, columns)`` with every wanted
+    column as ``str`` objects.
     """
     width = len(keys)
     with open(path, newline="") as handle:
@@ -184,19 +202,66 @@ def _scan_rows(path: str | Path, keys: list[str], wanted: set[str]):
                                  for i, key in enumerate(keys) if key in wanted}
 
 
-def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a header row and data rows as CSV, each line ended by ``\\n``.
+_CHUNK_ROWS = 4096
 
-    The dialect is the ``csv`` module's default, the one ``read_columns`` reads.
+
+def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a header row and columns of equal length as CSV, each line ended by ``\\n``.
+
+    A column is a float64 array, written with ``"{:.6f}"``, or a sequence of
+    ``str``. A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, with
+    inner quotes doubled, and a row of one empty field is written ``""``.
+    This is the ``csv`` module's default dialect, the one ``read_columns``
+    reads, except that ``csv.writer`` leaves a ``\\r`` bare, which reads back
+    as a line break. Rows are formatted and written a few thousand at a time.
     """
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_lines(handle, [_quoted([name]) for name in header])
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            _write_lines(handle, [_fields(column[start:stop]) for column in columns])
 
 
-def parse_floats(column: Sequence[str], name: str) -> np.ndarray:
-    """Parse a column of finite numbers: ``row N: invalid <name> value '...'``."""
+def _fields(chunk: Sequence) -> list[str]:
+    """A chunk of a ``write_rows`` column as CSV fields."""
+    if not isinstance(chunk, np.ndarray):
+        return _quoted(list(chunk))
+    if chunk.dtype == np.float64:
+        return [f"{value:.6f}" for value in chunk.tolist()]  # never needs quotes
+    return _quoted(chunk.tolist())
+
+
+def _quoted(fields: list[str]) -> list[str]:
+    """The fields with each one that holds ``,`` ``"`` ``\\r`` or ``\\n`` quoted."""
+    if not _needs_quotes("".join(fields)):
+        return fields
+    return ['"' + field.replace('"', '""') + '"' if _needs_quotes(field) else field
+            for field in fields]
+
+
+def _needs_quotes(text: str) -> bool:
+    # Four substring scans in C, several times faster than one regex search.
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
+def _write_lines(handle, columns: list[list[str]]) -> None:
+    """Write the rows of equal-length columns of CSV fields."""
+    if len(columns) == 1:  # a lone empty field unquoted would read as a blank line
+        columns = [[field or '""' for field in columns[0]]]
+    handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
+def parse_floats(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
+    """Parse a column of finite numbers: ``row N: invalid <name> value '...'``.
+
+    A float64 array, as ``read_columns`` returns for a number column, is
+    already parsed and finite, and is returned as it is.
+    """
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return column
     try:
         values = np.fromiter(map(float, column), dtype=float, count=len(column))
     except ValueError:
@@ -258,7 +323,7 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",))
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.
@@ -279,11 +344,11 @@ def load_scores(path: str | Path) -> ScoreTable:
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:
     """Write a score table as CSV with the canonical column layout."""
-    write_rows(path, CSV_COLUMNS, zip(
-        map("{:.6f}".format, table.score.tolist()),
+    write_rows(path, CSV_COLUMNS, [
+        table.score,
         np.where(table.is_genuine, GENUINE, IMPOSTER).tolist(),
         *(getattr(table, name) for name in ID_COLUMNS),
-    ))
+    ])
 
 
 def split_subject_exclusive(

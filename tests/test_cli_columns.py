@@ -183,6 +183,17 @@ class TestFieldCount:
             load_scores(bad)
 
 
+class TestCarriageReturn:
+    def test_score_then_eval_keeps_a_quoted_cr(self, tmp_path, model_path):
+        source = tmp_path / "in.csv"
+        source.write_bytes(b'score,label,probe_id\n0.9,genuine,"a\rb"\n0.1,imposter,c\n')
+        scored = tmp_path / "s.csv"
+        assert run("score", model_path, source, scored) == 0
+        assert run("eval", scored, tmp_path / "r") == 0
+        with open(scored, newline="") as handle:
+            assert [row["probe_id"] for row in csv.DictReader(handle)] == ["a\rb", "c"]
+
+
 class TestHeaderOnly:
     @pytest.mark.parametrize("text", ["score,label\n", "score,label\n\n\r\n"])
     def test_no_records_and_nothing_else(self, tmp_path, child_env, text):
