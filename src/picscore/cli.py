@@ -31,6 +31,7 @@ from .dataset import (
     IMPOSTER,
     check_rows,
     fail_first_row,
+    label_codes,
     load_scores,
     parse_floats,
     parse_labels,
@@ -214,8 +215,7 @@ def _require_ids(probes: np.ndarray, claimed: np.ndarray) -> None:
 
 def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, claimed) -> None:
     """Every row's label, normalized, equals that of its group's first row."""
-    normalized = {raw: raw.strip().lower() for raw in set(labels)}
-    label = np.fromiter(map(normalized.__getitem__, labels), dtype=object, count=len(labels))
+    label = label_codes(labels)
     fail_first_row(label != label[first][groups],
                    lambda i: f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels")
 
@@ -223,7 +223,7 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
 def cmd_fuse(args) -> int:
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",), labels=("label",))
     _require_columns(columns, needed, args.input)
 
     probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
@@ -275,7 +275,8 @@ def cmd_fuse(args) -> int:
 
 def _eval_pic(path):
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"))
+    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"),
+                                 labels=("label", "decision"))
     _require_columns(columns, needed, path)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
@@ -288,7 +289,7 @@ def _eval_pic(path):
 
 def _eval_baseline(args, path):
     needed = ("score", "label")
-    _, _, columns = read_columns(path, needed, numbers=("score",))
+    _, _, columns = read_columns(path, needed, numbers=("score",), labels=("label",))
     if "score" not in columns:
         raise ValueError(
             f"{path}: estimator {args.estimator!r} needs raw scores "
@@ -389,7 +390,8 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"))
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"),
+                                      labels=("decision",))
     _require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 import warnings
 from dataclasses import dataclass, fields
@@ -99,7 +100,10 @@ def fail_first_row(bad: np.ndarray, message) -> None:
 
 
 def read_columns(
-    path: str | Path, names: Iterable[str] | None = None, numbers: Iterable[str] = ()
+    path: str | Path,
+    names: Iterable[str] | None = None,
+    numbers: Iterable[str] = (),
+    labels: Iterable[str] = (),
 ) -> tuple[list[str], int, dict[str, np.ndarray]]:
     """Read a CSV file with a header row into columns of raw strings or numbers.
 
@@ -111,24 +115,38 @@ def read_columns(
     lines are skipped and not counted as rows. Every row must have as many
     fields as the header, and no two header names may be equal.
 
-    A column is an array of ``str`` objects, except that a returned column
-    named in ``numbers`` is a float64 array when every one of its fields
-    parses as a finite number. Those numbers are parsed by numpy with
+    A column is an array of ``str`` objects, with two exceptions. A returned
+    column named in ``numbers`` is a float64 array when every one of its
+    fields parses as a finite number. Those numbers are parsed by numpy with
     ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
-    what ``float()`` gives bit for bit.
+    what ``float()`` gives bit for bit. A returned column named in
+    ``labels`` may be a ``"U9"`` array (see below), which holds the same
+    strings; ``parse_labels`` and ``label_codes`` take either kind.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
-    tokenizer (``np.loadtxt``). A column nobody asked for is read into a
-    zero-width string field, so its fields are counted but no string is
-    built for them. When numpy rejects the file, or a number column holds a
-    non-finite value, the rows are read again as strings with ``csv.reader``
-    (``_scan_rows``), which names the first row with a bad field count, or
-    returns every column as strings if it finds none. ``parse_floats`` then
-    names the first bad number, including those ``float()`` accepts and
-    numpy does not, such as ``1_0`` or non-ASCII digits.
+    tokenizer (``np.loadtxt``), by one of two routes. A file holding no
+    ``\r`` and no NUL byte, whose name numpy would not take for a compressed
+    file (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is opened by numpy itself,
+    which reads it in chunks in C and skips the header's lines. On that
+    route a label column is read into 9-character fields: ``imposter``, the
+    longest label, fits, and a field that fills all 9 may have been cut.
+    Any other file is read by numpy from the open handle, line by line,
+    because numpy's own open would turn a quoted ``\r`` into ``\n``, drop a
+    trailing NUL from a fixed-width field, or decompress the file.
+
+    A column nobody asked for is read into a zero-width string field, so
+    its fields are counted but no string is built for them. When numpy
+    rejects the file, a number column holds a non-finite value, or a label
+    field fills all 9 characters, the rows are read again as strings with
+    ``csv.reader`` (``_scan_rows``), which names the first row with a bad
+    field count, or returns every column as strings if it finds none.
+    ``parse_floats`` then names the first bad number, including those
+    ``float()`` accepts and numpy does not, such as ``1_0`` or non-ASCII
+    digits.
     """
     with open(path, newline="") as handle:
-        header = _first_row(csv.reader(handle))
+        reader = csv.reader(handle)
+        header = _first_row(reader)
         if header is None:
             raise ValueError(f"{path}: no records (empty file)")
         keys = [name.strip().lower() for name in header]
@@ -137,22 +155,30 @@ def read_columns(
                 raise ValueError(f"{path}: duplicate column {key!r}")
         wanted = set(keys if names is None else names)
         floats = wanted.intersection(keys, numbers)
+        by_path = _numpy_reads_as_csv(path)
+        narrow = wanted.intersection(keys, labels) if by_path else set()
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
-                          "formats": [float if key in floats else object if key in wanted
-                                      else "U0" for key in keys]})
+                          "formats": [float if key in floats else
+                                      f"U{_LABEL_WIDTH}" if key in narrow else
+                                      object if key in wanted else "U0" for key in keys]})
+        # An absolute path, which numpy cannot take for a URL.
+        source = os.path.join(os.getcwd(), path) if by_path else handle
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(handle, dtype=dtype, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1, encoding=None)
+                table = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, ndmin=1, encoding=None,
+                                   skiprows=reader.line_num if by_path else 0)
         except ValueError:
             table = None
     if table is not None:
         # A number column is copied, so that it does not keep the table's strings alive.
         columns = {key: table[f"f{i}"].copy() if key in floats else table[f"f{i}"]
                    for i, key in enumerate(keys) if key in wanted}
-        if all(np.isfinite(columns[key]).all() for key in floats):
+        if (all(np.isfinite(columns[key]).all() for key in floats)
+                and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
+                            for key in narrow)):
             n_rows = table.size
         else:
             table = None
@@ -161,6 +187,29 @@ def read_columns(
     if not n_rows:
         raise ValueError(f"{path}: no records")
     return header, n_rows, columns
+
+
+# Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+_SCAN_BYTES = 1 << 16
+# Width of a label field read by numpy: one more than the longest label.
+_LABEL_WIDTH = max(map(len, LABELS)) + 1
+
+
+def _numpy_reads_as_csv(path: str | Path) -> bool:
+    """Whether numpy, opening ``path`` itself, sees the text ``csv.reader`` sees.
+
+    numpy opens a path with universal newlines and decompresses it by
+    suffix, and drops trailing NULs from fixed-width string fields, so the
+    file must hold no ``\r`` and no NUL byte and have no compressed suffix.
+    """
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        return False
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
+            if b"\r" in chunk or b"\0" in chunk:
+                return False
+    return True
 
 
 def _first_row(reader) -> list[str] | None:
@@ -230,7 +279,9 @@ def _fields(chunk: Sequence) -> list[str]:
     if not isinstance(chunk, np.ndarray):
         return _quoted(list(chunk))
     if chunk.dtype == np.float64:
-        return [f"{value:.6f}" for value in chunk.tolist()]  # never needs quotes
+        # printf-style formatting gives the bytes of "{:.6f}" (both call
+        # PyOS_double_to_string) without parsing a format spec per value.
+        return ["%.6f" % value for value in chunk.tolist()]  # never needs quotes
     return _quoted(chunk.tolist())
 
 
@@ -277,16 +328,33 @@ def parse_floats(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
     return values
 
 
-def parse_labels(column: Sequence[str], name: str) -> np.ndarray:
+def label_codes(column: Sequence[str] | np.ndarray) -> np.ndarray:
+    """Each label stripped and lower-cased, as a code: 0 ``genuine``, 1 ``imposter``.
+
+    Every other value gets a code from 2 up, equal codes for equal values.
+    Exact ``genuine`` and ``imposter`` are matched on the whole array at
+    once; only the other rows are stripped and lower-cased.
+    """
+    if not isinstance(column, np.ndarray):
+        column = np.asarray(column, dtype=object)
+    codes = np.where(column == GENUINE, 0, 1)
+    rest = np.flatnonzero((codes == 1) & (column != IMPOSTER))
+    if rest.size:
+        raw = column[rest].tolist()
+        code = {GENUINE: 0, IMPOSTER: 1}
+        distinct = {value: code.setdefault(value.strip().lower(), len(code)) for value in set(raw)}
+        codes[rest] = list(map(distinct.__getitem__, raw))
+    return codes
+
+
+def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
     """Parse a ``genuine``/``imposter`` column (any case) into ``is_genuine`` flags.
 
     Unknown values fail as ``row N: unknown <name> '...'``.
     """
-    value = {raw: raw.strip().lower() for raw in set(column)}
-    unknown = [raw for raw in value if value[raw] not in LABELS]
-    if unknown:
-        fail_first_row(np.isin(column, unknown), lambda i: f"unknown {name} {column[i]!r}")
-    return np.isin(column, [raw for raw in value if value[raw] == GENUINE])
+    codes = label_codes(column)
+    fail_first_row(codes > 1, lambda i: f"unknown {name} {str(column[i])!r}")
+    return codes == 0
 
 
 def check_rows(*checks):
@@ -323,7 +391,8 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",))
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",),
+                                      labels=("label",))
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.
@@ -333,11 +402,10 @@ def load_scores(path: str | Path) -> ScoreTable:
     labels = columns["label"]
     # The subject check takes rows with a bad label as not genuine, so it
     # can still name a lower row than the label check.
-    genuine = [raw for raw in set(labels) if raw.strip().lower() == GENUINE]
     scores, is_genuine, _ = check_rows(
         lambda: parse_floats(columns["score"], "score"),
         lambda: parse_labels(labels, "label"),
-        lambda: _check_subjects(np.isin(labels, genuine), ids["subject_a"], ids["subject_b"]),
+        lambda: _check_subjects(label_codes(labels) == 0, ids["subject_a"], ids["subject_b"]),
     )
     return ScoreTable(scores, is_genuine, **ids)
 

@@ -132,9 +132,17 @@ def _validated_confidences(confidences, correct) -> tuple[np.ndarray, np.ndarray
         raise ValueError("confidence array is empty")
     if conf.size != corr.size:
         raise ValueError(f"length mismatch: {conf.size} confidences vs {corr.size} outcomes")
+    _require_finite(conf, "confidences")
     if np.any(conf < 0.0) or np.any(conf > 1.0):
         raise ValueError("confidences must lie in [0, 1]")
     return conf, corr
+
+
+def _require_finite(values: np.ndarray, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} must be finite, got {float(values[i])!r} at index {i}")
 
 
 def _bin_indices(values: np.ndarray, n_bins: int) -> np.ndarray:
@@ -148,7 +156,8 @@ def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationRep
     ECE is the bin-count-weighted mean absolute gap between the mean
     predicted confidence and the fraction of correct decisions per bin;
     MCE is the maximum gap over non-empty bins. Empty bins contribute
-    nothing to either.
+    nothing to either. A confidence that is not finite, or lies outside
+    [0, 1], raises ``ValueError``; the first non-finite one is named by index.
     """
     if m_bins < 1:
         raise ValueError(f"m_bins must be >= 1, got {m_bins}")
@@ -195,7 +204,8 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> list[CccBin]:
     Samples are binned by their true confidence; each bin reports the mean
     and standard deviation of the predicted confidences it holds. Empty
     bins are emitted with count 0 and NaN statistics so the series always
-    has ``b_bins`` rows.
+    has ``b_bins`` rows. A non-finite input raises ``ValueError`` naming
+    its index.
     """
     if b_bins < 1:
         raise ValueError(f"b_bins must be >= 1, got {b_bins}")
@@ -205,6 +215,8 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> list[CccBin]:
         raise ValueError(f"length mismatch: {t.size} true vs {p.size} predicted")
     if t.size == 0:
         raise ValueError("input arrays are empty")
+    _require_finite(t, "true confidences")
+    _require_finite(p, "predicted confidences")
     idx = _bin_indices(t, b_bins)
 
     series = []

@@ -21,6 +21,7 @@ from picscore.dataset import (
     check_rows,
     load_scores,
     parse_floats,
+    parse_labels,
     read_columns,
     save_scores,
     split_subject_exclusive,
@@ -164,60 +165,94 @@ def reference_read(path, names=None):
     return header, len(rows), columns
 
 
-FIELDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "中", "a", "1"]),
-                 max_size=5)
+CHARS = [",", '"', "\r", "\n", " ", "\t", "é", "中", "a", "1", "\x00"]
+# Labels as they are, in other cases, padded, followed by a NUL, and 9 or more characters long.
+LABEL_FIELDS = ["genuine", "imposter", "GENUINE", " Imposter", "genuine\x00", "imposterx",
+                " genuine ", " Imposter ", "genuine  x", " genuine  x", "bogus"]
+
+
+def fields(chars):
+    """Short fields over ``chars``, and the label fields (those with a NUL only if it is there)."""
+    labels = [label for label in LABEL_FIELDS if "\x00" not in label or "\x00" in chars]
+    return st.one_of(st.text(st.sampled_from(chars), max_size=5), st.sampled_from(labels))
+
+
+FIELDS = fields(CHARS)
+# Without \r and NUL, so that a file written with \n line ends is read by numpy from its path.
+PLAIN_FIELDS = fields([c for c in CHARS if c not in "\r\x00"])
 
 
 @st.composite
 def csv_tables(draw, resize_one_row=False):
     """A header and rows of equal width; one row one field longer or shorter if asked."""
-    header = draw(st.lists(FIELDS, min_size=1, max_size=4,
+    field = draw(st.sampled_from([FIELDS, PLAIN_FIELDS]))
+    header = draw(st.lists(field, min_size=1, max_size=4,
                            unique_by=lambda name: name.strip().lower()))
-    rows = draw(st.lists(st.lists(FIELDS, min_size=len(header), max_size=len(header)),
+    rows = draw(st.lists(st.lists(field, min_size=len(header), max_size=len(header)),
                          min_size=int(resize_one_row), max_size=6))
     if resize_one_row:
         row = rows[draw(st.integers(0, len(rows) - 1))]
         if draw(st.booleans()):
-            row.append(draw(FIELDS))
+            row.append(draw(field))
         else:
             row.pop()
     return header, rows
 
 
 def write_csv(path, header, rows, data):
-    """Rows written by ``csv.writer``, each ended by \\n or \\r\\n, blank lines at random."""
+    """Rows written by ``csv.writer``, blank lines at random, each ended by \\n or \\r\\n.
+
+    Half the files end every line with \\n. Returns the ``names`` and the
+    ``labels`` to read the file with.
+    """
     buffer = io.StringIO()
-    writers = {end: csv.writer(buffer, lineterminator=end) for end in ("\n", "\r\n")}
+    endings = data.draw(st.sampled_from([["\n"], ["\n", "\r\n"]]))
+    writers = {end: csv.writer(buffer, lineterminator=end) for end in endings}
     for row in [header] + rows:
         if data.draw(st.booleans()):
-            buffer.write(data.draw(st.sampled_from(["\n", "\r\n"])))
-        writers[data.draw(st.sampled_from(["\n", "\r\n"]))].writerow(row)
+            buffer.write(data.draw(st.sampled_from(endings)))
+        writers[data.draw(st.sampled_from(endings))].writerow(row)
     path.write_bytes(buffer.getvalue().encode())
     keys = [name.strip().lower() for name in header]
-    return data.draw(st.one_of(st.none(), st.sets(st.sampled_from(keys + ["absent"]))))
+    names = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(keys + ["absent"]))))
+    return names, data.draw(st.sets(st.sampled_from(keys + ["absent"])))
 
 
-def assert_reads_like_reference(path, names):
+def reference_labels(column, name):
+    """Each field stripped, lower-cased and matched, failing at the first unknown one."""
+    flags = []
+    for i, raw in enumerate(column, start=1):
+        value = raw.strip().lower()
+        if value not in (GENUINE, IMPOSTER):
+            raise RowError(i, f"unknown {name} {raw!r}")
+        flags.append(value == GENUINE)
+    return np.array(flags, dtype=bool)
+
+
+def assert_reads_like_reference(path, names, labels=()):
     try:
         header, n_rows, columns = reference_read(path, names)
     except RowError as expected:
         with pytest.raises(RowError) as got:
-            read_columns(path, names)
+            read_columns(path, names, labels=labels)
         assert (got.value.row, str(got.value)) == (expected.row, str(expected))
         return
     except ValueError as expected:
         # csv.writer leaves a \r bare, which reads as a line break: a lone \r
         # header field leaves no header, others may split it into repeated names
         with pytest.raises(ValueError, match=re.escape(str(expected))):
-            read_columns(path, names)
+            read_columns(path, names, labels=labels)
         return
     if not n_rows:
         with pytest.raises(ValueError, match="no records"):
-            read_columns(path, names)
+            read_columns(path, names, labels=labels)
         return
-    got_header, got_rows, got_columns = read_columns(path, names)
+    got_header, got_rows, got_columns = read_columns(path, names, labels=labels)
     assert (got_header, got_rows) == (header, n_rows)
     assert {key: column.tolist() for key, column in got_columns.items()} == columns
+    label_keys = sorted(set(labels).intersection(columns))
+    assert (parsed(parse_labels, got_columns, label_keys)
+            == parsed(reference_labels, columns, label_keys))
 
 
 class TestReadColumns:
@@ -228,14 +263,14 @@ class TestReadColumns:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_csv_reader(self, tmp_path, table, data):
         path = tmp_path / "table.csv"
-        assert_reads_like_reference(path, write_csv(path, *table, data))
+        assert_reads_like_reference(path, *write_csv(path, *table, data))
 
     @given(csv_tables(resize_one_row=True), st.data())
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_bad_field_count_names_the_same_row(self, tmp_path, table, data):
         path = tmp_path / "table.csv"
-        assert_reads_like_reference(path, write_csv(path, *table, data))
+        assert_reads_like_reference(path, *write_csv(path, *table, data))
 
     def test_columns_in_header_order(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -251,6 +286,56 @@ class TestReadColumns:
             with pytest.raises(ValueError, match="no records$"):
                 read_columns(path)
 
+
+    @pytest.mark.parametrize("text, by_path", [
+        ("score,label\n0.5,genuine\n", True),
+        ("score,label\r\n0.5,genuine\r\n", False),
+        ("score,label\n0.5,genuine\x00\n", False),
+    ], ids=["plain", "crlf", "nul"])
+    def test_route_and_label_field(self, tmp_path, text, by_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            _, _, columns = read_columns(path, labels=("label",))
+        assert isinstance(loadtxt.call_args.args[0], str) == by_path
+        assert columns["label"].dtype == ("<U9" if by_path else object)
+
+    def test_quoted_cr_is_kept(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b'score,label,probe_id\n0.5,genuine,"p\r1"\n0.4,imposter,p2\n')
+        _, _, columns = read_columns(path, labels=("label",))
+        assert columns["probe_id"].tolist() == ["p\r1", "p2"]
+        assert parse_labels(columns["label"], "label").tolist() == [True, False]
+
+    @pytest.mark.parametrize("label", ["genuine\x00", " genuine  x", "imposterxx"])
+    def test_label_beyond_the_field_width_is_unknown(self, tmp_path, label):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(f"score,label\n0.5,imposter\n0.4,{label}\n".encode())
+        with pytest.raises(RowError, match=re.escape(f"row 2: unknown label {label!r}")):
+            load_scores(path)
+
+    @pytest.mark.parametrize("padded", [" Genuine", " Genuine ", " Genuine  "])
+    def test_padded_labels_load(self, tmp_path, padded):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(f"score,label\n0.5,{padded}\n0.4,imposter \n".encode())
+        _, _, columns = read_columns(path, labels=("label",))
+        assert columns["label"].tolist() == [padded, "imposter "]
+        assert load_scores(path).is_genuine.tolist() == [True, False]
+
+    def test_blank_lines_and_quoted_newline_before_first_row(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b'\n\nscore,label,"free\n\ntext"\n\n0.5,genuine,"a\nb"\n0.4,imposter,c\n')
+        header, n_rows, columns = read_columns(path, labels=("label",))
+        assert (header, n_rows) == (["score", "label", "free\n\ntext"], 2)
+        assert columns["free\n\ntext"].tolist() == ["a\nb", "c"]
+        assert columns["label"].tolist() == ["genuine", "imposter"]
+
+    def test_plain_file_with_a_compressed_suffix(self, tmp_path):
+        path = tmp_path / "scores.csv.gz"
+        path.write_text("score,label\n0.5,genuine\n0.4,imposter\n")
+        loaded = load_scores(path)
+        assert loaded.score.tolist() == [0.5, 0.4]
+        assert loaded.is_genuine.tolist() == [True, False]
 
     @pytest.mark.parametrize("text", [
         "score,label,Score\n0.9,genuine,0.9\n0.8,genuine\n",
@@ -319,6 +404,19 @@ class TestWriteRows:
         with pytest.raises(ValueError, match="unequal length"):
             write_rows(tmp_path / "table.csv", ["a", "b"], [["1"], []])
 
+    @given(st.lists(st.one_of(
+        st.floats(),
+        st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e300, -1e300,
+                         0.0078125, 5e-7, 4.9999999999999996e-07]),
+        st.integers(-10**8, 10**8).map(lambda k: (2 * k + 1) / 128),  # ties at 6 decimals
+    ), min_size=1, max_size=12), st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_float_column_matches_format_spec(self, tmp_path, values, data):
+        path = tmp_path / "table.csv"
+        write_in_chunks(path, ["x"], [np.array(values, dtype=float)], data)
+        assert path.read_bytes() == ("x\n" + "".join(f"{v:.6f}\n" for v in values)).encode()
+
 
 NUMBER_FIELDS = st.one_of(
     st.sampled_from(["1_0", "\u0661", "nan", "-inf", "1e999", " 1.5 ", "\xa01", "0x1p3", ".", "",
@@ -344,7 +442,7 @@ def reference_floats(column, name):
 
 
 def parsed(parse, columns, numbers):
-    """The number columns parsed as ``check_rows`` does, or the ``RowError`` it raises."""
+    """The named columns parsed as ``check_rows`` does, or the ``RowError`` it raises."""
     try:
         return [values.tobytes() for values in check_rows(
             *(lambda name=name: parse(columns[name], name) for name in numbers))]

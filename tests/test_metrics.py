@@ -185,6 +185,11 @@ class TestEceMce:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             ece([1.2], [True], 10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_names_first_index(self, bad):
+        with pytest.raises(ValueError, match=f"confidences must be finite, got {bad!r} at index 1$"):
+            calibration_report([0.5, bad, 0.9, bad], [True, True, False, False], 10)
+
 
 class TestCcc:
     def test_identity_predictor_near_bisectrix(self):
@@ -212,6 +217,17 @@ class TestCcc:
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError, match="mismatch"):
             ccc([0.5], [0.5, 0.6], 10)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_true_confidence_names_first_index(self, bad):
+        with pytest.raises(ValueError, match=f"^true confidences must be finite, got {bad!r} "
+                                             "at index 2$"):
+            ccc([0.1, 0.5, bad], [0.1, 0.5, 0.9], 10)
+
+    def test_non_finite_predicted_confidence_names_first_index(self):
+        with pytest.raises(ValueError, match="^predicted confidences must be finite, got nan "
+                                             "at index 0$"):
+            ccc([0.1, 0.5], [math.nan, 0.5], 10)
 
     def test_calibrated_posterior_tracks_bisectrix(self, test_fitted):
         # predicted confidence from a train-fitted model, ground truth from a
