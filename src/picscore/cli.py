@@ -223,7 +223,7 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
 def cmd_fuse(args) -> int:
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",), labels=("label",))
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
     _require_columns(columns, needed, args.input)
 
     probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
@@ -275,8 +275,7 @@ def cmd_fuse(args) -> int:
 
 def _eval_pic(path):
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"),
-                                 labels=("label", "decision"))
+    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"))
     _require_columns(columns, needed, path)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
@@ -289,7 +288,7 @@ def _eval_pic(path):
 
 def _eval_baseline(args, path):
     needed = ("score", "label")
-    _, _, columns = read_columns(path, needed, numbers=("score",), labels=("label",))
+    _, _, columns = read_columns(path, needed, numbers=("score",))
     if "score" not in columns:
         raise ValueError(
             f"{path}: estimator {args.estimator!r} needs raw scores "
@@ -390,8 +389,7 @@ def cmd_eval(args) -> int:
 def cmd_curve(args) -> int:
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"),
-                                      labels=("decision",))
+    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"))
     _require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),

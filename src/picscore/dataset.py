@@ -10,6 +10,7 @@ import csv
 import math
 import os
 import random
+import stat
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -103,7 +104,6 @@ def read_columns(
     path: str | Path,
     names: Iterable[str] | None = None,
     numbers: Iterable[str] = (),
-    labels: Iterable[str] = (),
 ) -> tuple[list[str], int, dict[str, np.ndarray]]:
     """Read a CSV file with a header row into columns of raw strings or numbers.
 
@@ -119,19 +119,20 @@ def read_columns(
     column named in ``numbers`` is a float64 array when every one of its
     fields parses as a finite number. Those numbers are parsed by numpy with
     ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
-    what ``float()`` gives bit for bit. A returned column named in
-    ``labels`` may be a ``"U9"`` array (see below), which holds the same
-    strings; ``parse_labels`` and ``label_codes`` take either kind.
+    what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
+    may be a ``"U9"`` array (see below), which holds the same strings;
+    ``parse_labels`` and ``label_codes`` take either kind.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
-    tokenizer (``np.loadtxt``), by one of two routes. A file holding no
-    ``\r`` and no NUL byte, whose name numpy would not take for a compressed
-    file (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is opened by numpy itself,
-    which reads it in chunks in C and skips the header's lines. On that
-    route a label column is read into 9-character fields: ``imposter``, the
-    longest label, fits, and a field that fills all 9 may have been cut.
-    Any other file is read by numpy from the open handle, line by line,
-    because numpy's own open would turn a quoted ``\r`` into ``\n``, drop a
+    tokenizer (``np.loadtxt``), by one of two routes. A regular file
+    holding no ``\r`` and no NUL byte, whose name numpy would not take for a
+    compressed file (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is opened by
+    numpy itself, which reads it in chunks in C and skips the header's
+    lines. On that route a ``label`` or ``decision`` column is read into
+    9-character fields: ``imposter``, the longest label, fits, and a field
+    that fills all 9 may have been cut. Any other file is read by numpy
+    from the open handle, line by line: a pipe cannot be read twice, and
+    numpy's own open would turn a quoted ``\r`` into ``\n``, drop a
     trailing NUL from a fixed-width field, or decompress the file.
 
     A column nobody asked for is read into a zero-width string field, so
@@ -155,8 +156,8 @@ def read_columns(
                 raise ValueError(f"{path}: duplicate column {key!r}")
         wanted = set(keys if names is None else names)
         floats = wanted.intersection(keys, numbers)
-        by_path = _numpy_reads_as_csv(path)
-        narrow = wanted.intersection(keys, labels) if by_path else set()
+        by_path = _numpy_reads_as_csv(path, handle)
+        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if by_path else set()
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
@@ -192,18 +193,23 @@ def read_columns(
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 16
+# Columns read into fixed-width fields on numpy's path route.
+_LABEL_COLUMNS = ("label", "decision")
 # Width of a label field read by numpy: one more than the longest label.
 _LABEL_WIDTH = max(map(len, LABELS)) + 1
 
 
-def _numpy_reads_as_csv(path: str | Path) -> bool:
+def _numpy_reads_as_csv(path: str | Path, handle) -> bool:
     """Whether numpy, opening ``path`` itself, sees the text ``csv.reader`` sees.
 
-    numpy opens a path with universal newlines and decompresses it by
-    suffix, and drops trailing NULs from fixed-width string fields, so the
-    file must hold no ``\r`` and no NUL byte and have no compressed suffix.
+    ``handle`` is open on ``path``. The file must be a regular one: a pipe
+    or FIFO would be drained by the scan. numpy opens a path with universal
+    newlines and decompresses it by suffix, and drops trailing NULs from
+    fixed-width string fields, so the file must hold no ``\r`` and no NUL
+    byte and have no compressed suffix.
     """
-    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+    if (not stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+            or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
         return False
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
@@ -353,8 +359,12 @@ def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
     Unknown values fail as ``row N: unknown <name> '...'``.
     """
     codes = label_codes(column)
-    fail_first_row(codes > 1, lambda i: f"unknown {name} {str(column[i])!r}")
+    _check_labels(codes, column, name)
     return codes == 0
+
+
+def _check_labels(codes: np.ndarray, column, name: str) -> None:
+    fail_first_row(codes > 1, lambda i: f"unknown {name} {str(column[i])!r}")
 
 
 def check_rows(*checks):
@@ -391,8 +401,7 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",),
-                                      labels=("label",))
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",))
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.
@@ -400,12 +409,14 @@ def load_scores(path: str | Path) -> ScoreTable:
     ids = {name: _stripped(columns.pop(name)) if name in columns else blank
            for name in ID_COLUMNS}
     labels = columns["label"]
+    codes = label_codes(labels)
+    is_genuine = codes == 0
     # The subject check takes rows with a bad label as not genuine, so it
     # can still name a lower row than the label check.
-    scores, is_genuine, _ = check_rows(
+    scores, _, _ = check_rows(
         lambda: parse_floats(columns["score"], "score"),
-        lambda: parse_labels(labels, "label"),
-        lambda: _check_subjects(label_codes(labels) == 0, ids["subject_a"], ids["subject_b"]),
+        lambda: _check_labels(codes, labels, "label"),
+        lambda: _check_subjects(is_genuine, ids["subject_a"], ids["subject_b"]),
     )
     return ScoreTable(scores, is_genuine, **ids)
 

@@ -34,8 +34,6 @@ _GRID_PAD_BANDWIDTHS = 5.0
 # Kernel terms further out than this many bandwidths are left out of the sum.
 _WINDOW_BANDWIDTHS = 9.0
 _QUERY_BLOCK = 32
-# Fewer queries than this are interpolated unsorted: the sort costs more than it saves.
-_SORTED_QUERIES = 512
 _BLOCK_CELLS = 4_000_000
 
 
@@ -208,28 +206,20 @@ def eval_density(density: KdeDensity, s):
     """Evaluate a fitted density at score(s) ``s`` from its grid.
 
     Linearly interpolates the tabulated grid and clamps out-of-grid queries
-    to the density floor. Results are always >= ``DENSITY_FLOOR``. From
-    ``_SORTED_QUERIES`` queries up, they are interpolated in sorted order,
-    where ``np.interp`` finds each one's grid cell from the last instead of
-    by a fresh binary search, and the results are put back in query order
-    and shape. Each result depends only on its query's value, so the order
-    changes no bit.
+    to the density floor. Results are always >= ``DENSITY_FLOOR``. The
+    queries are interpolated in sorted order, where ``np.interp`` finds each
+    one's grid cell from the last instead of by a fresh binary search, and
+    the results are put back in query order and shape. Each result depends
+    only on its query's value, so the order changes no bit.
     """
     arr = np.asarray(s, dtype=float)
     flat = arr.ravel()
-    if flat.size < _SORTED_QUERIES:
-        values = _interp(density, flat)
-    else:
-        order = np.argsort(flat)
-        values = np.empty_like(flat)
-        values[order] = _interp(density, flat[order])
+    order = np.argsort(flat)
+    values = np.empty_like(flat)
+    values[order] = np.interp(flat[order], density.grid_points(), density.grid_values,
+                              left=DENSITY_FLOOR, right=DENSITY_FLOOR)
     values = np.maximum(values, DENSITY_FLOOR)
     return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
-
-
-def _interp(density: KdeDensity, queries: np.ndarray) -> np.ndarray:
-    return np.interp(queries, density.grid_points(), density.grid_values,
-                     left=DENSITY_FLOOR, right=DENSITY_FLOOR)
 
 
 @dataclass(frozen=True)

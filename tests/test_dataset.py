@@ -2,7 +2,9 @@ import csv
 import io
 import math
 import random
+import os
 import re
+import threading
 import warnings
 from typing import NamedTuple
 from unittest import mock
@@ -16,6 +18,7 @@ from picscore import dataset
 from picscore.dataset import (
     GENUINE,
     IMPOSTER,
+    LABELS,
     RowError,
     ScoreTable,
     check_rows,
@@ -230,24 +233,26 @@ def reference_labels(column, name):
 
 
 def assert_reads_like_reference(path, names, labels=()):
-    try:
-        header, n_rows, columns = reference_read(path, names)
-    except RowError as expected:
-        with pytest.raises(RowError) as got:
-            read_columns(path, names, labels=labels)
-        assert (got.value.row, str(got.value)) == (expected.row, str(expected))
-        return
-    except ValueError as expected:
-        # csv.writer leaves a \r bare, which reads as a line break: a lone \r
-        # header field leaves no header, others may split it into repeated names
-        with pytest.raises(ValueError, match=re.escape(str(expected))):
-            read_columns(path, names, labels=labels)
-        return
-    if not n_rows:
-        with pytest.raises(ValueError, match="no records"):
-            read_columns(path, names, labels=labels)
-        return
-    got_header, got_rows, got_columns = read_columns(path, names, labels=labels)
+    """``read_columns`` with ``labels`` as the label columns, against ``reference_read``."""
+    with mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)):
+        try:
+            header, n_rows, columns = reference_read(path, names)
+        except RowError as expected:
+            with pytest.raises(RowError) as got:
+                read_columns(path, names)
+            assert (got.value.row, str(got.value)) == (expected.row, str(expected))
+            return
+        except ValueError as expected:
+            # csv.writer leaves a \r bare, which reads as a line break: a lone \r
+            # header field leaves no header, others may split it into repeated names
+            with pytest.raises(ValueError, match=re.escape(str(expected))):
+                read_columns(path, names)
+            return
+        if not n_rows:
+            with pytest.raises(ValueError, match="no records"):
+                read_columns(path, names)
+            return
+        got_header, got_rows, got_columns = read_columns(path, names)
     assert (got_header, got_rows) == (header, n_rows)
     assert {key: column.tolist() for key, column in got_columns.items()} == columns
     label_keys = sorted(set(labels).intersection(columns))
@@ -296,14 +301,14 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode())
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            _, _, columns = read_columns(path, labels=("label",))
+            _, _, columns = read_columns(path)
         assert isinstance(loadtxt.call_args.args[0], str) == by_path
         assert columns["label"].dtype == ("<U9" if by_path else object)
 
     def test_quoted_cr_is_kept(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label,probe_id\n0.5,genuine,"p\r1"\n0.4,imposter,p2\n')
-        _, _, columns = read_columns(path, labels=("label",))
+        _, _, columns = read_columns(path)
         assert columns["probe_id"].tolist() == ["p\r1", "p2"]
         assert parse_labels(columns["label"], "label").tolist() == [True, False]
 
@@ -318,17 +323,41 @@ class TestReadColumns:
     def test_padded_labels_load(self, tmp_path, padded):
         path = tmp_path / "scores.csv"
         path.write_bytes(f"score,label\n0.5,{padded}\n0.4,imposter \n".encode())
-        _, _, columns = read_columns(path, labels=("label",))
+        _, _, columns = read_columns(path)
         assert columns["label"].tolist() == [padded, "imposter "]
         assert load_scores(path).is_genuine.tolist() == [True, False]
 
     def test_blank_lines_and_quoted_newline_before_first_row(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'\n\nscore,label,"free\n\ntext"\n\n0.5,genuine,"a\nb"\n0.4,imposter,c\n')
-        header, n_rows, columns = read_columns(path, labels=("label",))
+        header, n_rows, columns = read_columns(path)
         assert (header, n_rows) == (["score", "label", "free\n\ntext"], 2)
         assert columns["free\n\ntext"].tolist() == ["a\nb", "c"]
         assert columns["label"].tolist() == ["genuine", "imposter"]
+
+    def test_pipe_is_read_through_one_handle(self):
+        # Far more than the header read buffers and a pipe holds at once.
+        text = "score,label,probe_id\n" + "".join(
+            f"0.{i % 10},{LABELS[i % 2]},p{i}\n" for i in range(20000))
+        reader_fd, writer_fd = os.pipe()
+
+        def feed():
+            try:
+                with os.fdopen(writer_fd, "w") as out:
+                    out.write(text)
+            except BrokenPipeError:  # the reader gave up; its error is the test's
+                pass
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            header, n_rows, columns = read_columns(f"/dev/fd/{reader_fd}")
+        finally:
+            os.close(reader_fd)
+            feeder.join()
+        assert (header, n_rows) == (["score", "label", "probe_id"], 20000)
+        assert columns["probe_id"][-1] == "p19999"
+        assert parse_labels(columns["label"], "label").tolist() == [True, False] * 10000
 
     def test_plain_file_with_a_compressed_suffix(self, tmp_path):
         path = tmp_path / "scores.csv.gz"

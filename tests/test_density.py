@@ -2,12 +2,10 @@ import json
 import math
 import re
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from picscore import density as density_module
 from picscore.dataset import ScoreTable
 from picscore.density import (
     DENSITY_FLOOR,
@@ -128,11 +126,6 @@ def plain_lookup(density, s):
 class TestSortedLookup:
     """``eval_density`` interpolates sorted queries; every result must equal the plain call's."""
 
-    @pytest.fixture(params=[1, 10**9], ids=["sorted", "unsorted"])
-    def sorted_from(self, request):
-        with mock.patch.object(density_module, "_SORTED_QUERIES", request.param):
-            yield
-
     @pytest.fixture
     def density(self):
         return fit_kde(np.random.default_rng(4).normal(0.5, 0.1, 200), bandwidth=0.05,
@@ -144,29 +137,29 @@ class TestSortedLookup:
         assert got.dtype == expected.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 
-    def test_scalar(self, sorted_from, density):
+    def test_scalar(self, density):
         got = eval_density(density, 0.537)
         assert isinstance(got, float)
         self.assert_bitwise(got, plain_lookup(density, 0.537))
 
-    def test_unsorted_with_duplicates(self, sorted_from, density):
+    def test_unsorted_with_duplicates(self, density):
         queries = np.random.default_rng(5).normal(0.5, 0.3, 2000)
         queries = np.concatenate([queries, queries[::7], -queries[:50]])
         np.random.default_rng(6).shuffle(queries)
         self.assert_bitwise(eval_density(density, queries), plain_lookup(density, queries))
 
-    def test_two_dimensional(self, sorted_from, density):
+    def test_two_dimensional(self, density):
         queries = np.random.default_rng(7).normal(0.5, 0.3, (700, 5))
         self.assert_bitwise(eval_density(density, queries), plain_lookup(density, queries))
         self.assert_bitwise(eval_density(density, queries.T), plain_lookup(density, queries.T))
 
-    def test_non_finite(self, sorted_from, density):
+    def test_non_finite(self, density):
         queries = np.array([0.5, np.nan, np.inf, 0.2, -np.inf, np.nan, 0.9] * 100)
         got = eval_density(density, queries)
         self.assert_bitwise(got, plain_lookup(density, queries))
         assert np.isnan(got[1]) and got[2] == got[4] == DENSITY_FLOOR
 
-    def test_grid_points_and_edges(self, sorted_from, density):
+    def test_grid_points_and_edges(self, density):
         xs = density.grid_points()
         queries = np.concatenate([xs[::-1], xs[:3], xs[-3:], np.nextafter(xs[[0, -1]], [-1, 2]),
                                   np.nextafter(xs[[0, -1]], [2, -1])])
