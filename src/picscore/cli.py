@@ -18,14 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    dtc_confidence,
-    erbc_confidence,
-    fit_dtc,
-    fit_erbc,
-    fit_lrc,
-    lrc_confidence,
-)
 from .dataset import (
     GENUINE,
     IMPOSTER,
@@ -36,15 +28,16 @@ from .dataset import (
     parse_floats,
     parse_labels,
     read_columns,
+    read_to_append,
     save_scores,
     split_subject_exclusive,
     write_rows,
 )
-from .density import fit_model, load_model, save_model
-from .metrics import calibration_report, ccc, fnmr_at_fmr, true_confidence
-from .pic import decide, fuse_groups, pic_threshold_for_fmr, pic_values
-from .synth import SynthConfig, generate
 
+# Beyond the CSV layer, each command imports the library modules it uses, so
+# that a process loads only what its command runs.
+
+APPENDED_COLUMNS = ("pic", "decision", "confidence")
 FUSED_COLUMNS = ("probe_id", "claimed_id", "label", "n_used", "pic", "decision", "confidence")
 CCC_COLUMNS = ("bin_center", "pred_mean", "pred_std", "count")
 CALIBRATION_COLUMNS = ("bin_lo", "bin_hi", "count", "p_true", "p_pred_mean", "p_pred_std")
@@ -98,6 +91,8 @@ def _require_columns(columns: dict, needed: tuple[str, ...], path: str) -> None:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthConfig, generate
+
     config = SynthConfig(
         genuine_mean=args.genuine_mean,
         genuine_std=args.genuine_std,
@@ -151,6 +146,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .density import fit_model, save_model
+
     train = load_scores(args.input)
     model = fit_model(
         train,
@@ -180,10 +177,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .density import load_model
+    from .pic import decide, pic_threshold_for_fmr, pic_values
+
     model = load_model(args.model)
-    header, n_rows, columns = read_columns(args.input)
+    header, n_rows, columns, lines = read_to_append(
+        args.input, ("score", *APPENDED_COLUMNS), numbers=("score",))
     _require_columns(columns, ("score",), args.input)
-    for appended in ("pic", "decision", "confidence"):
+    for appended in APPENDED_COLUMNS:
         if appended in columns:
             raise ValueError(f"{args.input}: column {appended!r} already present")
 
@@ -191,12 +192,8 @@ def cmd_score(args) -> int:
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
-    write_rows(args.out, header + ["pic", "decision", "confidence"], [
-        *columns.values(),
-        values,
-        _decision_column(is_genuine),
-        confidence,
-    ])
+    write_rows(args.out, header + list(APPENDED_COLUMNS),
+               [values, _decision_column(is_genuine), confidence], lines=lines)
 
     _write_manifest(
         "score",
@@ -221,6 +218,9 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
 
 
 def cmd_fuse(args) -> int:
+    from .density import load_model
+    from .pic import decide, fuse_groups, pic_threshold_for_fmr
+
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
     _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
@@ -287,6 +287,17 @@ def _eval_pic(path):
 
 
 def _eval_baseline(args, path):
+    from .baselines import (
+        dtc_confidence,
+        erbc_confidence,
+        fit_dtc,
+        fit_erbc,
+        fit_lrc,
+        lrc_confidence,
+    )
+    from .density import load_model
+    from .pic import decide
+
     needed = ("score", "label")
     _, _, columns = read_columns(path, needed, numbers=("score",))
     if "score" not in columns:
@@ -321,6 +332,8 @@ def _eval_baseline(args, path):
 
 
 def cmd_eval(args) -> int:
+    from .metrics import calibration_report, fnmr_at_fmr
+
     if args.estimator == "pic":
         is_genuine, values, accepted, confidences = _eval_pic(args.input)
     else:
@@ -387,6 +400,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .density import load_model
+    from .metrics import ccc, true_confidence
+
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
     _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"))

@@ -7,6 +7,7 @@ The CSV readers (``read_columns``, ``parse_*``, ``check_rows``) and the CSV writ
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import random
@@ -130,23 +131,54 @@ def read_columns(
     numpy itself, which reads it in chunks in C and skips the header's
     lines. On that route a ``label`` or ``decision`` column is read into
     9-character fields: ``imposter``, the longest label, fits, and a field
-    that fills all 9 may have been cut. Any other file is read by numpy
-    from the open handle, line by line: a pipe cannot be read twice, and
-    numpy's own open would turn a quoted ``\r`` into ``\n``, drop a
-    trailing NUL from a fixed-width field, or decompress the file.
+    that fills all 9 may have been cut. Any other input is read once into
+    memory, and numpy reads that text line by line: a pipe cannot be read
+    twice, and numpy's own open would turn a quoted ``\r`` into ``\n``,
+    drop a trailing NUL from a fixed-width field, or decompress the file.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
     rejects the file, a number column holds a non-finite value, or a label
-    field fills all 9 characters, the rows are read again as strings with
-    ``csv.reader`` (``_scan_rows``), which names the first row with a bad
-    field count, or returns every column as strings if it finds none.
+    field fills all 9 characters, the same text is read again as strings
+    with ``csv.reader`` (``_scan_rows``), which names the first row with a
+    bad field count, or returns every column as strings if it finds none.
     ``parse_floats`` then names the first bad number, including those
     ``float()`` accepts and numpy does not, such as ``1_0`` or non-ASCII
     digits.
     """
+    header, n_rows, columns, _ = _read(path, names, numbers, copy=False)
+    return header, n_rows, columns
+
+
+def read_to_append(
+    path: str | Path,
+    names: Iterable[str],
+    numbers: Iterable[str] = (),
+) -> tuple[list[str], int, dict[str, np.ndarray], list[str]]:
+    """Read a CSV file that is to be written out again with columns appended.
+
+    Returns ``(header, n_rows, columns, lines)``: the first three as
+    ``read_columns`` returns them for ``names``, and every data row as the
+    CSV line, without its line end, that ``write_rows`` writes for it; pass
+    them to ``write_rows`` as its ``lines``. A plain file, a regular one
+    that numpy reads from its path and that holds no ``"``, is already
+    written that way: numpy reads only the ``names`` columns, and its
+    non-blank lines are returned as they are, split at ``\n`` only. Any
+    other input is read once, every column as strings, and its rows are
+    quoted again; its ``numbers`` columns are strings too.
+    """
+    return _read(path, names, numbers, copy=True)
+
+
+def _read(path, names, numbers, copy: bool):
+    """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        route = _route(path, handle)
+        source = handle
+        if route == _TEXT:  # read once; ``_scan_rows`` may read it again
+            source = io.TextIOWrapper(io.BytesIO(handle.buffer.read()),
+                                      encoding=handle.encoding, newline="")
+        reader = csv.reader(source)
         header = _first_row(reader)
         if header is None:
             raise ValueError(f"{path}: no records (empty file)")
@@ -154,40 +186,50 @@ def read_columns(
         for i, key in enumerate(keys):
             if key in keys[:i]:
                 raise ValueError(f"{path}: duplicate column {key!r}")
-        wanted = set(keys if names is None else names)
-        floats = wanted.intersection(keys, numbers)
-        by_path = _numpy_reads_as_csv(path, handle)
-        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if by_path else set()
+        names = set(keys if names is None else names)
+        if copy and route != _PLAIN:  # the rows are rebuilt from every column's strings
+            wanted, floats = set(keys), set()
+        else:
+            wanted, floats = names, names.intersection(keys, numbers)
+        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
                                       f"U{_LABEL_WIDTH}" if key in narrow else
                                       object if key in wanted else "U0" for key in keys]})
-        # An absolute path, which numpy cannot take for a URL.
-        source = os.path.join(os.getcwd(), path) if by_path else handle
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(source, dtype=dtype, delimiter=",", quotechar='"',
-                                   comments=None, ndmin=1, encoding=None,
-                                   skiprows=reader.line_num if by_path else 0)
+                table = np.loadtxt(
+                    # An absolute path, which numpy cannot take for a URL.
+                    source if route == _TEXT else os.path.join(os.getcwd(), path),
+                    dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                    encoding=None, skiprows=0 if route == _TEXT else reader.line_num)
         except ValueError:
             table = None
-    if table is not None:
-        # A number column is copied, so that it does not keep the table's strings alive.
-        columns = {key: table[f"f{i}"].copy() if key in floats else table[f"f{i}"]
-                   for i, key in enumerate(keys) if key in wanted}
-        if (all(np.isfinite(columns[key]).all() for key in floats)
-                and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
-                            for key in narrow)):
-            n_rows = table.size
-        else:
-            table = None
-    if table is None:
-        n_rows, columns = _scan_rows(path, keys, wanted)
+        if table is not None:
+            # A number column is copied, so that it does not keep the table's strings alive.
+            columns = {key: table[f"f{i}"].copy() if key in floats else table[f"f{i}"]
+                       for i, key in enumerate(keys) if key in wanted}
+            if (all(np.isfinite(columns[key]).all() for key in floats)
+                    and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
+                                for key in narrow)):
+                n_rows = table.size
+            else:
+                table = None
+        if table is None:
+            source.seek(0)
+            n_rows, columns = _scan_rows(source, keys, wanted)
+        lines = None
+        if copy and route == _PLAIN:
+            source.seek(0)
+            lines = [line for line in source.read().split("\n")[reader.line_num:] if line]
     if not n_rows:
         raise ValueError(f"{path}: no records")
-    return header, n_rows, columns
+    if copy and lines is None:
+        lines = list(map(",".join, zip(*(_quoted(column.tolist())
+                                          for column in columns.values()))))
+    return header, n_rows, {key: columns[key] for key in columns if key in names}, lines
 
 
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
@@ -197,25 +239,32 @@ _SCAN_BYTES = 1 << 16
 _LABEL_COLUMNS = ("label", "decision")
 # Width of a label field read by numpy: one more than the longest label.
 _LABEL_WIDTH = max(map(len, LABELS)) + 1
+# How numpy reads a file: from text in memory, from its path, or from its path with no quote.
+_TEXT, _PATH, _PLAIN = "text", "path", "plain"
 
 
-def _numpy_reads_as_csv(path: str | Path, handle) -> bool:
-    """Whether numpy, opening ``path`` itself, sees the text ``csv.reader`` sees.
+def _route(path: str | Path, handle) -> str:
+    """``_PATH`` or ``_PLAIN`` if numpy, opening ``path``, sees what ``csv.reader`` sees.
 
     ``handle`` is open on ``path``. The file must be a regular one: a pipe
     or FIFO would be drained by the scan. numpy opens a path with universal
     newlines and decompresses it by suffix, and drops trailing NULs from
     fixed-width string fields, so the file must hold no ``\r`` and no NUL
-    byte and have no compressed suffix.
+    byte and have no compressed suffix; otherwise the route is ``_TEXT``.
+    Such a file is ``_PLAIN`` when it also holds no ``"``: then each line
+    is one row, and its fields are its text split at every ``,``.
     """
     if (not stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
             or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
-        return False
+        return _TEXT
+    route = _PLAIN
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
             if b"\r" in chunk or b"\0" in chunk:
-                return False
-    return True
+                return _TEXT
+            if b'"' in chunk:
+                route = _PATH
+    return route
 
 
 def _first_row(reader) -> list[str] | None:
@@ -226,29 +275,29 @@ def _first_row(reader) -> list[str] | None:
     return row
 
 
-def _scan_rows(path: str | Path, keys: list[str], wanted: set[str]):
+def _scan_rows(source, keys: list[str], wanted: set[str]):
     """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
 
-    Runs only after numpy has rejected the file or found a non-finite number:
-    raises ``RowError`` at the first row whose field count differs from the
-    header's, and otherwise returns ``(n_rows, columns)`` with every wanted
-    column as ``str`` objects.
+    ``source`` is the text, open at its start. Runs only after numpy has
+    rejected the file or found a non-finite number: raises ``RowError`` at
+    the first row whose field count differs from the header's, and
+    otherwise returns ``(n_rows, columns)`` with every wanted column as
+    ``str`` objects.
     """
     width = len(keys)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        _first_row(reader)  # the header
-        # One flat list of all fields: a list per row would leave one
-        # container per row for the cyclic GC to rescan.
-        flat: list[str] = []
-        extend = flat.extend
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                row_number = len(flat) // width + 1
-                raise RowError(row_number, f"expected {width} fields, got {len(row)}")
-            extend(row)
+    reader = csv.reader(source)
+    _first_row(reader)  # the header
+    # One flat list of all fields: a list per row would leave one
+    # container per row for the cyclic GC to rescan.
+    flat: list[str] = []
+    extend = flat.extend
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            row_number = len(flat) // width + 1
+            raise RowError(row_number, f"expected {width} fields, got {len(row)}")
+        extend(row)
     # Numpy object arrays, unlike lists or tuples, are never traversed by the
     # cyclic GC, so later allocations do not rescan millions of strings.
     table = np.fromiter(flat, dtype=object, count=len(flat))
@@ -260,7 +309,12 @@ def _scan_rows(path: str | Path, keys: list[str], wanted: set[str]):
 _CHUNK_ROWS = 4096
 
 
-def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def write_rows(
+    path: str | Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence],
+    lines: Sequence[str] | None = None,
+) -> None:
     """Write a header row and columns of equal length as CSV, each line ended by ``\\n``.
 
     A column is a float64 array, written with ``"{:.6f}"``, or a sequence of
@@ -269,15 +323,20 @@ def write_rows(path: str | Path, header: Sequence[str], columns: Sequence[Sequen
     This is the ``csv`` module's default dialect, the one ``read_columns``
     reads, except that ``csv.writer`` leaves a ``\\r`` bare, which reads back
     as a line break. Rows are formatted and written a few thousand at a time.
+
+    ``lines``, as ``read_to_append`` returns them, hold each row's leading
+    fields already written as CSV; each is written as it is, followed by
+    the row's fields from ``columns``.
     """
-    n_rows = len(columns[0]) if columns else 0
-    if any(len(column) != n_rows for column in columns):
-        raise ValueError(f"columns of unequal length: {[len(column) for column in columns]}")
+    lengths = [len(column) for column in ([] if lines is None else [lines]) + list(columns)]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal length: {lengths}")
     with open(path, "w", newline="") as handle:
         _write_lines(handle, [_quoted([name]) for name in header])
-        for start in range(0, n_rows, _CHUNK_ROWS):
+        for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            _write_lines(handle, [_fields(column[start:stop]) for column in columns])
+            chunk = [_fields(column[start:stop]) for column in columns]
+            _write_lines(handle, chunk if lines is None else [lines[start:stop], *chunk])
 
 
 def _fields(chunk: Sequence) -> list[str]:

@@ -209,12 +209,13 @@ def eval_density(density: KdeDensity, s):
     to the density floor. Results are always >= ``DENSITY_FLOOR``. The
     queries are interpolated in sorted order, where ``np.interp`` finds each
     one's grid cell from the last instead of by a fresh binary search, and
-    the results are put back in query order and shape. Each result depends
-    only on its query's value, so the order changes no bit.
+    the results are put back in query order and shape; queries already in
+    ascending order are not sorted again. Each result depends only on its
+    query's value, so the order changes no bit.
     """
     arr = np.asarray(s, dtype=float)
     flat = arr.ravel()
-    order = np.argsort(flat)
+    order = slice(None) if (flat[1:] >= flat[:-1]).all() else np.argsort(flat)
     values = np.empty_like(flat)
     values[order] = np.interp(flat[order], density.grid_points(), density.grid_values,
                               left=DENSITY_FLOOR, right=DENSITY_FLOOR)

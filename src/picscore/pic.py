@@ -41,10 +41,19 @@ def _prior_logit(model: DensityModel) -> float:
 
 
 def log_likelihood_ratio(model: DensityModel, scores):
-    """log g(s) - log f(s) for each score; scalar in, scalar out."""
-    g = eval_density(model.genuine, scores)
-    f = eval_density(model.imposter, scores)
-    return np.log(g) - np.log(f)
+    """log g(s) - log f(s) for each score; scalar in, scalar out.
+
+    The scores are sorted once, and both classes are looked up on the
+    sorted copy (``eval_density`` does not sort it again).
+    """
+    arr = np.asarray(scores, dtype=float)
+    flat = arr.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    llr = np.empty_like(flat)
+    llr[order] = (np.log(eval_density(model.genuine, ordered))
+                  - np.log(eval_density(model.imposter, ordered)))
+    return llr[0] if arr.ndim == 0 else llr.reshape(arr.shape)
 
 
 def pic_values(model: DensityModel, scores):

@@ -20,6 +20,7 @@ from picscore.dataset import GENUINE, IMPOSTER, load_scores
 from picscore.density import fit_model, load_model, save_model
 from picscore.pic import log_likelihood_ratio, pic_threshold_for_fmr, pic_values
 from picscore.synth import SynthConfig, generate
+from test_dataset import through_pipe
 
 HEADER = ["score", "label", "probe_id", "reference_id", "subject_a", "subject_b"]
 
@@ -31,10 +32,10 @@ def run(*args):
 def reference_score(model_path, input_path, out_path, fmr):
     model = load_model(model_path)
     with open(input_path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = list(reader.fieldnames)
-        rows = list(reader)
-    values = pic_values(model, np.array([float(row["score"]) for row in rows]))
+        fields = next(row for row in csv.reader(handle) if row)  # blank lines may lead
+        rows = list(csv.DictReader(handle, fieldnames=fields))
+    score = next(name for name in fields if name.strip().lower() == "score")
+    values = pic_values(model, np.array([float(row[score]) for row in rows]))
     threshold = pic_threshold_for_fmr(fmr)
     with open(out_path, "w", newline="") as handle:
         writer = csv.DictWriter(
@@ -132,6 +133,35 @@ class TestAgainstRowReference:
         assert run("score", model_path, source, tmp_path / "new.csv", "--fmr", "0.05") == 0
         reference_score(model_path, source, tmp_path / "ref.csv", 0.05)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    # Plain files: \n line ends and no quote, so score copies each row as written.
+    PLAIN = {
+        "blank-lines": "\n\nscore,label,probe_id\n\n0.61,genuine,p1\n0.20,imposter,p2\n\n\n"
+                       "0.33,imposter,p3\n\n",
+        "padded": "score , Label,probe_id\n 0.61 ,  genuine , p 1 \n0.2,imposter,\t\n",
+        "mixed-case-header": "Probe_ID,SCORE,Subject_A\np1,0.7,A\np2,0.1,B\n",
+        "no-final-newline": "score,label\n0.61,genuine\n0.2,imposter",
+        "non-ascii": "score,probe_id,subject_a\n0.61,é中,ß\n0.2,プローブ,\U0001f600\n",
+        "line-like-ids": "score,probe_id\n0.61,a\x85b\n0.2,c\x1cd\n0.3,e\u2028f\u2029\x0b\x0c\n",
+        "lone-column": "score\n0.61\n\n0.2\n",
+    }
+
+    @pytest.mark.parametrize("name", list(PLAIN))
+    def test_score_bytes_of_plain_files(self, tmp_path, model_path, name):
+        source = tmp_path / "in.csv"
+        source.write_bytes(self.PLAIN[name].encode())
+        assert run("score", model_path, source, tmp_path / "new.csv", "--fmr", "0.05") == 0
+        reference_score(model_path, source, tmp_path / "ref.csv", 0.05)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["blank-lines", "line-like-ids"])
+    def test_score_bytes_of_a_plain_file_through_a_pipe(self, tmp_path, model_path, name):
+        source = tmp_path / "in.csv"
+        source.write_bytes(self.PLAIN[name].encode())
+        assert run("score", model_path, source, tmp_path / "file.csv") == 0
+        assert through_pipe(source.read_bytes(),
+                            lambda fd: run("score", model_path, fd, tmp_path / "pipe.csv")) == 0
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
     @pytest.mark.parametrize("max_refs", [1, 3, 5, 9])
     def test_fuse_bytes(self, tmp_path, model_path, max_refs):

@@ -26,6 +26,7 @@ from picscore.dataset import (
     parse_floats,
     parse_labels,
     read_columns,
+    read_to_append,
     save_scores,
     split_subject_exclusive,
     write_rows,
@@ -232,15 +233,45 @@ def reference_labels(column, name):
     return np.array(flags, dtype=bool)
 
 
+def through_pipe(data: bytes, read):
+    """``read("/dev/fd/N")`` while a thread feeds ``data`` into the pipe behind N."""
+    reader_fd, writer_fd = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(writer_fd, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:  # the reader gave up; its error is the test's
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        return read(f"/dev/fd/{reader_fd}")
+    finally:
+        os.close(reader_fd)
+        feeder.join()
+
+
+def reference_line(row):
+    """A row as ``write_rows`` writes it: ``csv.writer``'s quoting, with a ``\\r`` quoted too."""
+    return ",".join('"' + field.replace('"', '""') + '"' if re.search('[,"\r\n]', field)
+                    else field for field in row)
+
+
 def assert_reads_like_reference(path, names, labels=()):
-    """``read_columns`` with ``labels`` as the label columns, against ``reference_read``."""
+    """``read_columns`` and ``read_to_append`` with ``labels`` as the label columns,
+    against ``reference_read``; a row error also through a pipe."""
     with mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)):
         try:
             header, n_rows, columns = reference_read(path, names)
         except RowError as expected:
-            with pytest.raises(RowError) as got:
-                read_columns(path, names)
-            assert (got.value.row, str(got.value)) == (expected.row, str(expected))
+            data = path.read_bytes()
+            for read in (lambda: read_columns(path, names),
+                         lambda: through_pipe(data, lambda source: read_columns(source, names))):
+                with pytest.raises(RowError) as got:
+                    read()
+                assert (got.value.row, str(got.value)) == (expected.row, str(expected))
             return
         except ValueError as expected:
             # csv.writer leaves a \r bare, which reads as a line break: a lone \r
@@ -253,8 +284,12 @@ def assert_reads_like_reference(path, names, labels=()):
                 read_columns(path, names)
             return
         got_header, got_rows, got_columns = read_columns(path, names)
-    assert (got_header, got_rows) == (header, n_rows)
+        append_header, append_rows, append_columns, lines = read_to_append(path, names)
+    assert (got_header, got_rows) == (append_header, append_rows) == (header, n_rows)
     assert {key: column.tolist() for key, column in got_columns.items()} == columns
+    assert {key: column.tolist() for key, column in append_columns.items()} == columns
+    _, _, every_column = reference_read(path)
+    assert lines == list(map(reference_line, zip(*every_column.values())))
     label_keys = sorted(set(labels).intersection(columns))
     assert (parsed(parse_labels, got_columns, label_keys)
             == parsed(reference_labels, columns, label_keys))
@@ -316,8 +351,10 @@ class TestReadColumns:
     def test_label_beyond_the_field_width_is_unknown(self, tmp_path, label):
         path = tmp_path / "scores.csv"
         path.write_bytes(f"score,label\n0.5,imposter\n0.4,{label}\n".encode())
-        with pytest.raises(RowError, match=re.escape(f"row 2: unknown label {label!r}")):
-            load_scores(path)
+        for read in (lambda: load_scores(path),
+                     lambda: through_pipe(path.read_bytes(), load_scores)):
+            with pytest.raises(RowError, match=re.escape(f"row 2: unknown label {label!r}")):
+                read()
 
     @pytest.mark.parametrize("padded", [" Genuine", " Genuine ", " Genuine  "])
     def test_padded_labels_load(self, tmp_path, padded):
@@ -339,25 +376,47 @@ class TestReadColumns:
         # Far more than the header read buffers and a pipe holds at once.
         text = "score,label,probe_id\n" + "".join(
             f"0.{i % 10},{LABELS[i % 2]},p{i}\n" for i in range(20000))
-        reader_fd, writer_fd = os.pipe()
-
-        def feed():
-            try:
-                with os.fdopen(writer_fd, "w") as out:
-                    out.write(text)
-            except BrokenPipeError:  # the reader gave up; its error is the test's
-                pass
-
-        feeder = threading.Thread(target=feed)
-        feeder.start()
-        try:
-            header, n_rows, columns = read_columns(f"/dev/fd/{reader_fd}")
-        finally:
-            os.close(reader_fd)
-            feeder.join()
+        header, n_rows, columns = through_pipe(text.encode(), read_columns)
         assert (header, n_rows) == (["score", "label", "probe_id"], 20000)
         assert columns["probe_id"][-1] == "p19999"
         assert parse_labels(columns["label"], "label").tolist() == [True, False] * 10000
+
+    @pytest.mark.parametrize("text, message", [
+        ("score,label\n0.5,genuine\nabc,imposter\n", "row 2: invalid score value 'abc'"),
+        ("score,label\n0.5,genuine\nnan,imposter\n", "row 2: invalid score value 'nan'"),
+        ("score,label\n0.5,genuine\n0.4,imposterxx\n", "row 2: unknown label 'imposterxx'"),
+        ("score,label\n0.5,genuine\n\n0.4\n", "row 2: expected 2 fields, got 1"),
+        ("score,label\r\n0.5,genuine,x\r\n", "row 1: expected 2 fields, got 3"),
+    ], ids=["bad-number", "nan", "long-label", "short-row", "long-row-crlf"])
+    def test_pipe_names_the_bad_row(self, tmp_path, text, message):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        for read in (lambda: load_scores(path), lambda: through_pipe(text.encode(), load_scores)):
+            with pytest.raises(RowError, match=f"^{re.escape(message)}$"):
+                read()
+
+    def test_plain_file_rows_are_kept_as_written(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes("\nScore , probe_id,x\n 0.5 ,a\x85b, 1 \n\n0.25,é,".encode())
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            header, n_rows, columns, lines = read_to_append(path, ["score"], numbers=["score"])
+        assert isinstance(loadtxt.call_args.args[0], str)
+        assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.dtype("U0")
+        assert (header, n_rows) == (["Score ", " probe_id", "x"], 2)
+        assert lines == [" 0.5 ,a\x85b, 1 ", "0.25,é,"]
+        assert list(columns) == ["score"] and columns["score"].tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("text", [
+        'score,id\n0.5,"a,b"\n0.25,"c"\n',
+        "score,id\r\n0.5,a\r\n0.25,c\r\n",
+    ], ids=["quoted", "crlf"])
+    def test_other_input_rows_are_quoted_again(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        _, n_rows, columns, lines = read_to_append(path, ["score"], numbers=["score"])
+        assert n_rows == 2 and lines == [reference_line(row) for row in csv.reader(
+            io.StringIO(text, newline=""))][1:]
+        assert list(columns) == ["score"] and columns["score"].tolist() == ["0.5", "0.25"]
 
     def test_plain_file_with_a_compressed_suffix(self, tmp_path):
         path = tmp_path / "scores.csv.gz"

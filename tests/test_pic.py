@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picscore.dataset import GENUINE, IMPOSTER, ScoreTable
-from picscore.density import DensityModel, KdeDensity, fit_model
+from picscore.density import DensityModel, KdeDensity, eval_density, fit_model
 from picscore.pic import (
     decide,
     decision_confidence,
     fuse_groups,
+    log_likelihood_ratio,
     pic_multi,
     pic_single,
     pic_threshold_for_fmr,
@@ -67,6 +69,39 @@ class TestPicSingle:
             result = pic_single(model, s)
             expected = 1.0 / (1.0 + math.exp(-result.log_lr_sum))  # equal priors
             assert result.value == pytest.approx(expected, abs=1e-12)
+
+
+class TestLogLikelihoodRatio:
+    """One sort of the scores, then both class lookups: bit for bit the two lookups."""
+
+    QUERIES = [
+        0.5,
+        [0.7, 0.1, 0.7, -0.3, 1.4, 0.25, 0.1],
+        [[0.9, 0.2], [0.2, 0.55]],
+        [0.0, 1.0, -np.inf, np.inf, np.nan, 0.3],
+    ]
+
+    def models(self, synth_model):
+        # Hand-built classes on different grids, and a fitted model.
+        different = DensityModel(genuine=flat_density([0.1, 0.4, 2.0, 3.0], lo=0.0, hi=1.0),
+                                 imposter=flat_density([3.0, 1.0, 0.5], lo=-0.5, hi=1.2))
+        return [different, ratio_model([1.0, 2.0, 4.0], [4.0, 2.0, 1.0]), synth_model[1]]
+
+    @pytest.mark.parametrize("query", QUERIES, ids=["scalar", "unsorted", "2-D", "non-finite"])
+    def test_matches_two_lookups(self, synth_model, query):
+        for model in self.models(synth_model):
+            expected = (np.log(eval_density(model.genuine, query))
+                        - np.log(eval_density(model.imposter, query)))
+            got = log_likelihood_ratio(model, query)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected, equal_nan=True)
+            assert np.shape(got) == np.shape(query)
+
+    def test_sorts_once(self, synth_model):
+        scores = np.random.default_rng(4).normal(0.4, 0.3, 1000)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            log_likelihood_ratio(synth_model[1], scores)
+        assert argsort.call_count == 1
 
 
 class TestPicMulti:
