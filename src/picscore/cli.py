@@ -1,8 +1,9 @@
 """Command line pipeline: synth, split, train, score, fuse, eval, curve.
 
 Every command writes a small JSON manifest next to each output artifact
-recording the command, inputs, outputs, and parameters, so a run can be
-reproduced bit-exactly. Numeric CSV output uses fixed 6-decimal formatting.
+recording the command, inputs, outputs, and parameters (every parsed option
+that is not a file path), so a run can be reproduced bit-exactly. Numeric CSV
+output uses fixed 6-decimal formatting.
 
 Exit codes: 0 success, 2 usage or validation error, 1 internal error.
 """
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .dataset import (
     read_to_append,
     save_scores,
     split_subject_exclusive,
+    strip_ids,
     write_rows,
 )
 
@@ -41,6 +44,11 @@ APPENDED_COLUMNS = ("pic", "decision", "confidence")
 FUSED_COLUMNS = ("probe_id", "claimed_id", "label", "n_used", "pic", "decision", "confidence")
 CCC_COLUMNS = ("bin_center", "pred_mean", "pred_std", "count")
 CALIBRATION_COLUMNS = ("bin_lo", "bin_hi", "count", "p_true", "p_pred_mean", "p_pred_std")
+# Parsed dests left out of a manifest's parameters: the command, its handler,
+# and the file paths, which the manifest records as inputs and outputs.
+NOT_PARAMETERS = frozenset(
+    ("command", "func", "input", "out", "out_train", "out_test", "model", "test_model", "train")
+)
 
 
 def _fmt(value: float) -> str:
@@ -56,14 +64,14 @@ def _decision_column(is_genuine) -> list[str]:
     return np.where(is_genuine, GENUINE, IMPOSTER).tolist()
 
 
-def _write_manifest(command: str, inputs: dict, outputs: dict, parameters: dict) -> None:
+def _write_manifest(args, inputs: dict, outputs: dict) -> None:
     doc = {
-        "command": command,
+        "command": args.command,
         "tool": "picscore",
         "tool_version": __version__,
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
-        "parameters": parameters,
+        "parameters": {k: v for k, v in vars(args).items() if k not in NOT_PARAMETERS},
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for out_path in outputs.values():
@@ -90,93 +98,46 @@ def _require_columns(columns: dict, needed: tuple[str, ...], path: str) -> None:
         raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     from .synth import SynthConfig, generate
 
-    config = SynthConfig(
-        genuine_mean=args.genuine_mean,
-        genuine_std=args.genuine_std,
-        imposter_mean=args.imposter_mean,
-        imposter_std=args.imposter_std,
-        n_genuine=args.n_genuine,
-        n_imposter=args.n_imposter,
-        seed=args.seed,
-        n_subjects=args.n_subjects,
-        refs_per_probe=args.refs_per_probe,
-    )
+    config = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     score_set = generate(config)
     save_scores(score_set, args.out)
-    _write_manifest(
-        "synth",
-        {},
-        {"scores": args.out},
-        {
-            "genuine_mean": args.genuine_mean,
-            "genuine_std": args.genuine_std,
-            "imposter_mean": args.imposter_mean,
-            "imposter_std": args.imposter_std,
-            "n_genuine": args.n_genuine,
-            "n_imposter": args.n_imposter,
-            "n_subjects": args.n_subjects,
-            "refs_per_probe": args.refs_per_probe,
-            "seed": args.seed,
-        },
-    )
+    _write_manifest(args, {}, {"scores": args.out})
     print(f"wrote {len(score_set)} records ({score_set.n_genuine} genuine, "
           f"{score_set.n_imposter} imposter) to {args.out}")
-    return 0
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> None:
     score_set = load_scores(args.input)
     train, test = split_subject_exclusive(score_set, args.fraction, args.seed)
     dropped = len(score_set) - len(train) - len(test)
     save_scores(train, args.out_train)
     save_scores(test, args.out_test)
-    _write_manifest(
-        "split",
-        {"scores": args.input},
-        {"train": args.out_train, "test": args.out_test},
-        {"fraction": args.fraction, "seed": args.seed},
-    )
+    _write_manifest(args, {"scores": args.input}, {"train": args.out_train, "test": args.out_test})
     print(f"train: {train.n_genuine} genuine / {train.n_imposter} imposter")
     print(f"test:  {test.n_genuine} genuine / {test.n_imposter} imposter")
     print(f"dropped {dropped} cross-partition comparisons")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     from .density import fit_model, save_model
 
     train = load_scores(args.input)
-    model = fit_model(
-        train,
-        prior_genuine=args.prior,
-        resolution=args.resolution,
-        genuine_bandwidth=args.bandwidth,
-        imposter_bandwidth=args.bandwidth,
-    )
+    model = fit_model(train, prior_genuine=args.prior, resolution=args.resolution,
+                      bandwidth=args.bandwidth)
     save_model(model, args.out)
-    _write_manifest(
-        "train",
-        {"train": args.input},
-        {"model": args.out},
-        {
-            "prior": args.prior,
-            "resolution": args.resolution,
-            "bandwidth": args.bandwidth,
-        },
-    )
+    _write_manifest(args, {"train": args.input}, {"model": args.out})
     print(f"genuine:  bandwidth {model.genuine.bandwidth:.6g}, "
           f"{train.n_genuine} scores")
     print(f"imposter: bandwidth {model.imposter.bandwidth:.6g}, "
           f"{train.n_imposter} scores")
     print(f"grid: [{model.genuine.grid_min:.6g}, {model.genuine.grid_max:.6g}] "
           f"at {model.genuine.grid_resolution} points")
-    return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> None:
     from .density import load_model
     from .pic import decide, pic_threshold_for_fmr, pic_values
 
@@ -194,15 +155,8 @@ def cmd_score(args) -> int:
 
     write_rows(args.out, header + list(APPENDED_COLUMNS),
                [values, _decision_column(is_genuine), confidence], lines=lines)
-
-    _write_manifest(
-        "score",
-        {"model": args.model, "scores": args.input},
-        {"scored": args.out},
-        {"fmr": args.fmr},
-    )
+    _write_manifest(args, {"model": args.model, "scores": args.input}, {"scored": args.out})
     print(f"scored {n_rows} rows at pic threshold {_fmt(threshold)}")
-    return 0
 
 
 def _require_ids(probes: np.ndarray, claimed: np.ndarray) -> None:
@@ -217,7 +171,7 @@ def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, cl
                    lambda i: f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels")
 
 
-def cmd_fuse(args) -> int:
+def cmd_fuse(args) -> None:
     from .density import load_model
     from .pic import decide, fuse_groups, pic_threshold_for_fmr
 
@@ -226,8 +180,8 @@ def cmd_fuse(args) -> int:
     _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
     _require_columns(columns, needed, args.input)
 
-    probes = np.fromiter(map(str.strip, columns["probe_id"]), dtype=object, count=n_rows)
-    claimed = np.fromiter(map(str.strip, columns["subject_b"]), dtype=object, count=n_rows)
+    probes = strip_ids(columns["probe_id"])
+    claimed = strip_ids(columns["subject_b"])
     group_of = dict.fromkeys(zip(probes, claimed))  # (probe, claimed) in first-seen order
     for i, key in enumerate(group_of):
         group_of[key] = i
@@ -260,17 +214,10 @@ def cmd_fuse(args) -> int:
         _decision_column(is_accepted),
         confidence,
     ])
-
-    _write_manifest(
-        "fuse",
-        {"model": args.model, "scores": args.input},
-        {"fused": args.out},
-        {"max_refs": args.max_refs, "fmr": args.fmr},
-    )
+    _write_manifest(args, {"model": args.model, "scores": args.input}, {"fused": args.out})
     print(f"fused {n_rows} rows into {len(group_of)} groups (max {args.max_refs} refs)")
     print(f"truncated {int(np.count_nonzero(sizes > args.max_refs))} groups to "
           f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
-    return 0
 
 
 def _eval_pic(path):
@@ -331,7 +278,7 @@ def _eval_baseline(args, path):
     return is_genuine, scores, accepted, confidences
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     from .metrics import calibration_report, fnmr_at_fmr
 
     if args.estimator == "pic":
@@ -382,24 +329,17 @@ def cmd_eval(args) -> int:
     write_rows(summary_path, ("key", "value"), [keys, list(map(str, values))])
 
     _write_manifest(
-        "eval",
+        args,
         {"scored": args.input, "train": args.train or "", "model": args.model or ""},
         {"calibration": calibration_path, "summary": summary_path},
-        {
-            "estimator": args.estimator,
-            "fmr": args.fmr,
-            "ece_bins": args.ece_bins,
-            "decisions": args.decisions,
-        },
     )
     print(f"estimator {args.estimator}: ECE {_fmt(report.ece)}, MCE {_fmt(report.mce)} "
           f"over {report.n_samples} samples ({args.ece_bins} bins)")
     print(f"FNMR {_fmt(verification.fnmr)} at FMR {_fmt(verification.fmr)} "
           f"(target {args.fmr:g}, threshold {_fmt(verification.threshold)})")
-    return 0
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args) -> None:
     from .density import load_model
     from .metrics import ccc, true_confidence
 
@@ -421,15 +361,9 @@ def cmd_curve(args) -> int:
         _floats(point.pred_std for point in series),
         [str(point.count) for point in series],
     ])
-
-    _write_manifest(
-        "curve",
-        {"scored": args.input, "test_model": args.test_model},
-        {"curve": args.out},
-        {"bins": args.bins},
-    )
+    _write_manifest(args, {"scored": args.input, "test_model": args.test_model},
+                    {"curve": args.out})
     print(f"wrote {args.bins}-bin calibration curve for {n_rows} samples to {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,17 +447,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Each warning prints as one plain line, without the library's file path
     # and source line.
+    error = None
     with warnings.catch_warnings(record=True) as caught:
         try:
-            status, error = args.func(args), None
+            args.func(args)
         except (ValueError, OSError) as exc:
-            status, error = 2, exc
+            error = exc
         finally:
             for warning in caught:
                 print(f"warning: {warning.message}", file=sys.stderr)
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-    return status
+    if error is None:
+        return 0
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -444,10 +444,9 @@ def check_rows(*checks):
     return results
 
 
-def _stripped(column: np.ndarray) -> np.ndarray:
-    """Stripped strings of an id column; equal ids share one string."""
-    distinct = {raw: raw.strip() for raw in set(column)}
-    return np.fromiter(map(distinct.__getitem__, column), dtype=object, count=len(column))
+def strip_ids(column: Sequence[str] | np.ndarray) -> np.ndarray:
+    """An id column with ``str.strip`` applied to each id, as an object array."""
+    return np.fromiter(map(str.strip, column), dtype=object, count=len(column))
 
 
 def load_scores(path: str | Path) -> ScoreTable:
@@ -465,7 +464,7 @@ def load_scores(path: str | Path) -> ScoreTable:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.
     blank = np.full(n_rows, "", dtype=object)
-    ids = {name: _stripped(columns.pop(name)) if name in columns else blank
+    ids = {name: strip_ids(columns.pop(name)) if name in columns else blank
            for name in ID_COLUMNS}
     labels = columns["label"]
     codes = label_codes(labels)

@@ -240,13 +240,13 @@ def fit_model(
     train,
     prior_genuine: float = 0.5,
     resolution: int = 4096,
-    genuine_bandwidth: float | None = None,
-    imposter_bandwidth: float | None = None,
+    bandwidth: float | None = None,
 ) -> DensityModel:
     """Fit genuine and imposter KDEs over a shared grid.
 
-    The shared grid spans the union of both classes' data ranges, each
-    padded by five of its own bandwidths.
+    ``bandwidth`` is used for both classes; by default each class gets its
+    own :func:`default_bandwidth`. The shared grid spans the union of both
+    classes' data ranges, each padded by five of its own bandwidths.
     """
     if not 0.0 < prior_genuine < 1.0:
         raise ValueError(f"prior_genuine must be in (0, 1), got {prior_genuine}")
@@ -257,8 +257,10 @@ def fit_model(
     if f_scores.size == 0:
         raise ValueError("training set has no imposter scores")
 
-    hg = default_bandwidth(g_scores) if genuine_bandwidth is None else float(genuine_bandwidth)
-    hf = default_bandwidth(f_scores) if imposter_bandwidth is None else float(imposter_bandwidth)
+    if bandwidth is None:
+        hg, hf = default_bandwidth(g_scores), default_bandwidth(f_scores)
+    else:
+        hg = hf = float(bandwidth)
     lo = min(g_scores.min() - _GRID_PAD_BANDWIDTHS * hg, f_scores.min() - _GRID_PAD_BANDWIDTHS * hf)
     hi = max(g_scores.max() + _GRID_PAD_BANDWIDTHS * hg, f_scores.max() + _GRID_PAD_BANDWIDTHS * hf)
     shared = (float(lo), float(hi))

@@ -165,7 +165,7 @@ def smooth_model(cal_train):
     # likelihood ratio rises over the whole test range, the regime where
     # rank preservation is claimed
     h = scott_bandwidth(CAL_TRAIN_CFG.n_genuine)
-    return fit_model(cal_train, genuine_bandwidth=h, imposter_bandwidth=h)
+    return fit_model(cal_train, bandwidth=h)
 
 
 def test_c03_order_preservation_rank(smooth_model, cal_test_arrays):

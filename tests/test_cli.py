@@ -305,6 +305,92 @@ class TestCurveCommand:
                              tmp_path / "c.csv") == 2
 
 
+SYNTH_OPTIONS = {
+    "genuine_mean": 0.65, "genuine_std": 0.12, "imposter_mean": 0.25, "imposter_std": 0.09,
+    "n_genuine": 300, "n_imposter": 400, "n_subjects": 20, "refs_per_probe": 3, "seed": 7,
+}
+EVAL_OPTIONS = ("--fmr", 0.01, "--ece-bins", 7, "--decisions", "genuine")
+EVAL_PARAMETERS = {"fmr": 0.01, "ece_bins": 7, "decisions": "genuine"}
+
+# (argv, parameters, inputs, outputs): every command with non-default options,
+# run in one directory; "" is an input left out.
+MANIFEST_RUNS = {
+    "synth": (
+        ["synth", "s.csv",
+         *(x for k, v in SYNTH_OPTIONS.items() for x in (f"--{k.replace('_', '-')}", v))],
+        SYNTH_OPTIONS, {}, {"scores": "s.csv"},
+    ),
+    "split": (
+        ["split", "s.csv", "--fraction", 0.6, "--seed", 5,
+         "--out-train", "tr.csv", "--out-test", "te.csv"],
+        {"fraction": 0.6, "seed": 5}, {"scores": "s.csv"}, {"train": "tr.csv", "test": "te.csv"},
+    ),
+    "train": (
+        ["train", "tr.csv", "m.json", "--prior", 0.3, "--resolution", 2048, "--bandwidth", 0.02],
+        {"prior": 0.3, "resolution": 2048, "bandwidth": 0.02},
+        {"train": "tr.csv"}, {"model": "m.json"},
+    ),
+    "train-defaults": (
+        ["train", "te.csv", "tm.json"],
+        {"prior": 0.5, "resolution": 4096, "bandwidth": None},
+        {"train": "te.csv"}, {"model": "tm.json"},
+    ),
+    "score": (
+        ["score", "m.json", "te.csv", "sc.csv", "--fmr", 0.01],
+        {"fmr": 0.01}, {"model": "m.json", "scores": "te.csv"}, {"scored": "sc.csv"},
+    ),
+    "fuse": (
+        ["fuse", "m.json", "te.csv", "fu.csv", "--max-refs", 2, "--fmr", 0.02],
+        {"max_refs": 2, "fmr": 0.02}, {"model": "m.json", "scores": "te.csv"}, {"fused": "fu.csv"},
+    ),
+    "eval-pic": (
+        ["eval", "sc.csv", "pic", *EVAL_OPTIONS],
+        {"estimator": "pic", **EVAL_PARAMETERS},
+        {"scored": "sc.csv", "train": "", "model": ""},
+        {"calibration": "pic.calibration.csv", "summary": "pic.summary.csv"},
+    ),
+    "eval-dtc": (
+        ["eval", "sc.csv", "dtc", "--estimator", "dtc", "--train", "tr.csv", *EVAL_OPTIONS],
+        {"estimator": "dtc", **EVAL_PARAMETERS},
+        {"scored": "sc.csv", "train": "tr.csv", "model": ""},
+        {"calibration": "dtc.calibration.csv", "summary": "dtc.summary.csv"},
+    ),
+    "eval-lrc": (
+        ["eval", "sc.csv", "lrc", "--estimator", "lrc", "--train", "tr.csv", "--model", "m.json",
+         *EVAL_OPTIONS],
+        {"estimator": "lrc", **EVAL_PARAMETERS},
+        {"scored": "sc.csv", "train": "tr.csv", "model": "m.json"},
+        {"calibration": "lrc.calibration.csv", "summary": "lrc.summary.csv"},
+    ),
+    "curve": (
+        ["curve", "sc.csv", "tm.json", "cu.csv", "--bins", 12],
+        {"bins": 12}, {"scored": "sc.csv", "test_model": "tm.json"}, {"curve": "cu.csv"},
+    ),
+}
+
+
+class TestManifests:
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        """The directory after every run of ``MANIFEST_RUNS``, in order."""
+        directory = tmp_path_factory.mktemp("manifests")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(directory)
+            for argv, *_ in MANIFEST_RUNS.values():
+                assert run_inprocess(*argv) == 0, argv
+        return directory
+
+    @pytest.mark.parametrize("argv, parameters, inputs, outputs", list(MANIFEST_RUNS.values()),
+                             ids=list(MANIFEST_RUNS))
+    def test_records_every_option_and_no_path(self, run_dir, argv, parameters, inputs, outputs):
+        for output in outputs.values():
+            manifest = json.loads((run_dir / f"{output}.manifest.json").read_text())
+            assert manifest["command"] == argv[0]
+            assert manifest["parameters"] == parameters
+            assert manifest["inputs"] == inputs
+            assert manifest["outputs"] == outputs
+
+
 class TestExitCodes:
     def test_unknown_command(self, child_env):
         proc = run_subprocess(child_env, "frobnicate")

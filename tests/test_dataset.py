@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from picscore import dataset
 from picscore.dataset import (
     GENUINE,
+    ID_COLUMNS,
     IMPOSTER,
     LABELS,
     RowError,
@@ -124,6 +125,31 @@ class TestLoadScores:
         path.write_text("score,label\n0.8,GENUINE\n0.1,Imposter\n")
         loaded = load_scores(path)
         assert np.where(loaded.is_genuine, GENUINE, IMPOSTER).tolist() == [GENUINE, IMPOSTER]
+
+    # Unique ids, one id under several paddings, one raw id repeated, blank
+    # and all-space ids, and inner spaces, which stay.
+    PADDED_IDS = [
+        ["p1", " r1", "\ta ", "a"],
+        [" p2\t", "r2\u00a0", "\u3000a", " a"],
+        [" p3", "\u3000r3\u3000", " a b ", "a b"],
+        ["p1 ", "  ", "", "\t"],
+        ["\tp1\u00a0", "", "\u00a0", "\u3000 \t"],
+        [" p2\t", "r1", " a", "\u00a0a\u3000"],
+    ]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_ids_are_stripped_as_str_strip_does(self, tmp_path, newline):
+        path = tmp_path / "ids.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator=newline)
+            writer.writerow(["score", "label", *ID_COLUMNS])
+            writer.writerows([f"0.{i}", IMPOSTER, *ids] for i, ids in enumerate(self.PADDED_IDS))
+        loaded = load_scores(path)
+        for j, name in enumerate(ID_COLUMNS):
+            column = getattr(loaded, name)
+            assert column.dtype == object
+            assert column.tolist() == [ids[j].strip() for ids in self.PADDED_IDS], name
+        assert loaded.reference_id[3] == loaded.subject_a[4] == ""
 
     def test_roundtrip_through_save(self, tmp_path):
         original = ScoreTable(
