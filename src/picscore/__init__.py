@@ -23,7 +23,7 @@ _EXPORTS = {
         "fit_kde", "fit_model", "load_model", "save_model", "scott_bandwidth",
     ),
     "metrics": (
-        "CalibrationBin", "CalibrationReport", "CccBin", "VerificationResult",
+        "CalibrationReport", "CccSeries", "VerificationResult",
         "calibration_report", "ccc", "ece", "empirical_fmr", "empirical_fnmr", "fnmr_at_fmr",
         "mce", "threshold_at_fmr", "true_confidence",
     ),

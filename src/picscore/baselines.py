@@ -4,6 +4,8 @@ All three express decision confidence (the probability the accept/reject
 decision is correct) so their calibration can be compared directly with
 posterior-based confidence. Fitted state comes from training scores only,
 and each estimator type holds exactly the state its confidence function uses.
+Each takes its accept branch from ``pic.decide``, so ties accept. A scalar
+score gives a float (``np.float64``) confidence.
 
 DTC  - distance to the decision threshold, min-max normalized so the
        threshold maps to 0.5 and the training extremes map to 1.0.
@@ -22,7 +24,7 @@ import numpy as np
 from .dataset import ScoreTable
 from .density import DensityModel
 from .metrics import threshold_at_fmr
-from .pic import log_likelihood_ratio
+from .pic import decide, log_likelihood_ratio
 
 _ERBC_GRID_SIZE = 2048
 
@@ -84,9 +86,7 @@ def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> DtcEstimator:
 
 def dtc_confidence(est: DtcEstimator, s):
     """Distance-to-threshold confidence, clamped to [0, 1]."""
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
+    x = np.asarray(s, dtype=float)
     t = est.threshold
 
     up_span = est.score_max - t
@@ -99,8 +99,8 @@ def dtc_confidence(est: DtcEstimator, s):
         below = 0.5 + 0.5 * (t - x) / down_span
     else:
         below = np.where(x < t, 1.0, 0.5)
-    conf = np.clip(np.where(x >= t, above, below), 0.0, 1.0)
-    return float(conf[0]) if scalar else conf
+    accepted, _ = decide(x, t)
+    return np.clip(np.where(accepted, above, below), 0.0, 1.0)
 
 
 def fit_lrc(
@@ -118,19 +118,16 @@ def fit_lrc(
 
 def lrc_confidence(est: LrcEstimator, model: DensityModel, s):
     """Likelihood-ratio confidence mapped onto [0.5, 1] per decision branch."""
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-
-    llr = np.atleast_1d(log_likelihood_ratio(model, x))
-    oriented = np.where(x >= est.threshold, llr, -llr)
+    x = np.asarray(s, dtype=float)
+    llr = log_likelihood_ratio(model, x)
+    accepted, _ = decide(x, est.threshold)
+    oriented = np.where(accepted, llr, -llr)
     span = est.abs_llr_max - est.abs_llr_min
     if span > 0:
         norm = np.clip((oriented - est.abs_llr_min) / span, 0.0, 1.0)
     else:
         norm = np.where(oriented >= est.abs_llr_max, 1.0, 0.0)
-    conf = np.clip(0.5 + 0.5 * norm, 0.0, 1.0)
-    return float(conf[0]) if scalar else conf
+    return np.clip(0.5 + 0.5 * norm, 0.0, 1.0)
 
 
 def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
@@ -152,17 +149,12 @@ def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
 
 def erbc_confidence(est: ErbcEstimator, s):
     """Error-rate-based confidence from the nearest tabulated threshold."""
-    arr = np.asarray(s, dtype=float)
-    scalar = arr.ndim == 0
-    x = np.atleast_1d(arr)
-
+    x = np.asarray(s, dtype=float)
     grid = est.grid_thresholds
     step = (grid[-1] - grid[0]) / (grid.size - 1)
     if step > 0:
         idx = np.clip(np.rint((x - grid[0]) / step).astype(int), 0, grid.size - 1)
     else:
         idx = np.zeros(x.shape, dtype=int)
-    genuine_decision = x >= est.threshold
-    conf = np.where(genuine_decision, 1.0 - est.grid_fmr[idx], 1.0 - est.grid_fnmr[idx])
-    conf = np.clip(conf, 0.0, 1.0)
-    return float(conf[0]) if scalar else conf
+    accepted, _ = decide(x, est.threshold)
+    return np.clip(np.where(accepted, 1.0 - est.grid_fmr[idx], 1.0 - est.grid_fnmr[idx]), 0.0, 1.0)

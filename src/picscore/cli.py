@@ -55,11 +55,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _floats(values) -> np.ndarray:
-    """A float64 column, which ``write_rows`` writes with 6 decimals."""
-    return np.fromiter(values, dtype=float)
-
-
 def _decision_column(is_genuine) -> list[str]:
     return np.where(is_genuine, GENUINE, IMPOSTER).tolist()
 
@@ -142,8 +137,7 @@ def cmd_score(args) -> None:
     from .pic import decide, pic_threshold_for_fmr, pic_values
 
     model = load_model(args.model)
-    header, n_rows, columns, lines = read_to_append(
-        args.input, ("score", *APPENDED_COLUMNS), numbers=("score",))
+    header, n_rows, columns, lines = read_to_append(args.input, ("score", *APPENDED_COLUMNS))
     _require_columns(columns, ("score",), args.input)
     for appended in APPENDED_COLUMNS:
         if appended in columns:
@@ -177,7 +171,7 @@ def cmd_fuse(args) -> None:
 
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score",))
+    _, n_rows, columns = read_columns(args.input, needed)
     _require_columns(columns, needed, args.input)
 
     probes = strip_ids(columns["probe_id"])
@@ -209,7 +203,7 @@ def cmd_fuse(args) -> None:
     write_rows(args.out, FUSED_COLUMNS, [
         *zip(*group_of),
         _decision_column(is_genuine[first]),
-        list(map(str, n_used.tolist())),
+        n_used,
         values,
         _decision_column(is_accepted),
         confidence,
@@ -222,7 +216,7 @@ def cmd_fuse(args) -> None:
 
 def _eval_pic(path):
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(path, needed, numbers=("pic", "confidence"))
+    _, _, columns = read_columns(path, needed)
     _require_columns(columns, needed, path)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
@@ -246,7 +240,7 @@ def _eval_baseline(args, path):
     from .pic import decide
 
     needed = ("score", "label")
-    _, _, columns = read_columns(path, needed, numbers=("score",))
+    _, _, columns = read_columns(path, needed)
     if "score" not in columns:
         raise ValueError(
             f"{path}: estimator {args.estimator!r} needs raw scores "
@@ -302,20 +296,13 @@ def cmd_eval(args) -> None:
 
     calibration_path = f"{args.out}.calibration.csv"
     summary_path = f"{args.out}.summary.csv"
-    bins = report.bins
-    write_rows(calibration_path, CALIBRATION_COLUMNS, [
-        _floats(b.lo for b in bins),
-        _floats(b.hi for b in bins),
-        [str(b.count) for b in bins],
-        _floats(b.p_true for b in bins),
-        _floats(b.p_pred_mean for b in bins),
-        _floats(b.p_pred_std for b in bins),
-    ])
+    write_rows(calibration_path, CALIBRATION_COLUMNS,
+               [getattr(report, column) for column in CALIBRATION_COLUMNS])
     summary_rows = [
         ("estimator", args.estimator),
         ("decision_filter", args.decisions),
         ("n_samples", report.n_samples),
-        ("ece_bins", report.n_bins),
+        ("ece_bins", args.ece_bins),
         ("ece", _fmt(report.ece)),
         ("mce", _fmt(report.mce)),
         ("target_fmr", args.fmr),
@@ -345,7 +332,7 @@ def cmd_curve(args) -> None:
 
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
-    _, n_rows, columns = read_columns(args.input, needed, numbers=("score", "confidence"))
+    _, n_rows, columns = read_columns(args.input, needed)
     _require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),
@@ -355,12 +342,7 @@ def cmd_curve(args) -> None:
 
     series = ccc(true_confidence(model, scores, accepted), predicted, args.bins)
 
-    write_rows(args.out, CCC_COLUMNS, [
-        _floats(point.center for point in series),
-        _floats(point.pred_mean for point in series),
-        _floats(point.pred_std for point in series),
-        [str(point.count) for point in series],
-    ])
+    write_rows(args.out, CCC_COLUMNS, [getattr(series, column) for column in CCC_COLUMNS])
     _write_manifest(args, {"scored": args.input, "test_model": args.test_model},
                     {"curve": args.out})
     print(f"wrote {args.bins}-bin calibration curve for {n_rows} samples to {args.out}")

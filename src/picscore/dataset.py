@@ -104,7 +104,6 @@ def fail_first_row(bad: np.ndarray, message) -> None:
 def read_columns(
     path: str | Path,
     names: Iterable[str] | None = None,
-    numbers: Iterable[str] = (),
 ) -> tuple[list[str], int, dict[str, np.ndarray]]:
     """Read a CSV file with a header row into columns of raw strings or numbers.
 
@@ -112,13 +111,15 @@ def read_columns(
     of data rows, and one array per column keyed by the column name stripped
     and lower-cased, in header order. ``names`` (lower case) selects the
     columns returned; those the file lacks are left out, and ``None`` returns
-    every column. Quoting and line endings follow the ``csv`` module; blank
-    lines are skipped and not counted as rows. Every row must have as many
-    fields as the header, and no two header names may be equal.
+    every column, the number columns among them as numbers (see below).
+    Quoting and line endings follow the ``csv`` module; blank lines are
+    skipped and not counted as rows. Every row must have as many fields as
+    the header, and no two header names may be equal.
 
-    A column is an array of ``str`` objects, with two exceptions. A returned
-    column named in ``numbers`` is a float64 array when every one of its
-    fields parses as a finite number. Those numbers are parsed by numpy with
+    A column is an array of ``str`` objects, with two exceptions. A number
+    column (``score``, ``pic`` or ``confidence``, listed in
+    ``_NUMBER_COLUMNS``) is a float64 array when every one of its fields
+    parses as a finite number. Those numbers are parsed by numpy with
     ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
     what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
     may be a ``"U9"`` array (see below), which holds the same strings;
@@ -146,14 +147,13 @@ def read_columns(
     ``float()`` accepts and numpy does not, such as ``1_0`` or non-ASCII
     digits.
     """
-    header, n_rows, columns, _ = _read(path, names, numbers, copy=False)
+    header, n_rows, columns, _ = _read(path, names, copy=False)
     return header, n_rows, columns
 
 
 def read_to_append(
     path: str | Path,
     names: Iterable[str],
-    numbers: Iterable[str] = (),
 ) -> tuple[list[str], int, dict[str, np.ndarray], list[str]]:
     """Read a CSV file that is to be written out again with columns appended.
 
@@ -165,12 +165,12 @@ def read_to_append(
     written that way: numpy reads only the ``names`` columns, and its
     non-blank lines are returned as they are, split at ``\n`` only. Any
     other input is read once, every column as strings, and its rows are
-    quoted again; its ``numbers`` columns are strings too.
+    quoted again; its number columns are strings too.
     """
-    return _read(path, names, numbers, copy=True)
+    return _read(path, names, copy=True)
 
 
-def _read(path, names, numbers, copy: bool):
+def _read(path, names, copy: bool):
     """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
         route = _route(path, handle)
@@ -190,7 +190,7 @@ def _read(path, names, numbers, copy: bool):
         if copy and route != _PLAIN:  # the rows are rebuilt from every column's strings
             wanted, floats = set(keys), set()
         else:
-            wanted, floats = names, names.intersection(keys, numbers)
+            wanted, floats = names, names.intersection(keys, _NUMBER_COLUMNS)
         narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
@@ -237,6 +237,8 @@ _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 16
 # Columns read into fixed-width fields on numpy's path route.
 _LABEL_COLUMNS = ("label", "decision")
+# Columns read as float64 when every field is a finite number.
+_NUMBER_COLUMNS = ("score", "pic", "confidence")
 # Width of a label field read by numpy: one more than the longest label.
 _LABEL_WIDTH = max(map(len, LABELS)) + 1
 # How numpy reads a file: from text in memory, from its path, or from its path with no quote.
@@ -317,9 +319,10 @@ def write_rows(
 ) -> None:
     """Write a header row and columns of equal length as CSV, each line ended by ``\\n``.
 
-    A column is a float64 array, written with ``"{:.6f}"``, or a sequence of
-    ``str``. A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, with
-    inner quotes doubled, and a row of one empty field is written ``""``.
+    A column is a float64 array, written with ``"{:.6f}"``, an integer
+    array, written with ``str``, or a sequence of ``str``. A field holding
+    ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, with inner quotes doubled,
+    and a row of one empty field is written ``""``.
     This is the ``csv`` module's default dialect, the one ``read_columns``
     reads, except that ``csv.writer`` leaves a ``\\r`` bare, which reads back
     as a line break. Rows are formatted and written a few thousand at a time.
@@ -347,6 +350,8 @@ def _fields(chunk: Sequence) -> list[str]:
         # printf-style formatting gives the bytes of "{:.6f}" (both call
         # PyOS_double_to_string) without parsing a format spec per value.
         return ["%.6f" % value for value in chunk.tolist()]  # never needs quotes
+    if chunk.dtype.kind in "iu":
+        return list(map(str, chunk.tolist()))
     return _quoted(chunk.tolist())
 
 
@@ -459,7 +464,7 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS, numbers=("score",))
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     # The raw id strings are freed as each column is replaced.

@@ -282,23 +282,32 @@ def _density_to_dict(density: KdeDensity) -> dict:
 
 def _density_from_dict(data: dict, name: str) -> KdeDensity:
     """Rebuild one class density, naming the field (``name.key``) that is wrong."""
-    bandwidth = float(data["bandwidth"])
-    grid_min = float(data["grid_min"])
-    grid_max = float(data["grid_max"])
-    resolution = int(data["grid_resolution"])
-    values = np.asarray(data["grid_values"], dtype=float)
-    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError(f"{name}.bandwidth must be finite and > 0, got {bandwidth!r}")
-    for key, bound in (("grid_min", grid_min), ("grid_max", grid_max)):
-        if not math.isfinite(bound):
-            raise ValueError(f"{name}.{key} must be finite, got {bound!r}")
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object, got {type(data).__name__}")
+    numbers = {}
+    for key in ("bandwidth", "grid_min", "grid_max", "grid_resolution"):
+        try:
+            numbers[key] = float(data[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{name}.{key} must be a number, got {data[key]!r}") from None
+        if not math.isfinite(numbers[key]):
+            raise ValueError(f"{name}.{key} must be finite, got {numbers[key]!r}")
+    bandwidth, grid_min, grid_max, resolution = numbers.values()
+    try:
+        values = np.asarray(data["grid_values"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}.grid_values must be a list of numbers") from None
+    if not (resolution >= 2 and resolution.is_integer()):  # as ``fit_kde`` requires
+        raise ValueError(f"{name}.grid_resolution must be a whole number >= 2, got {resolution!r}")
+    if not bandwidth > 0.0:
+        raise ValueError(f"{name}.bandwidth must be > 0, got {bandwidth!r}")
     if not grid_min < grid_max:
         raise ValueError(
             f"{name}.grid_min must be below {name}.grid_max, got {grid_min!r} >= {grid_max!r}"
         )
     if values.ndim != 1 or values.size != resolution:
         raise ValueError(
-            f"{name}.grid_values has {values.size} values, expected {resolution}"
+            f"{name}.grid_values has {values.size} values, expected {resolution:.0f}"
         )
     bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
     if bad.size:
@@ -336,10 +345,11 @@ def save_model(model: DensityModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> DensityModel:
     """Load a model saved with :func:`save_model`.
 
-    Rejects, naming the field: a ``prior_genuine`` outside (0, 1), a
-    bandwidth that is not finite and positive, grid bounds that are not
-    finite or not increasing, and grid values that are not finite or are
-    negative.
+    Rejects, naming the field: a ``prior_genuine`` outside (0, 1), a class
+    entry that is not an object, a field that is not a number, a bandwidth
+    that is not finite and positive, grid bounds that are not finite or not
+    increasing, a grid resolution that is not a whole number >= 2, and grid
+    values that are not finite or are negative.
     """
     path = Path(path)
     try:

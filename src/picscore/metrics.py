@@ -29,31 +29,29 @@ class VerificationResult:
     n_imposter: int
 
 
-@dataclass(frozen=True)
-class CalibrationBin:
-    lo: float
-    hi: float
-    count: int
-    p_true: float
-    p_pred_mean: float
-    p_pred_std: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationReport:
-    bins: tuple[CalibrationBin, ...]
+    """ECE, MCE and the calibration table: one array per CSV column, one entry per bin."""
+
+    bin_lo: np.ndarray
+    bin_hi: np.ndarray
+    count: np.ndarray
+    p_true: np.ndarray
+    p_pred_mean: np.ndarray
+    p_pred_std: np.ndarray
     ece: float
     mce: float
-    n_bins: int
     n_samples: int
 
 
-@dataclass(frozen=True)
-class CccBin:
-    center: float
-    pred_mean: float
-    pred_std: float
-    count: int
+@dataclass(frozen=True, eq=False)
+class CccSeries:
+    """A confidence calibration curve, one array per CSV column and one entry per bin."""
+
+    bin_center: np.ndarray
+    pred_mean: np.ndarray
+    pred_std: np.ndarray
+    count: np.ndarray
 
 
 def empirical_fmr(imposter_scores, threshold: float) -> float:
@@ -145,9 +143,20 @@ def _require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite, got {float(values[i])!r} at index {i}")
 
 
-def _bin_indices(values: np.ndarray, n_bins: int) -> np.ndarray:
-    # Right-open bins; a value of exactly 1.0 lands in the top bin.
-    return np.clip(np.floor(values * n_bins).astype(int), 0, n_bins - 1)
+def _binned(keys: np.ndarray, n_bins: int, *values: np.ndarray):
+    """Bin by key (right-open bins over [0, 1], 1.0 in the top bin): the count per bin,
+    then per value array a ``(mean, std)`` pair of arrays, ``np.mean`` and
+    ``np.std`` over each non-empty bin's values and NaN for an empty bin.
+    """
+    idx = np.clip(np.floor(keys * n_bins).astype(int), 0, n_bins - 1)
+    count = np.bincount(idx, minlength=n_bins)
+    stats = [(np.full(n_bins, math.nan), np.full(n_bins, math.nan)) for _ in values]
+    for b in np.flatnonzero(count):
+        mask = idx == b
+        for v, (mean, std) in zip(values, stats):
+            mean[b] = np.mean(v[mask])
+            std[b] = np.std(v[mask])
+    return count, *stats
 
 
 def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationReport:
@@ -163,28 +172,18 @@ def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationRep
         raise ValueError(f"m_bins must be >= 1, got {m_bins}")
     conf, corr = _validated_confidences(confidences, correct)
     n = conf.size
-    idx = _bin_indices(conf, m_bins)
+    count, (p_true, _), (p_pred_mean, p_pred_std) = _binned(conf, m_bins, corr, conf)
 
-    bins = []
-    ece_total = 0.0
-    mce_max = 0.0
-    for b in range(m_bins):
-        mask = idx == b
-        count = int(np.count_nonzero(mask))
-        lo, hi = b / m_bins, (b + 1) / m_bins
-        if count == 0:
-            bins.append(CalibrationBin(lo, hi, 0, math.nan, math.nan, math.nan))
-            continue
-        p_true = float(np.mean(corr[mask]))
-        p_pred = float(np.mean(conf[mask]))
-        p_std = float(np.std(conf[mask]))
-        gap = abs(p_true - p_pred)
-        ece_total += (count / n) * gap
-        mce_max = max(mce_max, gap)
-        bins.append(CalibrationBin(lo, hi, count, p_true, p_pred, p_std))
+    ece_total = mce_max = 0.0
+    for c, gap in zip(count.tolist(), np.abs(p_true - p_pred_mean).tolist()):
+        if c:  # one bin at a time, in bin order: the sum's bits depend on its order
+            ece_total += (c / n) * gap
+            mce_max = max(mce_max, gap)
 
+    edges = np.arange(m_bins + 1) / m_bins
     return CalibrationReport(
-        bins=tuple(bins), ece=ece_total, mce=mce_max, n_bins=m_bins, n_samples=n
+        bin_lo=edges[:-1], bin_hi=edges[1:], count=count, p_true=p_true,
+        p_pred_mean=p_pred_mean, p_pred_std=p_pred_std, ece=ece_total, mce=mce_max, n_samples=n,
     )
 
 
@@ -198,14 +197,13 @@ def mce(confidences, correct, m_bins: int = 10) -> float:
     return calibration_report(confidences, correct, m_bins).mce
 
 
-def ccc(true_conf, pred_conf, b_bins: int = 30) -> list[CccBin]:
+def ccc(true_conf, pred_conf, b_bins: int = 30) -> CccSeries:
     """Confidence calibration curve series.
 
     Samples are binned by their true confidence; each bin reports the mean
-    and standard deviation of the predicted confidences it holds. Empty
-    bins are emitted with count 0 and NaN statistics so the series always
-    has ``b_bins`` rows. A non-finite input raises ``ValueError`` naming
-    its index.
+    and standard deviation of the predicted confidences it holds. Empty bins
+    have count 0 and NaN statistics. A non-finite input raises
+    ``ValueError`` naming its index.
     """
     if b_bins < 1:
         raise ValueError(f"b_bins must be >= 1, got {b_bins}")
@@ -217,20 +215,9 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> list[CccBin]:
         raise ValueError("input arrays are empty")
     _require_finite(t, "true confidences")
     _require_finite(p, "predicted confidences")
-    idx = _bin_indices(t, b_bins)
-
-    series = []
-    for b in range(b_bins):
-        mask = idx == b
-        count = int(np.count_nonzero(mask))
-        center = (b + 0.5) / b_bins
-        if count == 0:
-            series.append(CccBin(center, math.nan, math.nan, 0))
-        else:
-            series.append(
-                CccBin(center, float(np.mean(p[mask])), float(np.std(p[mask])), count)
-            )
-    return series
+    count, (pred_mean, pred_std) = _binned(t, b_bins, p)
+    return CccSeries(bin_center=(np.arange(b_bins) + 0.5) / b_bins, pred_mean=pred_mean,
+                     pred_std=pred_std, count=count)
 
 
 def true_confidence(model_test: DensityModel, scores, accepted):

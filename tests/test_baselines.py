@@ -14,6 +14,7 @@ from picscore.baselines import (
 )
 from picscore.density import fit_model
 from picscore.metrics import empirical_fmr, empirical_fnmr
+from picscore.pic import log_likelihood_ratio
 from picscore.synth import SynthConfig, generate
 
 
@@ -167,3 +168,43 @@ class TestErbc:
         train = generate(SynthConfig(n_genuine=500, n_imposter=500, seed=1))
         assert fit_erbc(train, 1e-2) == fit_erbc(train, 1e-2)
         assert fit_erbc(train, 1e-2) != fit_erbc(train, 1e-1)
+
+
+class TestShapesAndTies:
+    """All three estimators decide with ``pic.decide`` and keep the input's shape."""
+
+    @pytest.fixture(scope="class")
+    def confidences(self, synth_train, synth_fitted):
+        dtc, erbc = fit_dtc(synth_train, 1e-2), fit_erbc(synth_train, 1e-2)
+        lrc = fit_lrc(synth_train, synth_fitted, 1e-2)
+        return [(dtc, lambda s: dtc_confidence(dtc, s)),
+                (erbc, lambda s: erbc_confidence(erbc, s)),
+                (lrc, lambda s: lrc_confidence(lrc, synth_fitted, s))]
+
+    def test_scalar_in_gives_float_out(self, confidences):
+        for est, confidence in confidences:
+            for s in (-0.5, 0.2, est.threshold, 0.9, 2.0):
+                got = confidence(s)
+                assert isinstance(got, float) and np.ndim(got) == 0
+                assert got == confidence(np.array([s]))[0]
+
+    def test_array_shape_is_kept(self, confidences):
+        scores = np.linspace(-0.5, 1.5, 12).reshape(3, 4)
+        for _, confidence in confidences:
+            got = confidence(scores)
+            assert got.shape == (3, 4)
+            assert np.array_equal(got.ravel(), confidence(scores.ravel()))
+
+    def test_a_tie_takes_the_accept_branch(self, synth_train, synth_fitted):
+        erbc = fit_erbc(synth_train, 1e-2)
+        lrc = fit_lrc(synth_train, synth_fitted, 1e-2)
+        just_below = np.nextafter(erbc.threshold, -np.inf)
+        idx = int(np.rint((erbc.threshold - erbc.grid_thresholds[0])
+                          / (erbc.grid_thresholds[1] - erbc.grid_thresholds[0])))
+        assert erbc_confidence(erbc, erbc.threshold) == 1.0 - erbc.grid_fmr[idx]
+        assert erbc_confidence(erbc, just_below) == 1.0 - erbc.grid_fnmr[idx]
+        # The accept branch orients the log LR as it is; the reject branch flips it.
+        llr = float(log_likelihood_ratio(synth_fitted, lrc.threshold))
+        span = lrc.abs_llr_max - lrc.abs_llr_min
+        expected = 0.5 + 0.5 * np.clip((llr - lrc.abs_llr_min) / span, 0.0, 1.0)
+        assert lrc_confidence(lrc, synth_fitted, lrc.threshold) == expected

@@ -425,7 +425,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes("\nScore , probe_id,x\n 0.5 ,a\x85b, 1 \n\n0.25,é,".encode())
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            header, n_rows, columns, lines = read_to_append(path, ["score"], numbers=["score"])
+            header, n_rows, columns, lines = read_to_append(path, ["score"])
         assert isinstance(loadtxt.call_args.args[0], str)
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.dtype("U0")
         assert (header, n_rows) == (["Score ", " probe_id", "x"], 2)
@@ -439,7 +439,7 @@ class TestReadColumns:
     def test_other_input_rows_are_quoted_again(self, tmp_path, text):
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode())
-        _, n_rows, columns, lines = read_to_append(path, ["score"], numbers=["score"])
+        _, n_rows, columns, lines = read_to_append(path, ["score"])
         assert n_rows == 2 and lines == [reference_line(row) for row in csv.reader(
             io.StringIO(text, newline=""))][1:]
         assert list(columns) == ["score"] and columns["score"].tolist() == ["0.5", "0.25"]
@@ -514,6 +514,15 @@ class TestWriteRows:
         write_rows(path, ["x", "n"], [np.array([0.5, -0.0, 1e-7]), ["1", "2", "3"]])
         assert path.read_text() == "x,n\n0.500000,1\n-0.000000,2\n0.000000,3\n"
 
+    def test_integer_columns_are_written_with_str(self, tmp_path):
+        path = tmp_path / "table.csv"
+        counts = np.array([0, -7, 2**63 - 1, -2**63, 12], dtype=np.int64)
+        write_rows(path, ["n", "x", "id"],
+                   [counts, np.array([0.5, -0.0, 1e-7, 2.0, 0.25]), ["a", "b,c", "", "d", "e"]])
+        assert path.read_text() == (
+            "n,x,id\n0,0.500000,a\n-7,-0.000000,\"b,c\"\n9223372036854775807,0.000000,\n"
+            "-9223372036854775808,2.000000,d\n12,0.250000,e\n")
+
     def test_rejects_columns_of_unequal_length(self, tmp_path):
         with pytest.raises(ValueError, match="unequal length"):
             write_rows(tmp_path / "table.csv", ["a", "b"], [["1"], []])
@@ -573,7 +582,8 @@ class TestNumberColumns:
         path = tmp_path / "table.csv"
         path.write_bytes(("x,t,y\n" + "".join(f"{x},id,{y}\n" for x, y in rows)).encode())
         _, _, expected = reference_read(path)
-        _, _, got = read_columns(path, numbers=numbers)
+        with mock.patch.object(dataset, "_NUMBER_COLUMNS", numbers):
+            _, _, got = read_columns(path)
         assert parsed(parse_floats, got, numbers) == parsed(reference_floats, expected, numbers)
 
     def test_loaded_scores_keep_no_strings_alive(self, tmp_path):

@@ -409,6 +409,56 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"genuine\.grid_min must be below"):
             load_model(path)
 
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(self._model(), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(("resolution", "values"), [
+        (0, []), (1, [0.5]), (256.5, None), (255.5, None), (-3, None), ("x", None), (None, None),
+    ], ids=["zero", "one", "fraction", "fraction-below", "negative", "text", "null"])
+    def test_grid_resolution_must_be_a_whole_number_of_at_least_two(
+            self, tmp_path, resolution, values):
+        path, doc = self._saved_doc(tmp_path)
+        doc["genuine"]["grid_resolution"] = resolution
+        if values is not None:
+            doc["genuine"]["grid_values"] = values
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"genuine\.grid_resolution must be"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["bandwidth", "grid_min", "grid_max", "grid_resolution"])
+    @pytest.mark.parametrize("bad", ["x", [1.0], {"a": 1}])
+    def test_non_numeric_field_names_field(self, tmp_path, key, bad):
+        path, doc = self._saved_doc(tmp_path)
+        doc["imposter"][key] = bad
+        path.write_text(json.dumps(doc))
+        message = f"imposter.{key} must be a number, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("bad", ["x", [1.0], {"a": 1}])
+    def test_non_numeric_grid_value_names_field(self, tmp_path, bad):
+        path, doc = self._saved_doc(tmp_path)
+        doc["genuine"]["grid_values"][17] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"genuine\.grid_values must be a list of numbers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("entry", [[], [1.0, 2.0], "genuine", 3])
+    def test_class_entry_that_is_not_an_object_names_class(self, tmp_path, entry):
+        path, doc = self._saved_doc(tmp_path)
+        doc["imposter"] = entry
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r": imposter must be an object, got "):
+            load_model(path)
+
+    def test_whole_number_resolution_written_as_float_loads(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["genuine"]["grid_resolution"] = 256.0
+        path.write_text(json.dumps(doc))
+        assert load_model(path) == self._model()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
     def test_bad_grid_value_rejected(self, tmp_path, bad):
         model = self._model()

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from picscore.cli import CALIBRATION_COLUMNS, CCC_COLUMNS
 from picscore.dataset import ScoreTable
 from picscore.density import fit_model
 from picscore.metrics import (
@@ -167,15 +168,15 @@ class TestEceMce:
 
     def test_confidence_of_one_in_last_bin(self):
         report = calibration_report([1.0, 0.95], [True, True], 10)
-        assert report.bins[9].count == 2
+        assert report.count[9] == 2
 
     def test_empty_bins_excluded(self):
         # bin 0: p_true 0 vs conf 0.05; bin 9: p_true 1 vs conf 0.95
         report = calibration_report([0.05, 0.95], [False, True], 10)
         assert report.ece == pytest.approx(0.05, abs=1e-12)
         assert report.mce == pytest.approx(0.05, abs=1e-12)
-        assert sum(b.count for b in report.bins) == 2
-        assert math.isnan(report.bins[5].p_true)
+        assert report.count.sum() == 2
+        assert math.isnan(report.p_true[5])
 
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -196,23 +197,23 @@ class TestCcc:
         rng = np.random.default_rng(1)
         truth = rng.uniform(0, 1, 3000)
         series = ccc(truth, truth, 30)
-        for point in series:
-            if point.count:
-                assert abs(point.pred_mean - point.center) <= 0.5 / 30
+        for count, mean, center in zip(series.count, series.pred_mean, series.bin_center):
+            if count:
+                assert abs(mean - center) <= 0.5 / 30
 
     def test_constant_predictor(self):
         rng = np.random.default_rng(1)
         truth = rng.uniform(0, 1, 500)
         series = ccc(truth, np.full(500, 0.5), 30)
-        for point in series:
-            if point.count:
-                assert point.pred_mean == 0.5
+        for count, mean in zip(series.count, series.pred_mean):
+            if count:
+                assert mean == 0.5
 
     def test_empty_bins_marked(self):
         series = ccc([0.05, 0.95], [0.1, 0.9], 10)
-        assert series[5].count == 0
-        assert math.isnan(series[5].pred_mean)
-        assert len(series) == 10
+        assert series.count[5] == 0
+        assert math.isnan(series.pred_mean[5])
+        assert all(getattr(series, c).shape == (10,) for c in CCC_COLUMNS)
 
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -248,9 +249,115 @@ class TestCcc:
         truth = pic_values(eval_model, scores)
         truth = np.where(genuine_decision, truth, 1 - truth)
 
-        for point in ccc(truth, predicted, 30):
-            if point.count >= 100:
-                assert abs(point.pred_mean - point.center) <= 0.05
+        series = ccc(truth, predicted, 30)
+        for count, mean, center in zip(series.count, series.pred_mean, series.bin_center):
+            if count >= 100:
+                assert abs(mean - center) <= 0.05
+
+
+def reference_bins(keys, n_bins):
+    # Right-open bins; a value of exactly 1.0 lands in the top bin.
+    return np.clip(np.floor(keys * n_bins).astype(int), 0, n_bins - 1)
+
+
+def reference_calibration(confidences, correct, m_bins):
+    """The per-bin loop of ``calibration_report`` before it returned columns.
+
+    Returns its columns as arrays, in ``CALIBRATION_COLUMNS`` order, then ECE and MCE.
+    """
+    conf = np.asarray(confidences, dtype=float)
+    corr = np.asarray(correct, dtype=bool)
+    n = conf.size
+    idx = reference_bins(conf, m_bins)
+    rows = []
+    ece_total = 0.0
+    mce_max = 0.0
+    for b in range(m_bins):
+        mask = idx == b
+        count = int(np.count_nonzero(mask))
+        lo, hi = b / m_bins, (b + 1) / m_bins
+        if count == 0:
+            rows.append((lo, hi, 0, math.nan, math.nan, math.nan))
+            continue
+        p_true = float(np.mean(corr[mask]))
+        p_pred = float(np.mean(conf[mask]))
+        p_std = float(np.std(conf[mask]))
+        gap = abs(p_true - p_pred)
+        ece_total += (count / n) * gap
+        mce_max = max(mce_max, gap)
+        rows.append((lo, hi, count, p_true, p_pred, p_std))
+    return [np.array(column) for column in zip(*rows)], ece_total, mce_max
+
+
+def reference_ccc(true_conf, pred_conf, b_bins):
+    """The per-bin loop of ``ccc`` before it returned columns, in ``CCC_COLUMNS`` order."""
+    t = np.asarray(true_conf, dtype=float)
+    p = np.asarray(pred_conf, dtype=float)
+    idx = reference_bins(t, b_bins)
+    rows = []
+    for b in range(b_bins):
+        mask = idx == b
+        count = int(np.count_nonzero(mask))
+        center = (b + 0.5) / b_bins
+        if count == 0:
+            rows.append((center, math.nan, math.nan, 0))
+        else:
+            rows.append((center, float(np.mean(p[mask])), float(np.std(p[mask])), count))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # NaN included
+
+
+@st.composite
+def binned_samples(draw, others):
+    """A bin count of 1-25, keys in [0, 1] (any, exactly 0 or 1, or on a bin edge),
+    and one value drawn from ``others`` per key.
+
+    With at most 200 keys and up to 25 bins, many draws leave bins empty.
+    """
+    bins = draw(st.integers(1, 25))
+    edges = [k / bins for k in range(bins + 1)]
+    keys = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, *edges])),
+                         min_size=1, max_size=200))
+    return bins, keys, draw(st.lists(others, min_size=len(keys), max_size=len(keys)))
+
+
+# Ten bins, five of them empty; 0.1, 0.3 and 0.7 are bin edges.
+EDGES_AND_EMPTY_BINS = (10, [0.0, 0.1, 0.3, 0.7, 1.0])
+# Hundreds of values per bin, where a sum in another order than ``np.mean``'s differs.
+_RNG = np.random.default_rng(0)
+CROWDED_BINS = (3, _RNG.uniform(0.0, 1.0, 1000).tolist())
+
+
+class TestBinsMatchReference:
+    """The column-wise binning against the per-bin loops it replaced, bit for bit."""
+
+    @given(binned_samples(st.booleans()))
+    @example((*EDGES_AND_EMPTY_BINS, [True, False, True, True, False]))
+    @example((*CROWDED_BINS, (_RNG.random(1000) < 0.6).tolist()))
+    @settings(max_examples=300, deadline=None)
+    def test_calibration_report(self, drawn):
+        bins, conf, correct = drawn
+        report = calibration_report(conf, correct, bins)
+        columns, ece_total, mce_max = reference_calibration(conf, correct, bins)
+        for name, expected in zip(CALIBRATION_COLUMNS, columns, strict=True):
+            assert_same_bits(getattr(report, name), expected)
+        assert_same_bits(np.array(report.ece), np.array(ece_total))
+        assert_same_bits(np.array(report.mce), np.array(mce_max))
+        assert report.n_samples == len(conf)
+
+    @given(binned_samples(st.floats(-2.0, 2.0)))
+    @example((*EDGES_AND_EMPTY_BINS, [0.9, 0.2, 0.4, 0.6, 0.8]))
+    @example((*CROWDED_BINS, _RNG.uniform(0.0, 1.0, 1000).tolist()))
+    @settings(max_examples=300, deadline=None)
+    def test_ccc(self, drawn):
+        bins, truth, predicted = drawn
+        series = ccc(truth, predicted, bins)
+        for name, expected in zip(CCC_COLUMNS, reference_ccc(truth, predicted, bins), strict=True):
+            assert_same_bits(getattr(series, name), expected)
 
 
 @pytest.fixture(scope="module")

@@ -54,10 +54,23 @@ def test_only_the_process_entry_freezes_the_gc(child_env, score_args):
     assert got["status"] == 0 and got["frozen"] > 0
 
 
+PUBLIC_NAMES = [
+    "CalibrationReport", "CccSeries", "DENSITY_FLOOR", "DensityModel", "GENUINE", "IMPOSTER",
+    "KdeDensity", "PicScore", "ScoreTable", "SynthConfig", "VerificationResult",
+    "analytic_fused_posterior", "analytic_posterior", "calibration_report", "ccc", "decide",
+    "decision_confidence", "default_bandwidth", "dtc_confidence", "ece", "empirical_fmr",
+    "empirical_fnmr", "erbc_confidence", "eval_density", "fit_dtc", "fit_erbc", "fit_kde",
+    "fit_lrc", "fit_model", "fnmr_at_fmr", "fuse_groups", "generate", "load_model",
+    "load_scores", "log_likelihood_ratio", "lrc_confidence", "mce", "pic_multi", "pic_single",
+    "pic_threshold_for_fmr", "pic_values", "save_model", "save_scores", "scott_bandwidth",
+    "split_subject_exclusive", "threshold_at_fmr", "true_confidence",
+]
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from picscore import *", namespace)
-    assert len(picscore.__all__) == 48
+    assert picscore.__all__ == PUBLIC_NAMES
     for name in picscore.__all__:
         assert namespace[name] is getattr(picscore, name)
 
