@@ -22,13 +22,15 @@ import numpy as np
 from . import __version__
 from .dataset import (
     GENUINE,
-    IMPOSTER,
+    IdColumn,
     check_rows,
     fail_first_row,
     label_codes,
+    label_column,
     load_scores,
     parse_floats,
     parse_labels,
+    read_coded,
     read_columns,
     read_to_append,
     save_scores,
@@ -53,10 +55,6 @@ NOT_PARAMETERS = frozenset(
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
-
-
-def _decision_column(is_genuine) -> list[str]:
-    return np.where(is_genuine, GENUINE, IMPOSTER).tolist()
 
 
 def _write_manifest(args, inputs: dict, outputs: dict) -> None:
@@ -148,21 +146,29 @@ def cmd_score(args) -> None:
     is_genuine, confidence = decide(values, threshold)
 
     write_rows(args.out, header + list(APPENDED_COLUMNS),
-               [values, _decision_column(is_genuine), confidence], lines=lines)
+               [values, label_column(is_genuine), confidence], lines=lines)
     _write_manifest(args, {"model": args.model, "scores": args.input}, {"scored": args.out})
     print(f"scored {n_rows} rows at pic threshold {_fmt(threshold)}")
 
 
-def _require_ids(probes: np.ndarray, claimed: np.ndarray) -> None:
-    fail_first_row((probes == "") | (claimed == ""),
+def _require_ids(probes: IdColumn, claimed: IdColumn) -> None:
+    fail_first_row((probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes],
                    lambda i: "probe_id and subject_b are required for fusion")
 
 
 def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, claimed) -> None:
     """Every row's label, normalized, equals that of its group's first row."""
     label = label_codes(labels)
-    fail_first_row(label != label[first][groups],
-                   lambda i: f"group ({probes[i]}, {claimed[i]}) mixes genuine and imposter labels")
+    fail_first_row(label != label[first][groups], lambda i: (
+        f"group ({probes.values[probes.codes[i]]}, {claimed.values[claimed.codes[i]]}) "
+        "mixes genuine and imposter labels"))
+
+
+def _pair_groups(probes: IdColumn, claimed: IdColumn) -> np.ndarray:
+    """Each row's group: one per distinct (probe, claimed) pair, numbered in order of first row."""
+    pairs = probes.codes.astype(np.int64) * claimed.values.size + claimed.codes
+    _, first_rows, groups = np.unique(pairs, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_rows))[groups]
 
 
 def cmd_fuse(args) -> None:
@@ -171,17 +177,12 @@ def cmd_fuse(args) -> None:
 
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed)
+    _, n_rows, columns = read_coded(args.input, needed)
     _require_columns(columns, needed, args.input)
 
     probes = strip_ids(columns["probe_id"])
     claimed = strip_ids(columns["subject_b"])
-    group_of = dict.fromkeys(zip(probes, claimed))  # (probe, claimed) in first-seen order
-    for i, key in enumerate(group_of):
-        group_of[key] = i
-    groups = np.fromiter(
-        map(group_of.__getitem__, zip(probes, claimed)), dtype=np.intp, count=n_rows
-    )
+    groups = _pair_groups(probes, claimed)
     order = np.argsort(groups, kind="stable")  # file order within each group
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes
@@ -201,15 +202,16 @@ def cmd_fuse(args) -> None:
     n_used = np.minimum(sizes, args.max_refs)
 
     write_rows(args.out, FUSED_COLUMNS, [
-        *zip(*group_of),
-        _decision_column(is_genuine[first]),
+        probes.values[probes.codes[first]],
+        claimed.values[claimed.codes[first]],
+        label_column(is_genuine[first]),
         n_used,
         values,
-        _decision_column(is_accepted),
+        label_column(is_accepted),
         confidence,
     ])
     _write_manifest(args, {"model": args.model, "scores": args.input}, {"fused": args.out})
-    print(f"fused {n_rows} rows into {len(group_of)} groups (max {args.max_refs} refs)")
+    print(f"fused {n_rows} rows into {sizes.size} groups (max {args.max_refs} refs)")
     print(f"truncated {int(np.count_nonzero(sizes > args.max_refs))} groups to "
           f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
 

@@ -8,14 +8,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 import random
 import stat
 import warnings
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -101,6 +104,13 @@ def fail_first_row(bad: np.ndarray, message) -> None:
         raise RowError(i + 1, message(i))
 
 
+class IdColumn(NamedTuple):
+    """A column as ``values[codes]``: its distinct strings in order of first row, and codes."""
+
+    codes: np.ndarray
+    values: np.ndarray
+
+
 def read_columns(
     path: str | Path,
     names: Iterable[str] | None = None,
@@ -123,19 +133,15 @@ def read_columns(
     ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
     what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
     may be a ``"U9"`` array (see below), which holds the same strings;
-    ``parse_labels`` and ``label_codes`` take either kind.
+    ``parse_labels`` and ``label_codes`` take either kind. An id column
+    (``ID_COLUMNS``) holds one ``str`` object per distinct value (``read_coded``).
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
-    tokenizer (``np.loadtxt``), by one of two routes. A regular file
-    holding no ``\r`` and no NUL byte, whose name numpy would not take for a
-    compressed file (``.gz``, ``.bz2``, ``.xz``, ``.lzma``), is opened by
-    numpy itself, which reads it in chunks in C and skips the header's
-    lines. On that route a ``label`` or ``decision`` column is read into
+    tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
+    finds that safe, and reads a ``label`` or ``decision`` column into
     9-character fields: ``imposter``, the longest label, fits, and a field
-    that fills all 9 may have been cut. Any other input is read once into
-    memory, and numpy reads that text line by line: a pipe cannot be read
-    twice, and numpy's own open would turn a quoted ``\r`` into ``\n``,
-    drop a trailing NUL from a fixed-width field, or decompress the file.
+    that fills all 9 may have been cut. Any other input, a pipe included,
+    is read once into memory, and numpy reads that text line by line.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
@@ -147,6 +153,19 @@ def read_columns(
     ``float()`` accepts and numpy does not, such as ``1_0`` or non-ASCII
     digits.
     """
+    header, n_rows, columns = read_coded(path, names)
+    return header, n_rows, _decoded(columns)
+
+
+def read_coded(
+    path: str | Path,
+    names: Iterable[str] | None = None,
+) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn]]:
+    """``read_columns`` with each id column as an ``IdColumn``, coded as it is read.
+
+    numpy passes each id field to a dict lookup that gives a new string the
+    next code, and stores only the code; ``_scan_rows`` codes the same way.
+    """
     header, n_rows, columns, _ = _read(path, names, copy=False)
     return header, n_rows, columns
 
@@ -154,7 +173,7 @@ def read_columns(
 def read_to_append(
     path: str | Path,
     names: Iterable[str],
-) -> tuple[list[str], int, dict[str, np.ndarray], list[str]]:
+) -> tuple[list[str], int, dict[str, np.ndarray], Sequence[str]]:
     """Read a CSV file that is to be written out again with columns appended.
 
     Returns ``(header, n_rows, columns, lines)``: the first three as
@@ -162,16 +181,23 @@ def read_to_append(
     CSV line, without its line end, that ``write_rows`` writes for it; pass
     them to ``write_rows`` as its ``lines``. A plain file, a regular one
     that numpy reads from its path and that holds no ``"``, is already
-    written that way: numpy reads only the ``names`` columns, and its
-    non-blank lines are returned as they are, split at ``\n`` only. Any
-    other input is read once, every column as strings, and its rows are
-    quoted again; its number columns are strings too.
+    written that way: numpy reads only the ``names`` columns, and ``lines``
+    holds the file's bytes and the offsets of its non-blank lines, split at
+    ``\n`` only, and decodes a slice of them when it is taken. Any other
+    input is read once, every column as strings, and ``lines`` is a list of
+    its rows quoted again; its number columns are strings too.
     """
-    return _read(path, names, copy=True)
+    header, n_rows, columns, lines = _read(path, names, copy=True)
+    return header, n_rows, _decoded(columns), lines
+
+
+def _decoded(columns: dict) -> dict[str, np.ndarray]:
+    return {key: column.values[column.codes] if isinstance(column, IdColumn) else column
+            for key, column in columns.items()}
 
 
 def _read(path, names, copy: bool):
-    """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
+    """``read_coded``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
         route = _route(path, handle)
         source = handle
@@ -192,11 +218,15 @@ def _read(path, names, copy: bool):
         else:
             wanted, floats = names, names.intersection(keys, _NUMBER_COLUMNS)
         narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
+        interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
+                     if key in wanted and key in ID_COLUMNS}
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
                                       f"U{_LABEL_WIDTH}" if key in narrow else
-                                      object if key in wanted else "U0" for key in keys]})
+                                      np.intp if i in interners else
+                                      object if key in wanted else "U0"
+                                      for i, key in enumerate(keys)]})
         try:
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -204,13 +234,15 @@ def _read(path, names, copy: bool):
                     # An absolute path, which numpy cannot take for a URL.
                     source if route == _TEXT else os.path.join(os.getcwd(), path),
                     dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
-                    encoding=None, skiprows=0 if route == _TEXT else reader.line_num)
+                    encoding=None, skiprows=0 if route == _TEXT else reader.line_num,
+                    converters={i: index.__getitem__ for i, index in interners.items()})
         except ValueError:
             table = None
         if table is not None:
             # A number column is copied, so that it does not keep the table's strings alive.
-            columns = {key: table[f"f{i}"].copy() if key in floats else table[f"f{i}"]
-                       for i, key in enumerate(keys) if key in wanted}
+            columns = {key: table[f"f{i}"].copy() if key in floats else
+                       _id_column(table[f"f{i}"], interners[i]) if i in interners else
+                       table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
             if (all(np.isfinite(columns[key]).all() for key in floats)
                     and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
                                 for key in narrow)):
@@ -222,14 +254,54 @@ def _read(path, names, copy: bool):
             n_rows, columns = _scan_rows(source, keys, wanted)
         lines = None
         if copy and route == _PLAIN:
+            # The bytes are read whole: the output may be this very file.
             source.seek(0)
-            lines = [line for line in source.read().split("\n")[reader.line_num:] if line]
+            lines = _Lines(source.buffer.read(), reader.line_num, source.encoding)
     if not n_rows:
         raise ValueError(f"{path}: no records")
     if copy and lines is None:
         lines = list(map(",".join, zip(*(_quoted(column.tolist())
-                                          for column in columns.values()))))
+                                          for column in _decoded(columns).values()))))
     return header, n_rows, {key: columns[key] for key in columns if key in names}, lines
+
+
+def _id_column(codes: np.ndarray, interner: dict) -> IdColumn:
+    return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
+
+
+def _interned(fields: Sequence[str]) -> IdColumn:
+    interner = defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(interner.__getitem__, fields), dtype=np.intp, count=len(fields))
+    return _id_column(codes, interner)
+
+
+class _Lines(Sequence):
+    """A file's non-blank lines after its first ``skip``, decoded a slice at a time.
+
+    Holds the file's bytes and the offset at which the header and each line
+    end: at a ``\n``, which is the byte 0x0A in a file with no ``\r`` or NUL.
+    """
+
+    def __init__(self, data: bytes, skip: int, encoding: str):
+        buffer = np.frombuffer(data, dtype=np.uint8)
+        ends = np.concatenate([  # a block at a time: no mask as large as the file
+            at + np.flatnonzero(buffer[at:at + _SCAN_BYTES] == ord("\n"))
+            for at in range(0, buffer.size, _SCAN_BYTES)] + [[buffer.size]])[skip - 1:]
+        # The header's end, then each non-blank line's: a blank one ends 1 byte after the last.
+        self._ends = ends[np.append(True, np.diff(ends) > 1)]
+        self._data, self._encoding = data, encoding
+
+    def __len__(self) -> int:
+        return self._ends.size - 1
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self[rows:rows + 1][0]
+        if rows.step != 1:
+            return [self[i] for i in rows]
+        text = self._data[self._ends[rows.start] + 1:self._ends[rows.stop]]
+        return [line for line in text.decode(self._encoding).split("\n") if line]
 
 
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
@@ -284,7 +356,7 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     rejected the file or found a non-finite number: raises ``RowError`` at
     the first row whose field count differs from the header's, and
     otherwise returns ``(n_rows, columns)`` with every wanted column as
-    ``str`` objects.
+    ``str`` objects, an id column coded as an ``IdColumn``.
     """
     width = len(keys)
     reader = csv.reader(source)
@@ -304,8 +376,9 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     # cyclic GC, so later allocations do not rescan millions of strings.
     table = np.fromiter(flat, dtype=object, count=len(flat))
     del flat, extend
-    return table.size // width, {key: table[i::width].copy()
-                                 for i, key in enumerate(keys) if key in wanted}
+    return table.size // width, {
+        key: _interned(table[i::width]) if key in ID_COLUMNS else table[i::width].copy()
+        for i, key in enumerate(keys) if key in wanted}
 
 
 _CHUNK_ROWS = 4096
@@ -329,7 +402,8 @@ def write_rows(
 
     ``lines``, as ``read_to_append`` returns them, hold each row's leading
     fields already written as CSV; each is written as it is, followed by
-    the row's fields from ``columns``.
+    the row's fields from ``columns``. They are sliced a chunk of rows at a
+    time, so lines that decode on slicing are never all decoded at once.
     """
     lengths = [len(column) for column in ([] if lines is None else [lines]) + list(columns)]
     if len(set(lengths)) > 1:
@@ -449,9 +523,19 @@ def check_rows(*checks):
     return results
 
 
-def strip_ids(column: Sequence[str] | np.ndarray) -> np.ndarray:
-    """An id column with ``str.strip`` applied to each id, as an object array."""
-    return np.fromiter(map(str.strip, column), dtype=object, count=len(column))
+def strip_ids(column: IdColumn) -> IdColumn:
+    """An id column with ``str.strip`` applied to each distinct value, merging equal results."""
+    values = column.values.tolist()
+    stripped = list(map(str.strip, values))
+    if stripped == values:  # no padding: the codes stand
+        return column
+    merged = _interned(stripped)
+    return IdColumn(merged.codes[column.codes], merged.values)
+
+
+def label_column(is_genuine: np.ndarray) -> np.ndarray:
+    """``genuine`` where ``is_genuine`` is set, else ``imposter``: one object per string."""
+    return np.array((IMPOSTER, GENUINE), dtype=object)[np.asarray(is_genuine, dtype=np.intp)]
 
 
 def load_scores(path: str | Path) -> ScoreTable:
@@ -464,13 +548,12 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
+    _, n_rows, columns = read_coded(path, CSV_COLUMNS)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
-    # The raw id strings are freed as each column is replaced.
-    blank = np.full(n_rows, "", dtype=object)
-    ids = {name: strip_ids(columns.pop(name)) if name in columns else blank
-           for name in ID_COLUMNS}
+    blank = IdColumn(np.zeros(n_rows, dtype=np.intp), np.array([""], dtype=object))
+    ids = _decoded({name: strip_ids(columns.pop(name)) if name in columns else blank
+                    for name in ID_COLUMNS})
     labels = columns["label"]
     codes = label_codes(labels)
     is_genuine = codes == 0
@@ -488,7 +571,7 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
     """Write a score table as CSV with the canonical column layout."""
     write_rows(path, CSV_COLUMNS, [
         table.score,
-        np.where(table.is_genuine, GENUINE, IMPOSTER).tolist(),
+        label_column(table.is_genuine),
         *(getattr(table, name) for name in ID_COLUMNS),
     ])
 

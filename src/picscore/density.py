@@ -215,11 +215,13 @@ def eval_density(density: KdeDensity, s):
     """
     arr = np.asarray(s, dtype=float)
     flat = arr.ravel()
-    order = slice(None) if (flat[1:] >= flat[:-1]).all() else np.argsort(flat)
-    values = np.empty_like(flat)
-    values[order] = np.interp(flat[order], density.grid_points(), density.grid_values,
-                              left=DENSITY_FLOOR, right=DENSITY_FLOOR)
-    values = np.maximum(values, DENSITY_FLOOR)
+    ascending = (flat[1:] >= flat[:-1]).all()
+    order = slice(None) if ascending else np.argsort(flat)
+    values = np.interp(flat[order], density.grid_points(), density.grid_values,
+                       left=DENSITY_FLOOR, right=DENSITY_FLOOR)
+    if not ascending:  # back in query order
+        values[order] = values.copy()
+    np.maximum(values, DENSITY_FLOOR, out=values)
     return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 
@@ -280,19 +282,32 @@ def _density_to_dict(density: KdeDensity) -> dict:
     }
 
 
+def _number(data: dict, field: str) -> float:
+    """``data``'s number at ``field``, ``key`` or ``name.key``, which errors name.
+
+    A missing key raises ``KeyError(field)``, a value that is not a number ``ValueError``.
+    """
+    key = field.rpartition(".")[2]
+    if key not in data:
+        raise KeyError(field)
+    try:
+        return float(data[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, got {data[key]!r}") from None
+
+
 def _density_from_dict(data: dict, name: str) -> KdeDensity:
     """Rebuild one class density, naming the field (``name.key``) that is wrong."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be an object, got {type(data).__name__}")
     numbers = {}
     for key in ("bandwidth", "grid_min", "grid_max", "grid_resolution"):
-        try:
-            numbers[key] = float(data[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"{name}.{key} must be a number, got {data[key]!r}") from None
+        numbers[key] = _number(data, f"{name}.{key}")
         if not math.isfinite(numbers[key]):
             raise ValueError(f"{name}.{key} must be finite, got {numbers[key]!r}")
     bandwidth, grid_min, grid_max, resolution = numbers.values()
+    if "grid_values" not in data:
+        raise KeyError(f"{name}.grid_values")
     try:
         values = np.asarray(data["grid_values"], dtype=float)
     except (TypeError, ValueError):
@@ -366,7 +381,7 @@ def load_model(path: str | Path) -> DensityModel:
             f"unsupported model version {version!r} in {path} (expected {MODEL_VERSION!r})"
         )
     try:
-        prior_genuine = float(doc["prior_genuine"])
+        prior_genuine = _number(doc, "prior_genuine")
         if not 0.0 < prior_genuine < 1.0:
             raise ValueError(f"prior_genuine must be in (0, 1), got {prior_genuine!r}")
         return DensityModel(

@@ -44,16 +44,21 @@ def log_likelihood_ratio(model: DensityModel, scores):
     """log g(s) - log f(s) for each score; scalar in, scalar out.
 
     The scores are sorted once, and both classes are looked up on the
-    sorted copy (``eval_density`` does not sort it again).
+    sorted copy (``eval_density`` does not sort it again). The genuine
+    log is taken into that copy's buffer and the result is put back in
+    query order in the imposter lookup's, so no more than three arrays of
+    the scores' size are alive at once.
     """
     arr = np.asarray(scores, dtype=float)
     flat = arr.ravel()
     order = np.argsort(flat)
-    ordered = flat[order]
-    llr = np.empty_like(flat)
-    llr[order] = (np.log(eval_density(model.genuine, ordered))
-                  - np.log(eval_density(model.imposter, ordered)))
-    return llr[0] if arr.ndim == 0 else llr.reshape(arr.shape)
+    llr = flat[order]
+    log_f = eval_density(model.imposter, llr)
+    np.log(log_f, out=log_f)
+    np.log(eval_density(model.genuine, llr), out=llr)
+    llr -= log_f
+    log_f[order] = llr
+    return log_f[0] if arr.ndim == 0 else log_f.reshape(arr.shape)
 
 
 def pic_values(model: DensityModel, scores):

@@ -171,6 +171,50 @@ class TestAgainstRowReference:
         reference_fuse(model_path, source, tmp_path / "ref.csv", max_refs, 0.05)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    # ids equal once stripped: " p1", "p1\t" and "p1" followed by an ideographic space
+    PADDED_IDS = ("score,label,probe_id,subject_b\n"
+                  "0.81,genuine, p1,s1\n0.22,imposter,p2,s1\n0.77,genuine,p1\t,s1 \n"
+                  "0.31,imposter,p2 ,s1\n0.74,genuine,p1\u3000, s1\n0.28,imposter,p1,s2\n")
+
+    @pytest.mark.parametrize("through", ["file", "pipe", "crlf"])
+    def test_fuse_bytes_of_padded_ids(self, tmp_path, model_path, through):
+        source = tmp_path / "in.csv"
+        source.write_bytes(self.PADDED_IDS.encode())
+        reference_fuse(model_path, source, tmp_path / "ref.csv", 5, 0.05)
+        out = tmp_path / "new.csv"
+        if through == "pipe":
+            code = through_pipe(source.read_bytes(), lambda fd: run(
+                "fuse", model_path, fd, out, "--fmr", "0.05"))
+        else:
+            if through == "crlf":
+                source.write_bytes(self.PADDED_IDS.replace("\n", "\r\n").encode())
+            code = run("fuse", model_path, source, out, "--fmr", "0.05")
+        assert code == 0
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert [line.rsplit(",", 3)[0] for line in out.read_text().splitlines()[1:]] == [
+            "p1,s1,genuine,3", "p2,s1,imposter,2", "p1,s2,imposter,1"]
+
+    @pytest.mark.parametrize("through", ["file", "pipe", "crlf"])
+    def test_fuse_names_an_id_blank_once_stripped(self, tmp_path, model_path, capsys, through):
+        text = self.PADDED_IDS + "0.5,genuine,\u3000\t,s1\n"
+        source = tmp_path / "in.csv"
+        source.write_bytes((text.replace("\n", "\r\n") if through == "crlf" else text).encode())
+        if through == "pipe":
+            code = through_pipe(source.read_bytes(), lambda fd: run(
+                "fuse", model_path, fd, tmp_path / "f.csv"))
+        else:
+            code = run("fuse", model_path, source, tmp_path / "f.csv")
+        assert code == 2
+        assert "row 7: probe_id and subject_b are required for fusion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["blank-lines", "padded", "no-final-newline", "non-ascii"])
+    def test_score_over_its_own_input(self, tmp_path, model_path, name):
+        source = tmp_path / "in.csv"
+        source.write_bytes(self.PLAIN[name].encode())
+        assert run("score", model_path, source, tmp_path / "other.csv") == 0
+        assert run("score", model_path, source, source) == 0
+        assert source.read_bytes() == (tmp_path / "other.csv").read_bytes()
+
     def test_fuse_on_synthetic_scores(self, tmp_path, model_path):
         source = tmp_path / "scores.csv"
         assert run("synth", source, "--n-genuine", 400, "--n-imposter", 400,

@@ -232,8 +232,8 @@ def csv_tables(draw, resize_one_row=False):
 def write_csv(path, header, rows, data):
     """Rows written by ``csv.writer``, blank lines at random, each ended by \\n or \\r\\n.
 
-    Half the files end every line with \\n. Returns the ``names`` and the
-    ``labels`` to read the file with.
+    Half the files end every line with \\n. Returns the ``names``, the
+    ``labels`` and the ``ids`` (coded columns) to read the file with.
     """
     buffer = io.StringIO()
     endings = data.draw(st.sampled_from([["\n"], ["\n", "\r\n"]]))
@@ -245,7 +245,8 @@ def write_csv(path, header, rows, data):
     path.write_bytes(buffer.getvalue().encode())
     keys = [name.strip().lower() for name in header]
     names = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(keys + ["absent"]))))
-    return names, data.draw(st.sets(st.sampled_from(keys + ["absent"])))
+    labels = data.draw(st.sets(st.sampled_from(keys + ["absent"])))
+    return names, labels, data.draw(st.sets(st.sampled_from(keys + ["absent"]))) - labels
 
 
 def reference_labels(column, name):
@@ -285,10 +286,16 @@ def reference_line(row):
                     else field for field in row)
 
 
-def assert_reads_like_reference(path, names, labels=()):
-    """``read_columns`` and ``read_to_append`` with ``labels`` as the label columns,
-    against ``reference_read``; a row error also through a pipe."""
-    with mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)):
+def one_object_per_value(column):
+    """Whether equal strings in ``column`` are one object."""
+    return len(set(map(id, column))) == len(set(column))
+
+
+def assert_reads_like_reference(path, names, labels=(), ids=()):
+    """``read_columns`` and ``read_to_append`` with ``labels`` as the label columns and
+    ``ids`` as the id columns, against ``reference_read``; a row error also through a pipe."""
+    with (mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)),
+          mock.patch.object(dataset, "ID_COLUMNS", tuple(ids))):
         try:
             header, n_rows, columns = reference_read(path, names)
         except RowError as expected:
@@ -315,7 +322,10 @@ def assert_reads_like_reference(path, names, labels=()):
     assert {key: column.tolist() for key, column in got_columns.items()} == columns
     assert {key: column.tolist() for key, column in append_columns.items()} == columns
     _, _, every_column = reference_read(path)
-    assert lines == list(map(reference_line, zip(*every_column.values())))
+    assert list(lines) == list(map(reference_line, zip(*every_column.values())))
+    assert lines[:] == list(lines)
+    for key in set(ids).intersection(got_columns):
+        assert one_object_per_value(got_columns[key])
     label_keys = sorted(set(labels).intersection(columns))
     assert (parsed(parse_labels, got_columns, label_keys)
             == parsed(reference_labels, columns, label_keys))
@@ -429,8 +439,57 @@ class TestReadColumns:
         assert isinstance(loadtxt.call_args.args[0], str)
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.dtype("U0")
         assert (header, n_rows) == (["Score ", " probe_id", "x"], 2)
-        assert lines == [" 0.5 ,a\x85b, 1 ", "0.25,é,"]
+        assert list(lines) == [" 0.5 ,a\x85b, 1 ", "0.25,é,"]
         assert list(columns) == ["score"] and columns["score"].tolist() == [0.5, 0.25]
+
+    ID_ROWS = ["p1,r1,A,A", "p1,r2,A,B", "p2,r1,B,B", "p1,r1,B,A", "p2,r3,A,A"]
+
+    @pytest.mark.parametrize("route, text, scanned", [
+        ("plain", "score,probe_id,reference_id,subject_a,subject_b\n{}\n", False),
+        ("path", 'score,"probe_id",reference_id,subject_a,subject_b\n{}\n', False),
+        ("crlf", "score,probe_id,reference_id,subject_a,subject_b\r\n{}\r\n", False),
+        ("pipe", "score,probe_id,reference_id,subject_a,subject_b\n{}\n", False),
+        ("scan", "score,probe_id,reference_id,subject_a,subject_b\n{}\nnan,p1,r1,A,A\n", True),
+        ("scan-pipe", "score,probe_id,reference_id,subject_a,subject_b\r\n{}\r\n1_0,p1,r1,A,A\r\n",
+         True),
+    ], ids=["plain", "path", "crlf", "pipe", "scan", "scan-pipe"])
+    def test_id_columns_hold_one_string_per_distinct_value(self, tmp_path, route, text, scanned):
+        rows = [f"0.{i}," + row for i, row in enumerate(self.ID_ROWS)]
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.format(("\r\n" if "\r" in text else "\n").join(rows)).encode())
+        with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+            if route.endswith("pipe"):
+                _, n_rows, columns = through_pipe(path.read_bytes(), read_columns)
+            else:
+                _, n_rows, columns = read_columns(path)
+        assert scan.called == scanned
+        assert columns["probe_id"].tolist()[:5] == ["p1", "p1", "p2", "p1", "p2"]
+        assert columns["reference_id"].tolist()[:5] == ["r1", "r2", "r1", "r1", "r3"]
+        for key in ID_COLUMNS:
+            assert columns[key].dtype == object
+            assert one_object_per_value(columns[key])
+
+    def test_strip_merges_codes_of_equal_stripped_ids(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n0.5,p2\n"
+                         .encode())
+        _, _, columns = dataset.read_coded(path, ["probe_id"])
+        assert columns["probe_id"].values.tolist() == [" p1", "p2", "p1\t", "p1\u3000"]
+        stripped = dataset.strip_ids(columns["probe_id"])
+        assert stripped.values.tolist() == ["p1", "p2"]
+        assert stripped.codes.tolist() == [0, 1, 0, 0, 1]
+        assert one_object_per_value(stripped.values[stripped.codes])
+
+    def test_lines_of_a_plain_file_slice_like_a_list(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        rows = [f"0.{i},p{i % 3}" for i in range(10)]
+        path.write_bytes(("\n\nscore,probe_id\n\n" + "\n\n".join(rows) + "\n").encode())
+        _, n_rows, _, lines = read_to_append(path, ["score"])
+        assert n_rows == len(lines) == 10 and list(lines) == rows
+        for part in (slice(None), slice(3, 7), slice(-4, None), slice(8, 3), slice(None, None, 3),
+                     slice(9, 0, -2), slice(5, 50)):
+            assert lines[part] == rows[part]
+        assert (lines[0], lines[-1]) == (rows[0], rows[-1])
 
     @pytest.mark.parametrize("text", [
         'score,id\n0.5,"a,b"\n0.25,"c"\n',

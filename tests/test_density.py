@@ -437,6 +437,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", ["x", [0.5], {"a": 1}, None])
+    def test_non_numeric_prior_names_field(self, tmp_path, bad):
+        path, doc = self._saved_doc(tmp_path)
+        doc["prior_genuine"] = bad
+        path.write_text(json.dumps(doc))
+        message = f"prior_genuine must be a number, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", [
+        "prior_genuine", "genuine", "imposter.bandwidth", "genuine.grid_min",
+        "imposter.grid_max", "genuine.grid_resolution", "imposter.grid_values",
+    ])
+    def test_missing_field_names_class_and_field(self, tmp_path, field):
+        path, doc = self._saved_doc(tmp_path)
+        *parents, key = field.split(".")
+        del (doc[parents[0]] if parents else doc)[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f": missing field {field!r}")):
+            load_model(path)
+
     @pytest.mark.parametrize("bad", ["x", [1.0], {"a": 1}])
     def test_non_numeric_grid_value_names_field(self, tmp_path, bad):
         path, doc = self._saved_doc(tmp_path)

@@ -1,0 +1,44 @@
+"""Peak memory of ``score`` and ``fuse`` per input row, traced in-process.
+
+An id column costs one string per distinct value and a code per row, and
+``score`` copies a plain file's lines from its bytes a chunk at a time, so
+neither command holds a Python string per input row. The bounds sit between
+the peaks of the earlier per-row strings (about 240 bytes per row for
+``score`` and 315 for ``fuse`` on this input) and today's (about 155 and
+165).
+"""
+
+import tracemalloc
+
+import pytest
+
+import picscore.pic  # noqa: F401  imported here, so that no import is traced
+from picscore.cli import main
+from picscore.dataset import save_scores
+from picscore.density import fit_model, save_model
+from picscore.synth import SynthConfig, generate
+
+N_ROWS = 40000
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("memory")
+    scores = generate(SynthConfig(n_genuine=N_ROWS // 2, n_imposter=N_ROWS // 2,
+                                  refs_per_probe=8, seed=3))
+    save_scores(scores, folder / "scores.csv")
+    train = generate(SynthConfig(n_genuine=500, n_imposter=500, seed=4))
+    save_model(fit_model(train, resolution=512), folder / "model.json")
+    return folder
+
+
+@pytest.mark.parametrize("command, bytes_per_row", [("score", 200), ("fuse", 240)])
+def test_peak_bytes_per_input_row(inputs, command, bytes_per_row):
+    argv = [command, inputs / "model.json", inputs / "scores.csv", inputs / f"{command}.csv"]
+    tracemalloc.start()
+    try:
+        assert main([str(arg) for arg in argv]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / N_ROWS < bytes_per_row
