@@ -23,6 +23,7 @@ from . import __version__
 from .dataset import (
     GENUINE,
     IdColumn,
+    check_labels,
     check_rows,
     fail_first_row,
     label_codes,
@@ -30,7 +31,6 @@ from .dataset import (
     load_scores,
     parse_floats,
     parse_labels,
-    read_coded,
     read_columns,
     read_to_append,
     save_scores,
@@ -156,9 +156,9 @@ def _require_ids(probes: IdColumn, claimed: IdColumn) -> None:
                    lambda i: "probe_id and subject_b are required for fusion")
 
 
-def _require_one_label(labels, groups: np.ndarray, first: np.ndarray, probes, claimed) -> None:
-    """Every row's label, normalized, equals that of its group's first row."""
-    label = label_codes(labels)
+def _require_one_label(label: np.ndarray, groups: np.ndarray, first: np.ndarray, probes,
+                       claimed) -> None:
+    """Every row's label code (``label_codes``) equals that of its group's first row."""
     fail_first_row(label != label[first][groups], lambda i: (
         f"group ({probes.values[probes.codes[i]]}, {claimed.values[claimed.codes[i]]}) "
         "mixes genuine and imposter labels"))
@@ -177,7 +177,7 @@ def cmd_fuse(args) -> None:
 
     model = load_model(args.model)
     needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_coded(args.input, needed)
+    _, n_rows, columns = read_columns(args.input, needed)
     _require_columns(columns, needed, args.input)
 
     probes = strip_ids(columns["probe_id"])
@@ -187,12 +187,15 @@ def cmd_fuse(args) -> None:
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes
     first = order[starts]  # each group's first row
-    _, is_genuine, scores, _ = check_rows(
+    codes = label_codes(columns["label"])
+    _, _, scores, _ = check_rows(
         lambda: _require_ids(probes, claimed),
-        lambda: parse_labels(columns["label"], "label"),
+        lambda: check_labels(codes, columns["label"], "label"),
         lambda: parse_floats(columns["score"], "score"),
-        lambda: _require_one_label(columns["label"], groups, first, probes, claimed),
+        lambda: _require_one_label(codes, groups, first, probes, claimed),
     )
+    is_genuine = codes == 0
+    del codes  # not held through fuse_groups, the command's peak
 
     # The first --max-refs rows of each group in file order.
     rank = np.arange(n_rows) - np.repeat(starts, sizes)

@@ -1,7 +1,8 @@
 """The columnar score table, CSV reading and writing, and subject-exclusive splitting.
 
-The CSV readers (``read_columns``, ``parse_*``, ``check_rows``) and the CSV writer
-(``write_rows``) also serve every CLI command.
+The CSV readers (``read_columns``, and ``read_to_append``, which adds each row's
+line; ``parse_*``, ``check_rows``) and the CSV writer (``write_rows``) also serve
+every CLI command.
 """
 
 from __future__ import annotations
@@ -114,19 +115,20 @@ class IdColumn(NamedTuple):
 def read_columns(
     path: str | Path,
     names: Iterable[str] | None = None,
-) -> tuple[list[str], int, dict[str, np.ndarray]]:
+) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn]]:
     """Read a CSV file with a header row into columns of raw strings or numbers.
 
     Returns ``(header, n_rows, columns)``: the header as written, the number
-    of data rows, and one array per column keyed by the column name stripped
-    and lower-cased, in header order. ``names`` (lower case) selects the
-    columns returned; those the file lacks are left out, and ``None`` returns
-    every column, the number columns among them as numbers (see below).
+    of data rows, and the columns, each keyed by its name stripped and
+    lower-cased, in header order. ``names`` (lower case) selects the
+    columns returned; those the file lacks are left out, and ``None``
+    returns every column, the number columns among them as numbers (see
+    below).
     Quoting and line endings follow the ``csv`` module; blank lines are
     skipped and not counted as rows. Every row must have as many fields as
     the header, and no two header names may be equal.
 
-    A column is an array of ``str`` objects, with two exceptions. A number
+    A column is an array of ``str`` objects, with three exceptions. A number
     column (``score``, ``pic`` or ``confidence``, listed in
     ``_NUMBER_COLUMNS``) is a float64 array when every one of its fields
     parses as a finite number. Those numbers are parsed by numpy with
@@ -134,7 +136,9 @@ def read_columns(
     what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
     may be a ``"U9"`` array (see below), which holds the same strings;
     ``parse_labels`` and ``label_codes`` take either kind. An id column
-    (``ID_COLUMNS``) holds one ``str`` object per distinct value (``read_coded``).
+    (``ID_COLUMNS``) is an ``IdColumn``, coded as it is read: numpy passes
+    each id field to a dict lookup that gives a new string the next code,
+    and stores only the code.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
@@ -148,23 +152,10 @@ def read_columns(
     rejects the file, a number column holds a non-finite value, or a label
     field fills all 9 characters, the same text is read again as strings
     with ``csv.reader`` (``_scan_rows``), which names the first row with a
-    bad field count, or returns every column as strings if it finds none.
-    ``parse_floats`` then names the first bad number, including those
-    ``float()`` accepts and numpy does not, such as ``1_0`` or non-ASCII
-    digits.
-    """
-    header, n_rows, columns = read_coded(path, names)
-    return header, n_rows, _decoded(columns)
-
-
-def read_coded(
-    path: str | Path,
-    names: Iterable[str] | None = None,
-) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn]]:
-    """``read_columns`` with each id column as an ``IdColumn``, coded as it is read.
-
-    numpy passes each id field to a dict lookup that gives a new string the
-    next code, and stores only the code; ``_scan_rows`` codes the same way.
+    bad field count, or returns the columns as strings, and codes the id
+    columns, if it finds none. ``parse_floats`` then names the first bad
+    number, including those ``float()`` accepts and numpy does not, such
+    as ``1_0`` or non-ASCII digits.
     """
     header, n_rows, columns, _ = _read(path, names, copy=False)
     return header, n_rows, columns
@@ -173,35 +164,26 @@ def read_coded(
 def read_to_append(
     path: str | Path,
     names: Iterable[str],
-) -> tuple[list[str], int, dict[str, np.ndarray], Sequence[str]]:
-    """Read a CSV file that is to be written out again with columns appended.
+) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn], Sequence[str]]:
+    """``read_columns(path, names)`` plus ``lines``, for a file to be written out again.
 
-    Returns ``(header, n_rows, columns, lines)``: the first three as
-    ``read_columns`` returns them for ``names``, and every data row as the
-    CSV line, without its line end, that ``write_rows`` writes for it; pass
-    them to ``write_rows`` as its ``lines``. A plain file, a regular one
-    that numpy reads from its path and that holds no ``"``, is already
-    written that way: numpy reads only the ``names`` columns, and ``lines``
-    holds the file's bytes and the offsets of its non-blank lines, split at
-    ``\n`` only, and decodes a slice of them when it is taken. Any other
-    input is read once, every column as strings, and ``lines`` is a list of
-    its rows quoted again; its number columns are strings too.
+    ``lines`` holds every data row as the CSV line, without its line end,
+    that ``write_rows`` writes for it; pass them to ``write_rows`` as its
+    ``lines``. A plain file, a regular one that numpy reads from its path
+    and that holds no ``"``, is already written that way: ``lines`` holds
+    its bytes and the offsets of its non-blank lines, and decodes a slice
+    of them when it is taken. Any other input's ``lines`` are a list of its
+    rows quoted again.
     """
-    header, n_rows, columns, lines = _read(path, names, copy=True)
-    return header, n_rows, _decoded(columns), lines
-
-
-def _decoded(columns: dict) -> dict[str, np.ndarray]:
-    return {key: column.values[column.codes] if isinstance(column, IdColumn) else column
-            for key, column in columns.items()}
+    return _read(path, names, copy=True)
 
 
 def _read(path, names, copy: bool):
-    """``read_coded``, and with ``copy`` the data lines of ``read_to_append``."""
+    """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
         route = _route(path, handle)
         source = handle
-        if route == _TEXT:  # read once; ``_scan_rows`` may read it again
+        if route == _TEXT:  # read once; ``_scan_rows`` and ``lines`` may read it again
             source = io.TextIOWrapper(io.BytesIO(handle.buffer.read()),
                                       encoding=handle.encoding, newline="")
         reader = csv.reader(source)
@@ -213,19 +195,16 @@ def _read(path, names, copy: bool):
             if key in keys[:i]:
                 raise ValueError(f"{path}: duplicate column {key!r}")
         names = set(keys if names is None else names)
-        if copy and route != _PLAIN:  # the rows are rebuilt from every column's strings
-            wanted, floats = set(keys), set()
-        else:
-            wanted, floats = names, names.intersection(keys, _NUMBER_COLUMNS)
-        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
+        floats = names.intersection(keys, _NUMBER_COLUMNS)
+        narrow = names.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
-                     if key in wanted and key in ID_COLUMNS}
+                     if key in names and key in ID_COLUMNS}
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
                                       f"U{_LABEL_WIDTH}" if key in narrow else
                                       np.intp if i in interners else
-                                      object if key in wanted else "U0"
+                                      object if key in names else "U0"
                                       for i, key in enumerate(keys)]})
         try:
             with warnings.catch_warnings():
@@ -242,7 +221,7 @@ def _read(path, names, copy: bool):
             # A number column is copied, so that it does not keep the table's strings alive.
             columns = {key: table[f"f{i}"].copy() if key in floats else
                        _id_column(table[f"f{i}"], interners[i]) if i in interners else
-                       table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
+                       table[f"f{i}"] for i, key in enumerate(keys) if key in names}
             if (all(np.isfinite(columns[key]).all() for key in floats)
                     and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
                                 for key in narrow)):
@@ -250,19 +229,17 @@ def _read(path, names, copy: bool):
             else:
                 table = None
         if table is None:
-            source.seek(0)
-            n_rows, columns = _scan_rows(source, keys, wanted)
+            n_rows, columns = _scan_rows(source, keys, names)
         lines = None
         if copy and route == _PLAIN:
             # The bytes are read whole: the output may be this very file.
             source.seek(0)
             lines = _Lines(source.buffer.read(), reader.line_num, source.encoding)
+        elif copy:  # a list, read whole for the same reason
+            lines = [",".join(_quoted(row)) for row in _data_rows(source)]
     if not n_rows:
         raise ValueError(f"{path}: no records")
-    if copy and lines is None:
-        lines = list(map(",".join, zip(*(_quoted(column.tolist())
-                                          for column in _decoded(columns).values()))))
-    return header, n_rows, {key: columns[key] for key in columns if key in names}, lines
+    return header, n_rows, columns, lines
 
 
 def _id_column(codes: np.ndarray, interner: dict) -> IdColumn:
@@ -349,26 +326,31 @@ def _first_row(reader) -> list[str] | None:
     return row
 
 
+def _data_rows(source):
+    """The non-blank rows after the header of the text ``source``, read from its start."""
+    source.seek(0)
+    reader = csv.reader(source)
+    _first_row(reader)
+    return filter(None, reader)
+
+
 def _scan_rows(source, keys: list[str], wanted: set[str]):
     """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
 
-    ``source`` is the text, open at its start. Runs only after numpy has
-    rejected the file or found a non-finite number: raises ``RowError`` at
-    the first row whose field count differs from the header's, and
-    otherwise returns ``(n_rows, columns)`` with every wanted column as
-    ``str`` objects, an id column coded as an ``IdColumn``.
+    ``source`` is the text. Runs only after numpy has rejected the file,
+    found a non-finite number or read a label field that fills all 9
+    characters: raises ``RowError`` at the first row whose field count
+    differs from the header's, and otherwise returns ``(n_rows, columns)``
+    with every wanted column as ``str`` objects, an id column coded as an
+    ``IdColumn``.
     """
     width = len(keys)
-    reader = csv.reader(source)
-    _first_row(reader)  # the header
     # One flat list of all fields: a list per row would leave one
     # container per row for the cyclic GC to rescan.
     flat: list[str] = []
     extend = flat.extend
-    for row in reader:
+    for row in _data_rows(source):
         if len(row) != width:
-            if not row:
-                continue
             row_number = len(flat) // width + 1
             raise RowError(row_number, f"expected {width} fields, got {len(row)}")
         extend(row)
@@ -497,11 +479,12 @@ def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
     Unknown values fail as ``row N: unknown <name> '...'``.
     """
     codes = label_codes(column)
-    _check_labels(codes, column, name)
+    check_labels(codes, column, name)
     return codes == 0
 
 
-def _check_labels(codes: np.ndarray, column, name: str) -> None:
+def check_labels(codes: np.ndarray, column, name: str) -> None:
+    """Fail at the first row of ``column`` whose ``label_codes`` code is not a label's."""
     fail_first_row(codes > 1, lambda i: f"unknown {name} {str(column[i])!r}")
 
 
@@ -548,12 +531,14 @@ def load_scores(path: str | Path) -> ScoreTable:
     different subjects fails with the number of the lowest bad row.
     """
     path = Path(path)
-    _, n_rows, columns = read_coded(path, CSV_COLUMNS)
+    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
     blank = IdColumn(np.zeros(n_rows, dtype=np.intp), np.array([""], dtype=object))
-    ids = _decoded({name: strip_ids(columns.pop(name)) if name in columns else blank
-                    for name in ID_COLUMNS})
+    ids = {}
+    for name in ID_COLUMNS:
+        column = strip_ids(columns.pop(name)) if name in columns else blank
+        ids[name] = column.values[column.codes]
     labels = columns["label"]
     codes = label_codes(labels)
     is_genuine = codes == 0
@@ -561,7 +546,7 @@ def load_scores(path: str | Path) -> ScoreTable:
     # can still name a lower row than the label check.
     scores, _, _ = check_rows(
         lambda: parse_floats(columns["score"], "score"),
-        lambda: _check_labels(codes, labels, "label"),
+        lambda: check_labels(codes, labels, "label"),
         lambda: _check_subjects(is_genuine, ids["subject_a"], ids["subject_b"]),
     )
     return ScoreTable(scores, is_genuine, **ids)

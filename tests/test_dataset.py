@@ -20,6 +20,7 @@ from picscore.dataset import (
     ID_COLUMNS,
     IMPOSTER,
     LABELS,
+    IdColumn,
     RowError,
     ScoreTable,
     check_rows,
@@ -286,6 +287,18 @@ def reference_line(row):
                     else field for field in row)
 
 
+def decoded(column):
+    """A column as an array of its values: an ``IdColumn`` as ``values[codes]``."""
+    return column.values[column.codes] if isinstance(column, IdColumn) else column
+
+
+def layout(columns):
+    """Each column's parts as dtype and values: an ``IdColumn``'s codes and values, or the array."""
+    return {key: [(part.dtype, part.tolist())
+                  for part in (column if isinstance(column, IdColumn) else [column])]
+            for key, column in columns.items()}
+
+
 def one_object_per_value(column):
     """Whether equal strings in ``column`` are one object."""
     return len(set(map(id, column))) == len(set(column))
@@ -319,13 +332,13 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
         got_header, got_rows, got_columns = read_columns(path, names)
         append_header, append_rows, append_columns, lines = read_to_append(path, names)
     assert (got_header, got_rows) == (append_header, append_rows) == (header, n_rows)
-    assert {key: column.tolist() for key, column in got_columns.items()} == columns
-    assert {key: column.tolist() for key, column in append_columns.items()} == columns
+    assert {key: decoded(column).tolist() for key, column in got_columns.items()} == columns
+    assert {key: decoded(column).tolist() for key, column in append_columns.items()} == columns
     _, _, every_column = reference_read(path)
     assert list(lines) == list(map(reference_line, zip(*every_column.values())))
     assert lines[:] == list(lines)
     for key in set(ids).intersection(got_columns):
-        assert one_object_per_value(got_columns[key])
+        assert one_object_per_value(decoded(got_columns[key]))
     label_keys = sorted(set(labels).intersection(columns))
     assert (parsed(parse_labels, got_columns, label_keys)
             == parsed(reference_labels, columns, label_keys))
@@ -380,7 +393,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label,probe_id\n0.5,genuine,"p\r1"\n0.4,imposter,p2\n')
         _, _, columns = read_columns(path)
-        assert columns["probe_id"].tolist() == ["p\r1", "p2"]
+        assert decoded(columns["probe_id"]).tolist() == ["p\r1", "p2"]
         assert parse_labels(columns["label"], "label").tolist() == [True, False]
 
     @pytest.mark.parametrize("label", ["genuine\x00", " genuine  x", "imposterxx"])
@@ -414,7 +427,7 @@ class TestReadColumns:
             f"0.{i % 10},{LABELS[i % 2]},p{i}\n" for i in range(20000))
         header, n_rows, columns = through_pipe(text.encode(), read_columns)
         assert (header, n_rows) == (["score", "label", "probe_id"], 20000)
-        assert columns["probe_id"][-1] == "p19999"
+        assert decoded(columns["probe_id"])[-1] == "p19999"
         assert parse_labels(columns["label"], "label").tolist() == [True, False] * 10000
 
     @pytest.mark.parametrize("text, message", [
@@ -463,17 +476,17 @@ class TestReadColumns:
             else:
                 _, n_rows, columns = read_columns(path)
         assert scan.called == scanned
-        assert columns["probe_id"].tolist()[:5] == ["p1", "p1", "p2", "p1", "p2"]
-        assert columns["reference_id"].tolist()[:5] == ["r1", "r2", "r1", "r1", "r3"]
+        assert decoded(columns["probe_id"]).tolist()[:5] == ["p1", "p1", "p2", "p1", "p2"]
+        assert decoded(columns["reference_id"]).tolist()[:5] == ["r1", "r2", "r1", "r1", "r3"]
         for key in ID_COLUMNS:
-            assert columns[key].dtype == object
-            assert one_object_per_value(columns[key])
+            assert decoded(columns[key]).dtype == object
+            assert one_object_per_value(decoded(columns[key]))
 
     def test_strip_merges_codes_of_equal_stripped_ids(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n0.5,p2\n"
                          .encode())
-        _, _, columns = dataset.read_coded(path, ["probe_id"])
+        _, _, columns = read_columns(path, ["probe_id"])
         assert columns["probe_id"].values.tolist() == [" p1", "p2", "p1\t", "p1\u3000"]
         stripped = dataset.strip_ids(columns["probe_id"])
         assert stripped.values.tolist() == ["p1", "p2"]
@@ -491,17 +504,41 @@ class TestReadColumns:
             assert lines[part] == rows[part]
         assert (lines[0], lines[-1]) == (rows[0], rows[-1])
 
-    @pytest.mark.parametrize("text", [
-        'score,id\n0.5,"a,b"\n0.25,"c"\n',
-        "score,id\r\n0.5,a\r\n0.25,c\r\n",
-    ], ids=["quoted", "crlf"])
-    def test_other_input_rows_are_quoted_again(self, tmp_path, text):
+    @pytest.mark.parametrize("text, pipe, scores", [
+        ('score,id\n0.5,"a,b"\n0.25,"c"\n', False, [0.5, 0.25]),
+        ("score,id\r\n0.5,a\r\n0.25,c\r\n", False, [0.5, 0.25]),
+        ("score,id\n0.5,a\n\n0.25,c\n", True, [0.5, 0.25]),
+        ('score,id\n0.5,"a,b"\nnan,c\n', False, ["0.5", "nan"]),
+    ], ids=["quoted", "crlf", "pipe", "fallback"])
+    def test_other_input_rows_are_quoted_again(self, tmp_path, text, pipe, scores):
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode())
-        _, n_rows, columns, lines = read_to_append(path, ["score"])
+        def read(source):
+            return read_to_append(source, ["score"])
+
+        _, n_rows, columns, lines = through_pipe(text.encode(), read) if pipe else read(path)
         assert n_rows == 2 and lines == [reference_line(row) for row in csv.reader(
-            io.StringIO(text, newline=""))][1:]
-        assert list(columns) == ["score"] and columns["score"].tolist() == ["0.5", "0.25"]
+            io.StringIO(text, newline="")) if row][1:]
+        assert list(columns) == ["score"] and columns["score"].tolist() == scores
+
+    @pytest.mark.parametrize("text, pipe", [
+        ("score,label,probe_id\n0.5,genuine,p1\n\n0.25,imposter,p1\n", False),
+        ('score,label,probe_id\n0.5,genuine,"p,1"\n0.25,imposter,"p,1"\n', False),
+        ("score,label,probe_id\r\n0.5,genuine,p1\r\n0.25,imposter,p1\r\n", False),
+        ("score,label,probe_id\n0.5,genuine,p1\n\n0.25,imposter,p1\n", True),
+        ("score,label,probe_id\n0.5,genuine,p1\nnan,imposter,p1\n", False),
+    ], ids=["plain", "quoted", "crlf", "pipe", "fallback"])
+    def test_append_read_returns_the_columns_read(self, tmp_path, text, pipe):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        names = ["score", "label", "probe_id"]
+        reads = [lambda source: read_columns(source, names),
+                 lambda source: read_to_append(source, names)[:3]]
+        (header, n_rows, columns), (append_header, append_rows, append_columns) = [
+            through_pipe(text.encode(), read) if pipe else read(path) for read in reads]
+        assert (append_header, append_rows) == (header, n_rows) == (names, 2)
+        assert layout(append_columns) == layout(columns)
+        assert isinstance(columns["probe_id"], IdColumn)
 
     def test_plain_file_with_a_compressed_suffix(self, tmp_path):
         path = tmp_path / "scores.csv.gz"
