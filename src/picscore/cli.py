@@ -195,7 +195,7 @@ def cmd_fuse(args) -> None:
         lambda: _require_one_label(codes, groups, first, probes, claimed),
     )
     is_genuine = codes == 0
-    del codes  # not held through fuse_groups, the command's peak
+    del codes, columns  # not held through fuse_groups, the command's peak
 
     # The first --max-refs rows of each group in file order.
     rank = np.arange(n_rows) - np.repeat(starts, sizes)

@@ -218,9 +218,10 @@ def _read(path, names, copy: bool):
         except ValueError:
             table = None
         if table is not None:
-            # A number column is copied, so that it does not keep the table's strings alive.
+            # Number and id code columns are copied, so that they do not keep
+            # the table's strings alive; each id dict is freed once its column is built.
             columns = {key: table[f"f{i}"].copy() if key in floats else
-                       _id_column(table[f"f{i}"], interners[i]) if i in interners else
+                       _id_column(table[f"f{i}"].copy(), interners.pop(i)) if i in interners else
                        table[f"f{i}"] for i, key in enumerate(keys) if key in names}
             if (all(np.isfinite(columns[key]).all() for key in floats)
                     and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()

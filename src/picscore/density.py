@@ -1,9 +1,9 @@
 """Gaussian kernel density estimation with tabulated lookup grids.
 
 Genuine and imposter score distributions are each fitted with a Gaussian
-KDE. The fitted density is tabulated on a uniform grid spanning the data
-range plus five bandwidths per side, which keeps the untabulated tail mass
-below 1e-4, and queries linearly interpolate that grid. The grid is all a
+KDE, and a model tabulates both on one uniform grid spanning their data
+plus five bandwidths per side, which keeps the untabulated tail mass
+below 1e-4; queries linearly interpolate that grid. The grid is all a
 fitted density keeps, so a model reloaded from disk equals the fitted one.
 The grid is tabulated with ``kernel_density``, the exact kernel sum, which
 also serves as the reference the lookups are checked against. It skips
@@ -102,18 +102,18 @@ class KdeDensity:
         return grid
 
 
-def _kernel_sum(train: np.ndarray, bandwidth: float, queries: np.ndarray) -> np.ndarray:
-    """Gaussian KDE at ``queries`` from the training points within 9h of each.
+def kernel_density(scores, bandwidth: float, queries) -> np.ndarray:
+    """The exact Gaussian KDE of ``scores`` at ``queries``, floored at ``DENSITY_FLOOR``.
 
-    The training scores are sorted once; the sorted queries are walked in
-    blocks, and ``searchsorted`` finds the training points within
-    ``_WINDOW_BANDWIDTHS * bandwidth`` of the block. Every omitted term is
-    below phi(9) / (n * h), so the absolute error is below
-    phi(9) / h ~= 1.03e-18 / h, which is under ``DENSITY_FLOOR`` for any
-    h > 1.03e-6. A block's (block x window) buffer holds at most
-    ``_BLOCK_CELLS`` entries.
+    Sums the kernel over the training scores within nine bandwidths of each
+    query, off by less than phi(9) / h (see the module docstring). The
+    sorted queries are walked in blocks, and ``searchsorted`` finds each
+    block's window in the sorted training scores; a block's (block x window)
+    buffer holds at most ``_BLOCK_CELLS`` entries. Returns one value per
+    query, flattened; NaN queries give NaN.
     """
-    train = np.sort(train)
+    train = np.sort(np.asarray(scores, dtype=float).ravel())
+    queries = np.asarray(queries, dtype=float).ravel()
     order = np.argsort(queries, kind="stable")
     sorted_queries = queries[order]
     block = max(1, min(_QUERY_BLOCK, _BLOCK_CELLS // max(train.size, 1)))
@@ -133,24 +133,13 @@ def _kernel_sum(train: np.ndarray, bandwidth: float, queries: np.ndarray) -> np.
         terms *= -0.5
         np.exp(terms, out=terms)
         sums[start:end] = terms.sum(axis=1) * scale
+    np.maximum(sums, DENSITY_FLOOR, out=sums)
     # NaN queries sort last and get an empty window; keep them NaN, as a
     # full sum would.
     sums[np.isnan(sorted_queries)] = np.nan
     out = np.empty_like(sums)
     out[order] = sums
     return out
-
-
-def kernel_density(scores, bandwidth: float, queries) -> np.ndarray:
-    """The exact Gaussian KDE of ``scores`` at ``queries``, floored at ``DENSITY_FLOOR``.
-
-    Sums the kernel over the training scores within nine bandwidths of each
-    query; the terms left out add less than phi(9) / h ~= 1.03e-18 / h in
-    total. Returns one value per query, flattened; NaN queries give NaN.
-    """
-    scores = np.asarray(scores, dtype=float).ravel()
-    queries = np.asarray(queries, dtype=float).ravel()
-    return np.maximum(_kernel_sum(scores, bandwidth, queries), DENSITY_FLOOR)
 
 
 def fit_kde(
@@ -182,16 +171,17 @@ def fit_kde(
         raise ValueError(f"grid resolution must be >= 2, got {resolution}")
 
     h = default_bandwidth(scores) if bandwidth is None else float(bandwidth)
-    if not h > 0.0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
 
     if grid_range is None:
         lo = float(scores.min()) - _GRID_PAD_BANDWIDTHS * h
         hi = float(scores.max()) + _GRID_PAD_BANDWIDTHS * h
     else:
         lo, hi = float(grid_range[0]), float(grid_range[1])
-        if not lo < hi:
-            raise ValueError(f"grid range must satisfy lo < hi, got ({lo}, {hi})")
+    if not (lo < hi and math.isfinite(hi - lo)):  # as ``load_model`` requires
+        raise ValueError(f"grid range must be finite with lo < hi, got ({lo}, {hi}) "
+                         f"at bandwidth {h}")
 
     grid = np.linspace(lo, hi, resolution)
     return KdeDensity(
@@ -205,33 +195,33 @@ def fit_kde(
 def eval_density(density: KdeDensity, s):
     """Evaluate a fitted density at score(s) ``s`` from its grid.
 
-    Linearly interpolates the tabulated grid and clamps out-of-grid queries
-    to the density floor. Results are always >= ``DENSITY_FLOOR``. The
-    queries are interpolated in sorted order, where ``np.interp`` finds each
-    one's grid cell from the last instead of by a fresh binary search, and
-    the results are put back in query order and shape; queries already in
-    ascending order are not sorted again. Each result depends only on its
-    query's value, so the order changes no bit.
+    Linearly interpolates the tabulated grid (``np.interp``, in query
+    order) and gives queries outside the grid the density floor. Results
+    are always >= ``DENSITY_FLOOR``; NaN queries give NaN. ``np.interp``
+    finds each query's grid cell from the last one's, so ascending queries,
+    as ``pic.log_likelihood_ratio`` passes them, are looked up fastest.
     """
     arr = np.asarray(s, dtype=float)
-    flat = arr.ravel()
-    ascending = (flat[1:] >= flat[:-1]).all()
-    order = slice(None) if ascending else np.argsort(flat)
-    values = np.interp(flat[order], density.grid_points(), density.grid_values,
+    values = np.interp(arr.ravel(), density.grid_points(), density.grid_values,
                        left=DENSITY_FLOOR, right=DENSITY_FLOOR)
-    if not ascending:  # back in query order
-        values[order] = values.copy()
     np.maximum(values, DENSITY_FLOOR, out=values)
     return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
 
 
 @dataclass(frozen=True)
 class DensityModel:
-    """Trained genuine/imposter densities on a shared grid, plus the class prior."""
+    """Both class densities, on one grid (equal bounds and resolution), and the prior."""
 
     genuine: KdeDensity
     imposter: KdeDensity
     prior_genuine: float = 0.5
+
+    def __post_init__(self):
+        for key in ("grid_min", "grid_max", "grid_resolution"):
+            got, want = getattr(self.imposter, key), getattr(self.genuine, key)
+            if got != want:
+                raise ValueError(f"imposter.{key} must equal genuine.{key}, got {got!r}, "
+                                 f"not {want!r}")
 
     @property
     def prior_imposter(self) -> float:
@@ -363,8 +353,9 @@ def load_model(path: str | Path) -> DensityModel:
     Rejects, naming the field: a ``prior_genuine`` outside (0, 1), a class
     entry that is not an object, a field that is not a number, a bandwidth
     that is not finite and positive, grid bounds that are not finite or not
-    increasing, a grid resolution that is not a whole number >= 2, and grid
-    values that are not finite or are negative.
+    increasing, a grid resolution that is not a whole number >= 2, grid
+    values that are not finite or are negative, and two classes on
+    different grids.
     """
     path = Path(path)
     try:

@@ -43,16 +43,18 @@ def _prior_logit(model: DensityModel) -> float:
 def log_likelihood_ratio(model: DensityModel, scores):
     """log g(s) - log f(s) for each score; scalar in, scalar out.
 
-    The scores are sorted once, and both classes are looked up on the
-    sorted copy (``eval_density`` does not sort it again). The genuine
-    log is taken into that copy's buffer and the result is put back in
-    query order in the imposter lookup's, so no more than three arrays of
-    the scores' size are alive at once.
+    A score beyond the model's grid gets the ratio at the nearest grid
+    edge; NaN gives NaN. The scores are sorted and clipped to the grid
+    once, and both classes are looked up on that copy, in ascending order.
+    The genuine log is taken into the copy's buffer and the result is put
+    back in query order in the imposter lookup's, so no more than three
+    arrays of the scores' size are alive at once.
     """
     arr = np.asarray(scores, dtype=float)
     flat = arr.ravel()
     order = np.argsort(flat)
     llr = flat[order]
+    np.clip(llr, model.genuine.grid_min, model.genuine.grid_max, out=llr)
     log_f = eval_density(model.imposter, llr)
     np.log(log_f, out=log_f)
     np.log(eval_density(model.genuine, llr), out=llr)

@@ -119,6 +119,18 @@ class TestTrainCommand:
         proc = run_subprocess(child_env, "train", synth_csv, tmp_path / "m.json", "--prior", "1.5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(("bandwidth", "message"), [
+        ("inf", "bandwidth must be finite and positive, got inf"),
+        ("1e308", "grid range must be finite with lo < hi, got (-inf, inf)"),
+    ], ids=["inf", "1e308"])
+    def test_bandwidth_that_cannot_be_saved_exit_2(self, tmp_path, synth_csv, capsys,
+                                                    bandwidth, message):
+        out = tmp_path / "m.json"
+        assert run_inprocess("train", synth_csv, out, "--bandwidth", bandwidth) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "warning" not in err
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
     def test_empty_class_exit_2(self, tmp_path):
         bad = tmp_path / "one_class.csv"
         bad.write_text("score,label\n0.9,genuine\n0.8,genuine\n")

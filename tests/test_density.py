@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from picscore.dataset import ScoreTable
 from picscore.density import (
     DENSITY_FLOOR,
     MODEL_VERSION,
-    _kernel_sum,
+    DensityModel,
     default_bandwidth,
     eval_density,
     fit_kde,
@@ -69,6 +70,23 @@ class TestFitKde:
         with pytest.raises(ValueError, match="bandwidth"):
             fit_kde([0.1, 0.2], bandwidth=0.0)
 
+    @pytest.mark.parametrize(("kwargs", "message"), [
+        ({"bandwidth": math.inf}, "bandwidth must be finite and positive, got inf"),
+        ({"bandwidth": math.nan}, "bandwidth must be finite and positive, got nan"),
+        ({"bandwidth": 1e308}, "grid range must be finite with lo < hi, got (-inf, inf)"),
+        ({"bandwidth": 3e307}, "got (-1.5e+308, 1.5e+308)"),  # its width overflows
+        ({"grid_range": (0.0, math.inf)}, "must be finite with lo < hi, got (0.0, inf)"),
+        ({"grid_range": (1.0, 0.0)}, "must be finite with lo < hi, got (1.0, 0.0)"),
+    ], ids=["inf", "nan", "1e308", "3e307", "infinite-range", "reversed-range"])
+    def test_fit_that_cannot_be_saved_is_rejected(self, kwargs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before the grid is built
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fit_kde([0.1, 0.2], **kwargs)
+            if "bandwidth" in kwargs:  # the grid range of a model is its classes'
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    fit_model(_toy_set([0.6, 0.9], [0.1, 0.2]), **kwargs)
+
     def test_grid_spans_five_bandwidths(self):
         density = fit_kde([0.2, 0.8], bandwidth=0.05)
         assert density.grid_min == pytest.approx(0.2 - 0.25)
@@ -124,7 +142,7 @@ def plain_lookup(density, s):
 
 
 class TestSortedLookup:
-    """``eval_density`` interpolates sorted queries; every result must equal the plain call's."""
+    """``eval_density`` in any query order: every result must equal the plain call's."""
 
     @pytest.fixture
     def density(self):
@@ -204,11 +222,11 @@ def _brute_kernel_sum(train, h, queries):
 class TestWindowedKernelSum:
     """The +-9h window against a full sum: every skipped term is below
     phi(9) / (n h), so the two differ by less than phi(9) / h ~= 1.03e-18 / h
-    plus rounding."""
+    plus rounding. Both are floored, which moves neither further apart."""
 
     def _assert_within_bound(self, train, h, queries):
-        window = _kernel_sum(train, h, queries)
-        brute = _brute_kernel_sum(train, h, queries)
+        window = kernel_density(train, h, queries)
+        brute = np.maximum(_brute_kernel_sum(train, h, queries), DENSITY_FLOOR)
         assert np.all(np.abs(window - brute) <= 1.03e-18 / h + 1e-14 * brute.max())
 
     def test_clusters_further_apart_than_window(self):
@@ -268,6 +286,17 @@ class TestFitModel:
         model = fit_model(_toy_set([0.6, 0.9], [0.0, 0.3]))
         assert model.genuine.grid_min == model.imposter.grid_min
         assert model.genuine.grid_max == model.imposter.grid_max
+
+    @pytest.mark.parametrize(("key", "change"), [
+        ("grid_min", lambda d: {"grid_min": d.grid_min - 0.5}),
+        ("grid_max", lambda d: {"grid_max": d.grid_max + 0.5}),
+        ("grid_resolution", lambda d: {"grid_values": d.grid_values[:-1]}),
+    ], ids=["grid_min", "grid_max", "grid_resolution"])
+    def test_classes_on_different_grids_name_the_field(self, key, change):
+        model = fit_model(_toy_set([0.6, 0.9], [0.0, 0.3]), resolution=64)
+        imposter = replace(model.imposter, **change(model.imposter))
+        with pytest.raises(ValueError, match=rf"^imposter\.{key} must equal genuine\.{key}, got "):
+            DensityModel(genuine=model.genuine, imposter=imposter)
 
     def test_empty_class_error(self):
         with pytest.raises(ValueError, match="genuine"):
@@ -407,6 +436,14 @@ class TestSerialization:
             )
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"genuine\.grid_min must be below"):
+            load_model(path)
+
+    def test_classes_on_different_grids_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["imposter"]["grid_max"] += 0.25
+        path.write_text(json.dumps(doc))
+        message = f"corrupt model file {path}: imposter.grid_max must equal genuine.grid_max"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
     def _saved_doc(self, tmp_path):

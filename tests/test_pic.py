@@ -72,7 +72,8 @@ class TestPicSingle:
 
 
 class TestLogLikelihoodRatio:
-    """One sort of the scores, then both class lookups: bit for bit the two lookups."""
+    """One sort and clip of the scores, then both class lookups: bit for bit the two
+    lookups at the scores clipped to the grid."""
 
     QUERIES = [
         0.5,
@@ -82,16 +83,19 @@ class TestLogLikelihoodRatio:
     ]
 
     def models(self, synth_model):
-        # Hand-built classes on different grids, and a fitted model.
-        different = DensityModel(genuine=flat_density([0.1, 0.4, 2.0, 3.0], lo=0.0, hi=1.0),
-                                 imposter=flat_density([3.0, 1.0, 0.5], lo=-0.5, hi=1.2))
-        return [different, ratio_model([1.0, 2.0, 4.0], [4.0, 2.0, 1.0]), synth_model[1]]
+        # A hand-built LLR that rises over three cells and falls over the
+        # last, one that rises everywhere, and a fitted model.
+        up_down = DensityModel(genuine=flat_density([0.1, 0.4, 2.0, 3.0, 0.5], lo=-0.5, hi=1.2),
+                               imposter=flat_density([3.0, 1.0, 0.5, 0.2, 2.0], lo=-0.5, hi=1.2))
+        return [up_down, ratio_model([1.0, 2.0, 4.0], [4.0, 2.0, 1.0]), synth_model[1]]
 
     @pytest.mark.parametrize("query", QUERIES, ids=["scalar", "unsorted", "2-D", "non-finite"])
     def test_matches_two_lookups(self, synth_model, query):
         for model in self.models(synth_model):
-            expected = (np.log(eval_density(model.genuine, query))
-                        - np.log(eval_density(model.imposter, query)))
+            # Off-grid scores are looked up at the nearest grid edge.
+            clipped = np.clip(query, model.genuine.grid_min, model.genuine.grid_max)
+            expected = (np.log(eval_density(model.genuine, clipped))
+                        - np.log(eval_density(model.imposter, clipped)))
             got = log_likelihood_ratio(model, query)
             assert type(got) is type(expected)
             assert np.array_equal(got, expected, equal_nan=True)
@@ -102,6 +106,36 @@ class TestLogLikelihoodRatio:
         with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
             log_likelihood_ratio(synth_model[1], scores)
         assert argsort.call_count == 1
+
+
+class TestOffGridPosterior:
+    """A score beyond the grid gets exactly the posterior at the nearest grid edge."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 101])
+    def model(self, request):
+        return fit_model(generate(SynthConfig(n_genuine=50000, n_imposter=50000,
+                                              seed=request.param)))
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_nearest_edge(self, model, data):
+        lo, hi = model.genuine.grid_min, model.genuine.grid_max
+        below = data.draw(st.lists(st.floats(max_value=lo, exclude_max=True), max_size=5))
+        above = data.draw(st.lists(st.floats(min_value=hi, exclude_min=True), max_size=5))
+        inside = data.draw(st.lists(st.floats(min_value=lo, max_value=hi), max_size=5))
+        below += [-np.inf, np.nextafter(lo, -np.inf)]
+        above += [np.inf, np.nextafter(hi, np.inf)]
+        scores = np.array([*below, *above, *inside, np.nan])
+        order = np.random.default_rng(len(scores)).permutation(scores.size)
+        got = np.empty(scores.size)
+        got[order] = pic_values(model, scores[order])
+
+        edges = pic_values(model, [lo, hi])
+        assert np.all(got[:len(below)] == edges[0])
+        assert np.all(got[len(below):len(below) + len(above)] == edges[1])
+        assert np.array_equal(got[-len(inside) - 1:-1], pic_values(model, inside))
+        assert np.isnan(got[-1])
+        assert pic_single(model, above[0]).value == edges[1]
 
 
 class TestPicMulti:
