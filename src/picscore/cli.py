@@ -35,7 +35,6 @@ from .dataset import (
     read_to_append,
     save_scores,
     split_subject_exclusive,
-    strip_ids,
     write_rows,
 )
 
@@ -180,8 +179,7 @@ def cmd_fuse(args) -> None:
     _, n_rows, columns = read_columns(args.input, needed)
     _require_columns(columns, needed, args.input)
 
-    probes = strip_ids(columns["probe_id"])
-    claimed = strip_ids(columns["subject_b"])
+    probes, claimed = columns["probe_id"], columns["subject_b"]
     groups = _pair_groups(probes, claimed)
     order = np.argsort(groups, kind="stable")  # file order within each group
     sizes = np.bincount(groups)

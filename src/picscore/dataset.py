@@ -35,27 +35,32 @@ ID_COLUMNS = CSV_COLUMNS[2:]
 class ScoreTable:
     """Labeled comparison scores: one numpy column per field, rows in order.
 
-    ``score`` is float64 and ``is_genuine`` bool; the id columns hold
-    stripped strings, ``""`` where blank (a column left out is all blank).
-    Rejects columns of unequal length and, naming the row, a non-finite
-    score or a genuine row whose two non-blank subjects differ.
+    ``score`` is float64 and ``is_genuine`` bool; an id column is an ``IdColumn``
+    (strings ``values[codes]``, ``""`` where blank), coded if given as strings
+    and all blank if left out. Rejects columns of unequal length and, naming
+    the row, a non-finite score or a genuine row whose two non-blank subjects differ.
     """
 
     score: np.ndarray
     is_genuine: np.ndarray
-    probe_id: np.ndarray | None = None
-    reference_id: np.ndarray | None = None
-    subject_a: np.ndarray | None = None
-    subject_b: np.ndarray | None = None
+    probe_id: IdColumn | Sequence[str] | None = None
+    reference_id: IdColumn | Sequence[str] | None = None
+    subject_a: IdColumn | Sequence[str] | None = None
+    subject_b: IdColumn | Sequence[str] | None = None
 
     def __post_init__(self):
         n = np.size(self.score)
         for field in fields(self):
             column = getattr(self, field.name)
-            dtype = {"score": float, "is_genuine": bool}.get(field.name, object)
-            column = np.full(n, "", dtype) if column is None else np.asarray(column, dtype)
-            if column.shape != (n,):
-                raise ValueError(f"column {field.name!r} has shape {column.shape}, expected ({n},)")
+            if field.name not in ID_COLUMNS:
+                column = np.asarray(column, float if field.name == "score" else bool)
+            elif column is None:
+                column = IdColumn(np.zeros(n, np.intp), np.array([""], dtype=object))
+            elif not isinstance(column, IdColumn):
+                column = _interned(column)
+            shape = (column.codes if field.name in ID_COLUMNS else column).shape
+            if shape != (n,):
+                raise ValueError(f"column {field.name!r} has shape {shape}, expected ({n},)")
             object.__setattr__(self, field.name, column)
         fail_first_row(~np.isfinite(self.score),
                        lambda i: f"comparison score must be finite, got {float(self.score[i])!r}")
@@ -81,12 +86,20 @@ class ScoreTable:
         return len(self) - self.n_genuine
 
 
-def _check_subjects(is_genuine: np.ndarray, subject_a: np.ndarray, subject_b: np.ndarray) -> None:
+def _check_subjects(is_genuine: np.ndarray, subject_a: IdColumn, subject_b: IdColumn) -> None:
+    a, b, subjects = _subject_codes(subject_a, subject_b)
     fail_first_row(
-        is_genuine & (subject_a != subject_b) & (subject_a != "") & (subject_b != ""),
+        is_genuine & (a != b) & (subjects != "")[a] & (subjects != "")[b],
         lambda i: f"genuine comparison between different subjects "
-                  f"({subject_a[i]!r} vs {subject_b[i]!r})",
+                  f"({subjects[a[i]]!r} vs {subjects[b[i]]!r})",
     )
+
+
+def _subject_codes(*columns: IdColumn):
+    """Both columns as codes into the sorted subjects their rows hold, and those subjects."""
+    held = [values[np.bincount(codes, minlength=values.size) > 0] for codes, values in columns]
+    subjects = np.array(sorted(set().union(*held)), dtype=object)  # np.unique imports numpy.ma
+    return *(np.searchsorted(subjects, values)[codes] for codes, values in columns), subjects
 
 
 class RowError(ValueError):
@@ -106,7 +119,7 @@ def fail_first_row(bad: np.ndarray, message) -> None:
 
 
 class IdColumn(NamedTuple):
-    """A column as ``values[codes]``: its distinct strings in order of first row, and codes."""
+    """A column as ``values[codes]``: distinct strings, in no set order, and a code per row."""
 
     codes: np.ndarray
     values: np.ndarray
@@ -138,7 +151,8 @@ def read_columns(
     ``parse_labels`` and ``label_codes`` take either kind. An id column
     (``ID_COLUMNS``) is an ``IdColumn``, coded as it is read: numpy passes
     each id field to a dict lookup that gives a new string the next code,
-    and stores only the code.
+    and stores only the code. Each distinct value is then stripped with
+    ``str.strip``, and values that become equal share one code.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
@@ -243,14 +257,20 @@ def _read(path, names, copy: bool):
     return header, n_rows, columns, lines
 
 
-def _id_column(codes: np.ndarray, interner: dict) -> IdColumn:
-    return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
+def _id_column(codes: np.ndarray, values: Iterable[str]) -> IdColumn:
+    """A column read as ``codes`` into ``values``, each value stripped; equal results merge."""
+    values = list(values)
+    stripped = list(map(str.strip, values))
+    if stripped == values:  # no padding: the codes stand
+        return IdColumn(codes, np.array(values, dtype=object))
+    merged = _interned(stripped)
+    return IdColumn(merged.codes[codes], merged.values)
 
 
 def _interned(fields: Sequence[str]) -> IdColumn:
     interner = defaultdict(itertools.count().__next__)
     codes = np.fromiter(map(interner.__getitem__, fields), dtype=np.intp, count=len(fields))
-    return _id_column(codes, interner)
+    return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
 
 
 class _Lines(Sequence):
@@ -360,7 +380,8 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     table = np.fromiter(flat, dtype=object, count=len(flat))
     del flat, extend
     return table.size // width, {
-        key: _interned(table[i::width]) if key in ID_COLUMNS else table[i::width].copy()
+        key: _id_column(*_interned(table[i::width])) if key in ID_COLUMNS
+        else table[i::width].copy()
         for i, key in enumerate(keys) if key in wanted}
 
 
@@ -507,16 +528,6 @@ def check_rows(*checks):
     return results
 
 
-def strip_ids(column: IdColumn) -> IdColumn:
-    """An id column with ``str.strip`` applied to each distinct value, merging equal results."""
-    values = column.values.tolist()
-    stripped = list(map(str.strip, values))
-    if stripped == values:  # no padding: the codes stand
-        return column
-    merged = _interned(stripped)
-    return IdColumn(merged.codes[column.codes], merged.values)
-
-
 def label_column(is_genuine: np.ndarray) -> np.ndarray:
     """``genuine`` where ``is_genuine`` is set, else ``imposter``: one object per string."""
     return np.array((IMPOSTER, GENUINE), dtype=object)[np.asarray(is_genuine, dtype=np.intp)]
@@ -535,11 +546,8 @@ def load_scores(path: str | Path) -> ScoreTable:
     _, n_rows, columns = read_columns(path, CSV_COLUMNS)
     if "score" not in columns or "label" not in columns:
         raise ValueError(f"{path}: header must include 'score' and 'label' columns")
-    blank = IdColumn(np.zeros(n_rows, dtype=np.intp), np.array([""], dtype=object))
-    ids = {}
-    for name in ID_COLUMNS:
-        column = strip_ids(columns.pop(name)) if name in columns else blank
-        ids[name] = column.values[column.codes]
+    blank = IdColumn(np.zeros(n_rows, np.intp), np.array([""], dtype=object))
+    ids = {name: columns.pop(name) if name in columns else blank for name in ID_COLUMNS}
     labels = columns["label"]
     codes = label_codes(labels)
     is_genuine = codes == 0
@@ -558,7 +566,7 @@ def save_scores(table: ScoreTable, path: str | Path) -> None:
     write_rows(path, CSV_COLUMNS, [
         table.score,
         label_column(table.is_genuine),
-        *(getattr(table, name) for name in ID_COLUMNS),
+        *(values[codes] for codes, values in map(table.__getattribute__, ID_COLUMNS)),
     ])
 
 
@@ -584,15 +592,11 @@ def split_subject_exclusive(
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if not len(table):
         raise ValueError("cannot split an empty score table")
-    fail_first_row((table.subject_a == "") | (table.subject_b == ""),
+    a, b, subjects = _subject_codes(table.subject_a, table.subject_b)
+    fail_first_row((subjects == "")[a] | (subjects == "")[b],
                    lambda i: "subject_a and subject_b are required for splitting")
-
-    subjects = sorted(set(table.subject_a) | set(table.subject_b))
     if len(subjects) < 2:
         raise ValueError("cannot split: all records belong to a single subject")
-    code = {subject: i for i, subject in enumerate(subjects)}
-    a = np.fromiter(map(code.__getitem__, table.subject_a), dtype=np.intp, count=len(table))
-    b = np.fromiter(map(code.__getitem__, table.subject_b), dtype=np.intp, count=len(table))
     # A genuine row's two subjects are equal (the table checks it).
     weight = np.bincount(a[table.is_genuine], minlength=len(subjects)).tolist()
 
@@ -620,4 +624,5 @@ def split_subject_exclusive(
 
 
 def _rows(table: ScoreTable, mask: np.ndarray) -> ScoreTable:
-    return ScoreTable(*(getattr(table, field.name)[mask] for field in fields(ScoreTable)))
+    return ScoreTable(table.score[mask], table.is_genuine[mask], *(
+        IdColumn(codes[mask], values) for codes, values in map(table.__getattribute__, ID_COLUMNS)))

@@ -128,8 +128,9 @@ def kernel_density(scores, bandwidth: float, queries) -> np.ndarray:
     for start, end, lo, hi in zip(starts, ends, lows, highs):
         # exp(-z^2 / 2) in place, in one (block x window) buffer.
         terms = np.subtract(sorted_queries[start:end, None], train[None, lo:hi])
-        terms /= bandwidth
-        terms *= terms
+        with np.errstate(over="ignore"):  # at a tiny bandwidth z^2 = inf, and exp(-inf) = 0
+            terms /= bandwidth
+            terms *= terms
         terms *= -0.5
         np.exp(terms, out=terms)
         sums[start:end] = terms.sum(axis=1) * scale
@@ -173,6 +174,8 @@ def fit_kde(
     h = default_bandwidth(scores) if bandwidth is None else float(bandwidth)
     if not 0.0 < h < math.inf:
         raise ValueError(f"bandwidth must be finite and positive, got {h}")
+    if not math.isfinite(1.0 / (scores.size * h * _SQRT_2PI)):
+        raise ValueError(f"bandwidth {h} is too small: the kernel's peak height overflows")
 
     if grid_range is None:
         lo = float(scores.min()) - _GRID_PAD_BANDWIDTHS * h

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreTable
+from .dataset import IdColumn, ScoreTable
 from .pic import _stable_sigmoid
 
 
@@ -68,15 +68,19 @@ def generate(config: SynthConfig) -> ScoreTable:
     group = index // config.refs_per_probe
     subject_a = group % n
     subject_b = np.where(is_genuine, subject_a, (subject_a + 1 + (group // n) % (n - 1)) % n)
-    kind = np.where(is_genuine, "g", "i").tolist()
+    # A probe string per group (each starts where index % refs_per_probe == 0), a reference per row.
+    kinds = (("g", config.n_genuine), ("i", config.n_imposter))
+    probes = [f"{k}p{g:07d}" for k, size in kinds for g in range(-(-size // config.refs_per_probe))]
+    references = [f"{k}r{i:07d}" for k, size in kinds for i in range(size)]
     subjects = np.array([f"S{k:05d}" for k in range(n)], dtype=object)
     return ScoreTable(
         np.concatenate([genuine, imposter]),
         is_genuine,
-        probe_id=[f"{k}p{g:07d}" for k, g in zip(kind, group.tolist())],
-        reference_id=[f"{k}r{i:07d}" for k, i in zip(kind, index.tolist())],
-        subject_a=subjects[subject_a],
-        subject_b=subjects[subject_b],
+        probe_id=IdColumn(np.cumsum(index % config.refs_per_probe == 0) - 1,
+                          np.array(probes, dtype=object)),
+        reference_id=IdColumn(np.arange(is_genuine.size), np.array(references, dtype=object)),
+        subject_a=IdColumn(subject_a, subjects),
+        subject_b=IdColumn(subject_b, subjects),
     )
 
 

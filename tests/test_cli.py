@@ -67,8 +67,8 @@ class TestSplitCommand:
         assert run_inprocess("split", synth_csv, "--out-train", train,
                              "--out-test", test, "--seed", 1) == 0
         train_set, test_set = load_scores(train), load_scores(test)
-        train_subjects = set(train_set.subject_a)
-        test_subjects = set(test_set.subject_a)
+        train_subjects = set(train_set.subject_a.values[train_set.subject_a.codes])
+        test_subjects = set(test_set.subject_a.values[test_set.subject_a.codes])
         assert train_subjects.isdisjoint(test_subjects)
 
     def test_drop_count_printed(self, tmp_path, synth_csv, capsys):
@@ -122,7 +122,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize(("bandwidth", "message"), [
         ("inf", "bandwidth must be finite and positive, got inf"),
         ("1e308", "grid range must be finite with lo < hi, got (-inf, inf)"),
-    ], ids=["inf", "1e308"])
+        ("1e-320", "bandwidth 1e-320 is too small"),
+    ], ids=["inf", "1e308", "1e-320"])
     def test_bandwidth_that_cannot_be_saved_exit_2(self, tmp_path, synth_csv, capsys,
                                                     bandwidth, message):
         out = tmp_path / "m.json"
@@ -130,6 +131,14 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "warning" not in err
         assert not out.exists() and not Path(f"{out}.manifest.json").exists()
+
+    @pytest.mark.parametrize("bandwidth", ["1e-300", "1e-200"])
+    def test_tiny_bandwidth_trains_a_model_that_loads(self, tmp_path, synth_csv, capsys,
+                                                       bandwidth):
+        out = tmp_path / "m.json"
+        assert run_inprocess("train", synth_csv, out, "--bandwidth", bandwidth) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert load_model(out).genuine.bandwidth == float(bandwidth)
 
     def test_empty_class_exit_2(self, tmp_path):
         bad = tmp_path / "one_class.csv"

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from picscore import dataset
+from picscore.synth import SynthConfig, generate
 from picscore.dataset import (
     GENUINE,
     ID_COLUMNS,
@@ -73,7 +74,7 @@ class TestScoreTable:
 
     def test_genuine_with_one_subject_missing_is_allowed(self):
         r = ScoreTable([0.5], [True], subject_a=["A"])
-        assert r.subject_b[0] == ""
+        assert decoded(r.subject_b)[0] == ""
 
     def test_rejects_columns_of_unequal_length(self):
         with pytest.raises(ValueError, match="shape"):
@@ -147,10 +148,10 @@ class TestLoadScores:
             writer.writerows([f"0.{i}", IMPOSTER, *ids] for i, ids in enumerate(self.PADDED_IDS))
         loaded = load_scores(path)
         for j, name in enumerate(ID_COLUMNS):
-            column = getattr(loaded, name)
+            column = decoded(getattr(loaded, name))
             assert column.dtype == object
             assert column.tolist() == [ids[j].strip() for ids in self.PADDED_IDS], name
-        assert loaded.reference_id[3] == loaded.subject_a[4] == ""
+        assert decoded(loaded.reference_id)[3] == decoded(loaded.subject_a)[4] == ""
 
     def test_roundtrip_through_save(self, tmp_path):
         original = ScoreTable(
@@ -160,8 +161,8 @@ class TestLoadScores:
         save_scores(original, path)
         loaded = load_scores(path)
         assert len(loaded) == 2
-        assert loaded.subject_a[0] == "A"
-        assert loaded.subject_b[1] == "B"
+        assert decoded(loaded.subject_a)[0] == "A"
+        assert decoded(loaded.subject_b)[1] == "B"
         assert loaded.score[0] == pytest.approx(0.812345)
 
 
@@ -332,6 +333,9 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
         got_header, got_rows, got_columns = read_columns(path, names)
         append_header, append_rows, append_columns, lines = read_to_append(path, names)
     assert (got_header, got_rows) == (append_header, append_rows) == (header, n_rows)
+    # The reader strips each id value.
+    columns = {key: [field.strip() for field in column] if key in ids else column
+               for key, column in columns.items()}
     assert {key: decoded(column).tolist() for key, column in got_columns.items()} == columns
     assert {key: decoded(column).tolist() for key, column in append_columns.items()} == columns
     _, _, every_column = reference_read(path)
@@ -484,14 +488,16 @@ class TestReadColumns:
 
     def test_strip_merges_codes_of_equal_stripped_ids(self, tmp_path):
         path = tmp_path / "scores.csv"
-        path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n0.5,p2\n"
-                         .encode())
-        _, _, columns = read_columns(path, ["probe_id"])
-        assert columns["probe_id"].values.tolist() == [" p1", "p2", "p1\t", "p1\u3000"]
-        stripped = dataset.strip_ids(columns["probe_id"])
-        assert stripped.values.tolist() == ["p1", "p2"]
-        assert stripped.codes.tolist() == [0, 1, 0, 0, 1]
-        assert one_object_per_value(stripped.values[stripped.codes])
+        for last_score, scanned in [("0.5", False), ("nan", True)]:  # numpy's route, then the scan
+            path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n{},p2\n"
+                             .format(last_score).encode())
+            with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+                _, _, columns = read_columns(path, ["score", "probe_id"])
+            assert scan.called == scanned
+            stripped = columns["probe_id"]
+            assert stripped.values.tolist() == ["p1", "p2"]
+            assert stripped.codes.tolist() == [0, 1, 0, 0, 1]
+            assert one_object_per_value(stripped.values[stripped.codes])
 
     def test_lines_of_a_plain_file_slice_like_a_list(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -764,14 +770,14 @@ class TestSplitSubjectExclusive:
         records += [rec(0.9, GENUINE, "S0")] * 3  # unequal subject weights
         train, test = split_subject_exclusive(table(records), fraction, seed=seed)
         expected_train, expected_test = reference_split(records, fraction, seed)
-        assert train.reference_id.tolist() == [f"r{i}" for i in expected_train]
-        assert test.reference_id.tolist() == [f"r{i}" for i in expected_test]
+        assert decoded(train.reference_id).tolist() == [f"r{i}" for i in expected_train]
+        assert decoded(test.reference_id).tolist() == [f"r{i}" for i in expected_test]
 
     def test_two_subjects_within_only(self):
         records = [rec(0.8, GENUINE, "A"), rec(0.7, GENUINE, "A"), rec(0.9, GENUINE, "B")]
         train, test = split_subject_exclusive(table(records), 0.5, seed=1)
-        train_subjects = set(train.subject_a)
-        test_subjects = set(test.subject_a)
+        train_subjects = set(decoded(train.subject_a))
+        test_subjects = set(decoded(test.subject_a))
         assert train_subjects.isdisjoint(test_subjects)
         assert len(train) + len(test) == 3  # no cross pairs, zero drops
 
@@ -792,17 +798,30 @@ class TestSplitSubjectExclusive:
     def test_exclusivity_and_conservation(self):
         records = _synthetic_records(25, 4, seed=5)
         train, test = split_subject_exclusive(table(records), 0.5, seed=3)
-        train_subjects = set(train.subject_a) | set(train.subject_b)
-        test_subjects = set(test.subject_a) | set(test.subject_b)
+        train_subjects = set(decoded(train.subject_a)) | set(decoded(train.subject_b))
+        test_subjects = set(decoded(test.subject_a)) | set(decoded(test.subject_b))
         assert train_subjects.isdisjoint(test_subjects)
         dropped = len(records) - len(train) - len(test)
         assert dropped >= 0
         # every dropped record must be a cross-partition pair
-        kept = set(train.reference_id) | set(test.reference_id)
+        kept = set(decoded(train.reference_id)) | set(decoded(test.reference_id))
         for i, r in enumerate(records):
             if f"r{i}" not in kept:
                 sides = (r.subject_a in train_subjects, r.subject_b in train_subjects)
                 assert sides[0] != sides[1]
+
+    def test_values_that_no_row_holds_do_not_count(self, tmp_path):
+        # A split's side keeps every subject value of its source, and a table
+        # generated with fewer genuine rows than subjects holds unused ones.
+        train, _ = split_subject_exclusive(table(_synthetic_records(30, 5, seed=4)), 0.5, seed=1)
+        generated = generate(SynthConfig(n_genuine=7, n_imposter=5, n_subjects=20, seed=2))
+        path = tmp_path / "scores.csv"
+        for source in (train, generated):
+            save_scores(source, path)
+            for got, want in zip(split_subject_exclusive(source, 0.5, seed=5),
+                                 split_subject_exclusive(load_scores(path), 0.5, seed=5)):
+                assert got.is_genuine.tolist() == want.is_genuine.tolist()
+                assert decoded(got.reference_id).tolist() == decoded(want.reference_id).tolist()
 
     def test_missing_subject_errors(self):
         records = [rec(0.8, GENUINE, "A"), Row(0.1, IMPOSTER)]

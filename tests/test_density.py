@@ -263,6 +263,22 @@ def _toy_set(genuine, imposter):
 
 
 class TestFitModel:
+    @pytest.mark.parametrize("bandwidth, rejected", [
+        (1e-320, True), (1e-300, False), (1e-200, False),
+    ])
+    def test_tiny_bandwidth_is_rejected_or_gives_finite_grids(self, bandwidth, rejected):
+        table = _toy_set([0.6, 0.9], [0.1, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if rejected:
+                with pytest.raises(ValueError, match=f"^bandwidth {bandwidth} is too small"):
+                    fit_model(table, bandwidth=bandwidth)
+                return
+            model = fit_model(table, bandwidth=bandwidth)
+        for density in (model.genuine, model.imposter):
+            assert np.isfinite(density.grid_values).all()
+            assert density.grid_values.min() >= DENSITY_FLOOR
+
     def test_identical_classes_give_identical_grids(self):
         scores = [0.2, 0.4, 0.6, 0.8]
         model = fit_model(_toy_set(scores, scores))

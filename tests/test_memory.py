@@ -1,4 +1,4 @@
-"""Peak memory of ``score`` and ``fuse`` per input row, traced in-process.
+"""Peak memory of ``score``, ``fuse`` and ``synth`` per row, traced in-process.
 
 An id column costs one string per distinct value and a code per row, and
 ``score`` copies a plain file's lines from its bytes a chunk at a time, so
@@ -6,6 +6,10 @@ neither command holds a Python string per input row. The bounds sit between
 the peaks of the earlier per-row strings (about 240 bytes per row for
 ``score`` and 315 for ``fuse`` on this input) and today's (about 145 and
 165).
+
+``synth`` builds coded id columns, with one probe string per group where it
+built one per row. Its bound sits between the peak of the per-row strings
+(about 232 bytes per row) and today's (about 185).
 
 Input that is not plain (``\r\n`` line ends, a quoted column) costs
 ``score`` one string per line and numpy's read of its one number column:
@@ -17,7 +21,8 @@ import tracemalloc
 
 import pytest
 
-import picscore.pic  # noqa: F401  imported here, so that no import is traced
+import numpy.random  # noqa: F401  numpy imports it on first use; imported here, so that
+import picscore.pic  # noqa: F401  no import is traced
 from picscore.cli import main
 from picscore.dataset import save_scores
 from picscore.density import fit_model, save_model
@@ -42,7 +47,11 @@ def inputs(tmp_path_factory):
 
 
 def peak_bytes_per_row(inputs, command, scores):
-    argv = [command, inputs / "model.json", inputs / scores, inputs / f"{command}.csv"]
+    return traced_peak_per_row(
+        [command, inputs / "model.json", inputs / scores, inputs / f"{command}.csv"])
+
+
+def traced_peak_per_row(argv):
     tracemalloc.start()
     try:
         assert main([str(arg) for arg in argv]) == 0
@@ -55,6 +64,12 @@ def peak_bytes_per_row(inputs, command, scores):
 @pytest.mark.parametrize("command, bytes_per_row", [("score", 200), ("fuse", 240)])
 def test_peak_bytes_per_input_row(inputs, command, bytes_per_row):
     assert peak_bytes_per_row(inputs, command, "scores.csv") < bytes_per_row
+
+
+def test_synth_peak_bytes_per_row(tmp_path):
+    argv = ["synth", tmp_path / "scores.csv", "--n-genuine", N_ROWS // 2,
+            "--n-imposter", N_ROWS // 2, "--refs-per-probe", 8, "--seed", 3]
+    assert traced_peak_per_row(argv) < 215
 
 
 @pytest.mark.parametrize("scores", ["crlf.csv", "quoted.csv"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from picscore.dataset import split_subject_exclusive
+from picscore.dataset import save_scores, split_subject_exclusive
 from picscore.synth import (
     SynthConfig,
     analytic_fused_posterior,
@@ -12,8 +12,33 @@ from picscore.synth import (
 )
 
 
+def decoded(column):
+    """An id column's strings, ``values[codes]``."""
+    return column.values[column.codes]
+
+
 def normal_pdf(x, mu, sd):
     return math.exp(-0.5 * ((x - mu) / sd) ** 2) / (sd * math.sqrt(2 * math.pi))
+
+
+def per_row_csv(config):
+    """The CSV of ``generate(config)`` as rows of per-row f-strings, its earlier construction."""
+    rng = np.random.default_rng(config.seed)
+    scores = np.concatenate([rng.normal(config.genuine_mean, config.genuine_std, config.n_genuine),
+                             rng.normal(config.imposter_mean, config.imposter_std,
+                                        config.n_imposter)])
+    n = config.n_subjects
+    lines = ["score,label,probe_id,reference_id,subject_a,subject_b"]
+    for row, score in enumerate(scores.tolist()):
+        is_genuine = row < config.n_genuine
+        index = row if is_genuine else row - config.n_genuine
+        kind = "g" if is_genuine else "i"
+        group = index // config.refs_per_probe
+        subject_a = group % n
+        subject_b = subject_a if is_genuine else (subject_a + 1 + (group // n) % (n - 1)) % n
+        lines.append(f"{score:.6f},{'genuine' if is_genuine else 'imposter'},{kind}p{group:07d},"
+                     f"{kind}r{index:07d},S{subject_a:05d},S{subject_b:05d}")
+    return ("\n".join(lines) + "\n").encode()
 
 
 class TestGenerate:
@@ -21,7 +46,7 @@ class TestGenerate:
         config = SynthConfig(n_genuine=500, n_imposter=400, seed=9)
         a, b = generate(config), generate(config)
         assert a.score.tolist() == b.score.tolist()
-        assert a.probe_id.tolist() == b.probe_id.tolist()
+        assert decoded(a.probe_id).tolist() == decoded(b.probe_id).tolist()
 
     def test_counts_exact(self):
         out = generate(SynthConfig(n_genuine=123, n_imposter=456, seed=1))
@@ -36,7 +61,8 @@ class TestGenerate:
 
     def test_subject_structure(self):
         out = generate(SynthConfig(n_genuine=60, n_imposter=60, seed=2, n_subjects=5))
-        for is_genuine, subject_a, subject_b in zip(out.is_genuine, out.subject_a, out.subject_b):
+        for is_genuine, subject_a, subject_b in zip(out.is_genuine, decoded(out.subject_a),
+                                                    decoded(out.subject_b)):
             if is_genuine:
                 assert subject_a == subject_b
             else:
@@ -46,12 +72,22 @@ class TestGenerate:
         out = generate(
             SynthConfig(n_genuine=50, n_imposter=50, seed=2, n_subjects=4, refs_per_probe=5)
         )
-        genuine = zip(out.probe_id[out.is_genuine], out.subject_b[out.is_genuine])
+        genuine = zip(decoded(out.probe_id)[out.is_genuine], decoded(out.subject_b)[out.is_genuine])
         groups = {}
         for probe_id, subject_b in genuine:
             groups.setdefault((probe_id, subject_b), 0)
             groups[(probe_id, subject_b)] += 1
         assert set(groups.values()) == {5}
+
+    @pytest.mark.parametrize("n_genuine, n_imposter, n_subjects, refs_per_probe", [
+        (40, 30, 7, 1), (23, 17, 4, 5), (7, 5, 20, 1), (12, 9, 30, 5),
+    ])
+    def test_saved_bytes_match_per_row_strings(self, tmp_path, n_genuine, n_imposter, n_subjects,
+                                               refs_per_probe):
+        config = SynthConfig(n_genuine=n_genuine, n_imposter=n_imposter, seed=6,
+                             n_subjects=n_subjects, refs_per_probe=refs_per_probe)
+        save_scores(generate(config), tmp_path / "coded.csv")
+        assert (tmp_path / "coded.csv").read_bytes() == per_row_csv(config)
 
     def test_split_applies(self):
         out = generate(SynthConfig(n_genuine=400, n_imposter=400, seed=3, n_subjects=20))
