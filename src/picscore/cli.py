@@ -140,7 +140,8 @@ def cmd_score(args) -> None:
         if appended in columns:
             raise ValueError(f"{args.input}: column {appended!r} already present")
 
-    values = pic_values(model, parse_floats(columns["score"], "score"))
+    # The parsed scores are dropped once their posteriors exist.
+    values = pic_values(model, parse_floats(columns.pop("score"), "score"))
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
@@ -155,22 +156,47 @@ def _require_ids(probes: IdColumn, claimed: IdColumn) -> None:
                    lambda i: "probe_id and subject_b are required for fusion")
 
 
-def _require_one_label(label: np.ndarray, groups: np.ndarray, first: np.ndarray, probes,
-                       claimed) -> None:
+def _require_one_label(label: np.ndarray, order: np.ndarray, sizes: np.ndarray,
+                       first: np.ndarray, probes, claimed) -> None:
     """Every row's label code (``label_codes``) equals that of its group's first row."""
-    fail_first_row(label != label[first][groups], lambda i: (
+    mixed = np.empty(label.size, dtype=bool)
+    mixed[order] = label[order] != np.repeat(label[first], sizes)
+    fail_first_row(mixed, lambda i: (
         f"group ({probes.values[probes.codes[i]]}, {claimed.values[claimed.codes[i]]}) "
         "mixes genuine and imposter labels"))
 
 
-def _pair_groups(probes: IdColumn, claimed: IdColumn) -> np.ndarray:
-    """Each row's group: one per distinct (probe, claimed) pair, numbered in order of first row."""
+def _pair_groups(probes: IdColumn, claimed: IdColumn, max_refs: int):
+    """The rows grouped by distinct (probe, claimed) pair, from one stable sort of the pairs.
+
+    Returns ``(order, sizes, kept)``: the rows by group, in file order within
+    each group; each group's size; and the first ``max_refs`` rows of each
+    group, in the same order. Groups are numbered in order of their first row.
+    """
     pairs = probes.codes.astype(np.int64) * claimed.values.size + claimed.codes
-    _, first_rows, groups = np.unique(pairs, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first_rows))[groups]
+    order = np.argsort(pairs, kind="stable")  # by pair, file order within each
+    pairs = pairs[order]
+    new = np.ones(pairs.size, dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    del pairs
+    starts = np.flatnonzero(new)  # where each pair's rows start in ``order``
+    sizes = np.diff(starts, append=order.size)
+    groups = np.argsort(order[starts])  # the pairs in order of first row
+    starts, sizes = starts[groups], sizes[groups]
+    rank = np.arange(order.size)
+    rank -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
+    order = order[rank + np.repeat(starts, sizes)]  # each pair's rows moved to its group's place
+    return order, sizes, order[rank < max_refs]
 
 
 def cmd_fuse(args) -> None:
+    """Fuse each (probe, claimed) group's first ``--max-refs`` scores in file order.
+
+    The groups are written in order of their first row. numpy's table is
+    freed before the rows are grouped: the label column is kept as one
+    code per row, and as text only at the first unknown label, the one row
+    an error can name.
+    """
     from .density import load_model
     from .pic import decide, fuse_groups, pic_threshold_for_fmr
 
@@ -180,32 +206,28 @@ def cmd_fuse(args) -> None:
     _require_columns(columns, needed, args.input)
 
     probes, claimed = columns["probe_id"], columns["subject_b"]
-    groups = _pair_groups(probes, claimed)
-    order = np.argsort(groups, kind="stable")  # file order within each group
-    sizes = np.bincount(groups)
-    starts = np.cumsum(sizes) - sizes
-    first = order[starts]  # each group's first row
-    codes = label_codes(columns["label"])
+    labels = columns.pop("label")
+    codes = label_codes(labels)
+    labels = {i: labels[i] for i in np.flatnonzero(codes > 1)[:1].tolist()}  # frees numpy's table
+    order, sizes, kept = _pair_groups(probes, claimed, args.max_refs)
+    first = order[np.cumsum(sizes) - sizes]  # each group's first row
     _, _, scores, _ = check_rows(
         lambda: _require_ids(probes, claimed),
-        lambda: check_labels(codes, columns["label"], "label"),
+        lambda: check_labels(codes, labels, "label"),
         lambda: parse_floats(columns["score"], "score"),
-        lambda: _require_one_label(codes, groups, first, probes, claimed),
+        lambda: _require_one_label(codes, order, sizes, first, probes, claimed),
     )
-    is_genuine = codes == 0
-    del codes, columns  # not held through fuse_groups, the command's peak
-
-    # The first --max-refs rows of each group in file order.
-    rank = np.arange(n_rows) - np.repeat(starts, sizes)
-    kept = order[rank < args.max_refs]
-    values, _ = fuse_groups(model, scores[kept], groups[kept])
-    is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
+    ids = [IdColumn(column.codes[first], column.values) for column in (probes, claimed)]
+    is_genuine = codes[first] == 0
+    scores = scores[kept]
+    del codes, columns, probes, claimed, order, kept  # only the kept scores go into fusion
     n_used = np.minimum(sizes, args.max_refs)
+    values, _ = fuse_groups(model, scores, np.repeat(np.arange(sizes.size), n_used))
+    is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
 
     write_rows(args.out, FUSED_COLUMNS, [
-        probes.values[probes.codes[first]],
-        claimed.values[claimed.codes[first]],
-        label_column(is_genuine[first]),
+        *ids,
+        label_column(is_genuine),
         n_used,
         values,
         label_column(is_accepted),

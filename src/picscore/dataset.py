@@ -37,8 +37,10 @@ class ScoreTable:
 
     ``score`` is float64 and ``is_genuine`` bool; an id column is an ``IdColumn``
     (strings ``values[codes]``, ``""`` where blank), coded if given as strings
-    and all blank if left out. Rejects columns of unequal length and, naming
-    the row, a non-finite score or a genuine row whose two non-blank subjects differ.
+    and all blank if left out. Rejects columns of unequal length, an
+    ``IdColumn`` whose codes are not integers in ``[0, len(values))`` and,
+    naming the row, a non-finite score or a genuine row whose two non-blank
+    subjects differ.
     """
 
     score: np.ndarray
@@ -58,6 +60,8 @@ class ScoreTable:
                 column = IdColumn(np.zeros(n, np.intp), np.array([""], dtype=object))
             elif not isinstance(column, IdColumn):
                 column = _interned(column)
+            else:
+                _check_codes(field.name, column)
             shape = (column.codes if field.name in ID_COLUMNS else column).shape
             if shape != (n,):
                 raise ValueError(f"column {field.name!r} has shape {shape}, expected ({n},)")
@@ -84,6 +88,12 @@ class ScoreTable:
     @property
     def n_imposter(self) -> int:
         return len(self) - self.n_genuine
+
+
+def _check_codes(name: str, column: IdColumn) -> None:
+    codes, n_values = np.asarray(column.codes), len(column.values)
+    if codes.dtype.kind not in "iu" or codes.size and (codes.min() < 0 or codes.max() >= n_values):
+        raise ValueError(f"column {name!r} has codes that are not integers in [0, {n_values})")
 
 
 def _check_subjects(is_genuine: np.ndarray, subject_a: IdColumn, subject_b: IdColumn) -> None:
@@ -147,8 +157,9 @@ def read_columns(
     parses as a finite number. Those numbers are parsed by numpy with
     ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
     what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
-    may be a ``"U9"`` array (see below), which holds the same strings;
-    ``parse_labels`` and ``label_codes`` take either kind. An id column
+    may be an ``"S9"`` array (see below), each field the latin-1 bytes of
+    its text, which ``.decode("latin-1")`` gives back; ``parse_labels`` and
+    ``label_codes`` take either kind. An id column
     (``ID_COLUMNS``) is an ``IdColumn``, coded as it is read: numpy passes
     each id field to a dict lookup that gives a new string the next code,
     and stores only the code. Each distinct value is then stripped with
@@ -157,14 +168,16 @@ def read_columns(
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
     finds that safe, and reads a ``label`` or ``decision`` column into
-    9-character fields: ``imposter``, the longest label, fits, and a field
-    that fills all 9 may have been cut. Any other input, a pipe included,
-    is read once into memory, and numpy reads that text line by line.
+    9-byte fields: ``imposter``, the longest label, fits, and a field that
+    fills all 9 may have been cut. numpy stores such a field in latin-1, so
+    it rejects the file when a label field holds a character beyond it. Any
+    other input, a pipe included, is read once into memory, and numpy reads
+    that text line by line.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
     rejects the file, a number column holds a non-finite value, or a label
-    field fills all 9 characters, the same text is read again as strings
+    field fills all 9 bytes, the same text is read again as strings
     with ``csv.reader`` (``_scan_rows``), which names the first row with a
     bad field count, or returns the columns as strings, and codes the id
     columns, if it finds none. ``parse_floats`` then names the first bad
@@ -216,7 +229,7 @@ def _read(path, names, copy: bool):
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
-                                      f"U{_LABEL_WIDTH}" if key in narrow else
+                                      f"S{_LABEL_WIDTH}" if key in narrow else
                                       np.intp if i in interners else
                                       object if key in names else "U0"
                                       for i, key in enumerate(keys)]})
@@ -305,11 +318,14 @@ class _Lines(Sequence):
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 16
-# Columns read into fixed-width fields on numpy's path route.
+# Columns read into fixed-width bytes fields on numpy's path route.
 _LABEL_COLUMNS = ("label", "decision")
+# ``label_codes``' codes of the labels, and the labels as a bytes field holds them.
+_LABEL_CODES = {GENUINE: 0, IMPOSTER: 1}
+_LABEL_BYTES = tuple(label.encode("latin-1") for label in LABELS)
 # Columns read as float64 when every field is a finite number.
 _NUMBER_COLUMNS = ("score", "pic", "confidence")
-# Width of a label field read by numpy: one more than the longest label.
+# Width in bytes of a label field read by numpy: one more than the longest label.
 _LABEL_WIDTH = max(map(len, LABELS)) + 1
 # How numpy reads a file: from text in memory, from its path, or from its path with no quote.
 _TEXT, _PATH, _PLAIN = "text", "path", "plain"
@@ -360,7 +376,7 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
 
     ``source`` is the text. Runs only after numpy has rejected the file,
     found a non-finite number or read a label field that fills all 9
-    characters: raises ``RowError`` at the first row whose field count
+    bytes: raises ``RowError`` at the first row whose field count
     differs from the header's, and otherwise returns ``(n_rows, columns)``
     with every wanted column as ``str`` objects, an id column coded as an
     ``IdColumn``.
@@ -397,7 +413,8 @@ def write_rows(
     """Write a header row and columns of equal length as CSV, each line ended by ``\\n``.
 
     A column is a float64 array, written with ``"{:.6f}"``, an integer
-    array, written with ``str``, or a sequence of ``str``. A field holding
+    array, written with ``str``, a sequence of ``str``, or an ``IdColumn``,
+    decoded a chunk of rows at a time. A field holding
     ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, with inner quotes doubled,
     and a row of one empty field is written ``""``.
     This is the ``csv`` module's default dialect, the one ``read_columns``
@@ -409,14 +426,17 @@ def write_rows(
     the row's fields from ``columns``. They are sliced a chunk of rows at a
     time, so lines that decode on slicing are never all decoded at once.
     """
-    lengths = [len(column) for column in ([] if lines is None else [lines]) + list(columns)]
+    lengths = [len(column.codes if isinstance(column, IdColumn) else column)
+               for column in ([] if lines is None else [lines]) + list(columns)]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
     with open(path, "w", newline="") as handle:
         _write_lines(handle, [_quoted([name]) for name in header])
         for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
-            chunk = [_fields(column[start:stop]) for column in columns]
+            chunk = [_fields(column.values[column.codes[start:stop]]
+                             if isinstance(column, IdColumn) else column[start:stop])
+                     for column in columns]
             _write_lines(handle, chunk if lines is None else [lines[start:stop], *chunk])
 
 
@@ -477,22 +497,28 @@ def parse_floats(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
 
 
 def label_codes(column: Sequence[str] | np.ndarray) -> np.ndarray:
-    """Each label stripped and lower-cased, as a code: 0 ``genuine``, 1 ``imposter``.
+    """Each label stripped and lower-cased, as a uint8 code: 0 ``genuine``, 1 ``imposter``, 2 other.
 
-    Every other value gets a code from 2 up, equal codes for equal values.
-    Exact ``genuine`` and ``imposter`` are matched on the whole array at
-    once; only the other rows are stripped and lower-cased.
+    ``column`` holds ``str`` objects or, as ``read_columns`` may return a
+    label column, latin-1 bytes. Exact ``genuine`` and ``imposter`` are
+    matched on the whole array at once, bytes against bytes; only the other
+    distinct values are decoded, stripped and lower-cased.
     """
     if not isinstance(column, np.ndarray):
         column = np.asarray(column, dtype=object)
-    codes = np.where(column == GENUINE, 0, 1)
-    rest = np.flatnonzero((codes == 1) & (column != IMPOSTER))
+    genuine, imposter = _LABEL_BYTES if column.dtype.kind == "S" else LABELS
+    codes = (column != genuine).view(np.uint8)
+    rest = np.flatnonzero(codes & (column != imposter))
     if rest.size:
         raw = column[rest].tolist()
-        code = {GENUINE: 0, IMPOSTER: 1}
-        distinct = {value: code.setdefault(value.strip().lower(), len(code)) for value in set(raw)}
-        codes[rest] = list(map(distinct.__getitem__, raw))
+        code = {value: _LABEL_CODES.get(_text(value).strip().lower(), 2) for value in set(raw)}
+        codes[rest] = list(map(code.__getitem__, raw))
     return codes
+
+
+def _text(field) -> str:
+    """A label field as text: bytes are decoded as latin-1, as numpy encoded them."""
+    return field.decode("latin-1") if isinstance(field, bytes) else str(field)
 
 
 def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
@@ -506,8 +532,11 @@ def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
 
 
 def check_labels(codes: np.ndarray, column, name: str) -> None:
-    """Fail at the first row of ``column`` whose ``label_codes`` code is not a label's."""
-    fail_first_row(codes > 1, lambda i: f"unknown {name} {str(column[i])!r}")
+    """Fail at the first row of ``column`` whose ``label_codes`` code is not a label's.
+
+    ``column[i]`` is read only for that row, and named as text.
+    """
+    fail_first_row(codes > 1, lambda i: f"unknown {name} {_text(column[i])!r}")
 
 
 def check_rows(*checks):
@@ -528,9 +557,11 @@ def check_rows(*checks):
     return results
 
 
-def label_column(is_genuine: np.ndarray) -> np.ndarray:
-    """``genuine`` where ``is_genuine`` is set, else ``imposter``: one object per string."""
-    return np.array((IMPOSTER, GENUINE), dtype=object)[np.asarray(is_genuine, dtype=np.intp)]
+def label_column(is_genuine: np.ndarray) -> IdColumn:
+    """``genuine`` where ``is_genuine`` is set, else ``imposter``: an ``IdColumn`` whose
+    codes are the flags' own bytes."""
+    return IdColumn(np.asarray(is_genuine, dtype=bool).view(np.uint8),
+                    np.array((IMPOSTER, GENUINE), dtype=object))
 
 
 def load_scores(path: str | Path) -> ScoreTable:
@@ -551,23 +582,25 @@ def load_scores(path: str | Path) -> ScoreTable:
     labels = columns["label"]
     codes = label_codes(labels)
     is_genuine = codes == 0
-    # The subject check takes rows with a bad label as not genuine, so it
-    # can still name a lower row than the label check.
-    scores, _, _ = check_rows(
-        lambda: parse_floats(columns["score"], "score"),
-        lambda: check_labels(codes, labels, "label"),
-        lambda: _check_subjects(is_genuine, ids["subject_a"], ids["subject_b"]),
-    )
+    try:
+        scores, _ = check_rows(lambda: parse_floats(columns["score"], "score"),
+                               lambda: check_labels(codes, labels, "label"))
+    except RowError as error:
+        # The table's subject check, which takes rows with a bad label as not
+        # genuine, may name a lower row; on a tie the score or label error wins.
+        try:
+            _check_subjects(is_genuine, ids["subject_a"], ids["subject_b"])
+        except RowError as subject_error:
+            if subject_error.row < error.row:
+                raise subject_error from None
+        raise
     return ScoreTable(scores, is_genuine, **ids)
 
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:
     """Write a score table as CSV with the canonical column layout."""
-    write_rows(path, CSV_COLUMNS, [
-        table.score,
-        label_column(table.is_genuine),
-        *(values[codes] for codes, values in map(table.__getattribute__, ID_COLUMNS)),
-    ])
+    write_rows(path, CSV_COLUMNS, [table.score, label_column(table.is_genuine),
+                                   *map(table.__getattribute__, ID_COLUMNS)])
 
 
 def split_subject_exclusive(

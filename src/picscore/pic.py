@@ -29,11 +29,21 @@ class PicScore:
 
 
 def _stable_sigmoid(z):
-    # exp only ever sees non-positive arguments, so neither branch overflows
-    arr = np.asarray(z, dtype=float)
-    ez = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return float(out) if arr.ndim == 0 else out
+    """``1 / (1 + e)`` where z >= 0, else ``e / (1 + e)``, with ``e = exp(-|z|)``.
+
+    exp only ever sees non-positive arguments, so neither branch overflows.
+    A float64 array ``z`` is overwritten with the result, so that one more
+    array, ``1 + e``, is the only temporary of its size.
+    """
+    out = np.asarray(z, dtype=float)
+    positive = out >= 0.0
+    np.abs(out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    denominator = out + 1.0
+    np.copyto(out, 1.0, where=positive)  # the numerator
+    np.divide(out, denominator, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _prior_logit(model: DensityModel) -> float:
@@ -64,8 +74,15 @@ def log_likelihood_ratio(model: DensityModel, scores):
 
 
 def pic_values(model: DensityModel, scores):
-    """Vectorized single-comparison posterior for an array of scores."""
-    return _stable_sigmoid(log_likelihood_ratio(model, scores) + _prior_logit(model))
+    """Vectorized single-comparison posterior for an array of scores.
+
+    The posterior is computed in the buffer of the log likelihood ratios:
+    beyond ``log_likelihood_ratio``'s own, it needs one temporary array of
+    the scores' size (see ``_stable_sigmoid``).
+    """
+    z = log_likelihood_ratio(model, scores)
+    z += _prior_logit(model)
+    return _stable_sigmoid(z)
 
 
 def pic_single(model: DensityModel, s: float) -> PicScore:
@@ -123,11 +140,14 @@ def decide(values, threshold: float):
     A value at or above the threshold decides genuine (ties accept) with
     confidence equal to the value itself; below decides imposter with
     confidence one minus the value. Returns ``(is_genuine, confidence)``
-    arrays shaped like ``values``.
+    arrays shaped like ``values``; the confidences are the only float array
+    allocated, ``1 - values`` with the accepted values copied over it.
     """
     values = np.asarray(values, dtype=float)
     is_genuine = values >= threshold
-    return is_genuine, np.where(is_genuine, values, 1.0 - values)
+    confidence = np.subtract(1.0, values, out=np.empty_like(values))
+    np.copyto(confidence, values, where=is_genuine)
+    return is_genuine, confidence
 
 
 def decision_confidence(pic: PicScore, threshold: float) -> tuple[str, float]:

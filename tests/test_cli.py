@@ -421,3 +421,52 @@ class TestExitCodes:
         proc = run_subprocess(child_env, "--version")
         assert proc.returncode == 0
         assert "picscore" in proc.stdout
+
+
+class TestStrictChild:
+    """The bulk commands in a ``python -bb -X dev -W error`` child: a bytes/str comparison,
+    an unclosed file or any other warning fails the command."""
+
+    STRICT = ("-bb", "-X", "dev", "-W", "error")
+
+    def strict(self, env, folder, *argv):
+        return subprocess.run([sys.executable, *self.STRICT, "-m", "picscore", *map(str, argv)],
+                              capture_output=True, text=True, encoding="utf-8", env=env,
+                              cwd=folder)
+
+    def test_score_fuse_eval_curve(self, tmp_path, synth_csv, model_file, child_env,
+                                   monkeypatch):
+        source = tmp_path / "in.csv"
+        header, *rows = synth_csv.read_text().splitlines()
+        # Labels in other cases and padded, so that label codes decode the odd values.
+        rows[::3] = [row.replace(",genuine,", ", Genuine,").replace(",imposter,", ",IMPOSTER,")
+                     for row in rows[::3]]
+        source.write_text("\n".join([header, *rows]) + "\n")
+        runs = [
+            ("score", model_file, source, "scored.csv"),
+            ("fuse", model_file, source, "fused.csv", "--max-refs", 3),
+            ("eval", "scored.csv", "report"),
+            ("eval", "scored.csv", "lrc", "--estimator", "lrc", "--train", source,
+             "--model", model_file),
+            ("curve", "scored.csv", model_file, "curve.csv"),
+        ]
+        for folder in ("strict", "plain"):
+            (tmp_path / folder).mkdir()
+        for argv in runs:
+            proc = self.strict(child_env, tmp_path / "strict", *argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        monkeypatch.chdir(tmp_path / "plain")
+        for argv in runs:
+            assert run_inprocess(*argv) == 0, argv
+        outputs = sorted(path.name for path in (tmp_path / "plain").iterdir())
+        assert len(outputs) == 14
+        for name in outputs:
+            assert ((tmp_path / "strict" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
+
+    def test_unknown_label_is_named_as_text(self, tmp_path, child_env):
+        source = tmp_path / "scored.csv"
+        source.write_text("label,pic,decision,confidence\n"
+                          "genuine,0.9,genuine,0.9\ngén,0.1,imposter,0.9\n", encoding="utf-8")
+        proc = self.strict(child_env, tmp_path, "eval", source, tmp_path / "r")
+        assert (proc.returncode, proc.stderr) == (2, "error: row 2: unknown label 'gén'\n")

@@ -14,9 +14,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from picscore import cli
 from picscore.cli import main
-from picscore.dataset import GENUINE, IMPOSTER, load_scores
+from picscore.dataset import GENUINE, IMPOSTER, IdColumn, load_scores
 from picscore.density import fit_model, load_model, save_model
 from picscore.pic import log_likelihood_ratio, pic_threshold_for_fmr, pic_values
 from picscore.synth import SynthConfig, generate
@@ -229,6 +232,43 @@ class TestAgainstRowReference:
         # group sizes 1, 8, 3, 5, 6, 2, 7, 4, 1, 5: three groups exceed 5 refs
         # and leave 3 + 1 + 2 rows unused
         assert "truncated 3 groups to 5 refs, leaving 6 rows unused" in capsys.readouterr().out
+
+
+def reference_groups(probes, claimed, max_refs):
+    """``fuse``'s earlier grouping: ``np.unique`` of the pair keys, then two argsorts."""
+    pairs = probes.codes.astype(np.int64) * claimed.values.size + claimed.codes
+    _, first_rows, groups = np.unique(pairs, return_index=True, return_inverse=True)
+    groups = np.argsort(np.argsort(first_rows))[groups]
+    order = np.argsort(groups, kind="stable")  # file order within each group
+    sizes = np.bincount(groups)
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(groups.size) - np.repeat(starts, sizes)
+    return order, sizes, order[rank < max_refs]
+
+
+class TestPairGroups:
+    """``fuse``'s one-sort grouping against the ``np.unique`` grouping it replaced."""
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=40),
+           st.integers(1, 5), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique(self, pairs, max_refs, rng):
+        rows = [pair for pair in pairs for _ in range(rng.randint(1, 3))]  # repeated pairs
+        rng.shuffle(rows)
+        probe_codes, claimed_codes = map(np.array, zip(*rows))
+        probes = IdColumn(probe_codes, np.array([f"p{i}" for i in range(5)], dtype=object))
+        claimed = IdColumn(claimed_codes, np.array([f"s{i}" for i in range(4)], dtype=object))
+        got = cli._pair_groups(probes, claimed, max_refs)
+        want = reference_groups(probes, claimed, max_refs)
+        assert [part.tolist() for part in got] == [part.tolist() for part in want]
+
+    def test_truncates_interleaved_groups(self):
+        probes = IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object))
+        claimed = IdColumn(np.array([0, 0, 0, 1, 0, 0, 0]), np.array(["s", "t"], dtype=object))
+        order, sizes, kept = cli._pair_groups(probes, claimed, 2)
+        assert order.tolist() == [0, 2, 5, 1, 4, 6, 3]
+        assert sizes.tolist() == [3, 3, 1]
+        assert kept.tolist() == [0, 2, 1, 4, 3]
 
 
 class TestFieldCount:

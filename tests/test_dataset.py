@@ -82,6 +82,19 @@ class TestScoreTable:
         with pytest.raises(ValueError, match="subject_a"):
             ScoreTable([0.5, 0.6], [True, False], subject_a=["A"])
 
+    @pytest.mark.parametrize("name", ["subject_a", "probe_id"])
+    @pytest.mark.parametrize("codes", [[3], [-1], [0.0]], ids=["beyond", "negative", "float"])
+    def test_rejects_codes_outside_the_values(self, name, codes):
+        column = IdColumn(np.array(codes), np.array(["A"], dtype=object))
+        with pytest.raises(ValueError, match=re.escape(
+                f"column {name!r} has codes that are not integers in [0, 1)")):
+            ScoreTable([0.5], [True], **{name: column})
+
+    def test_keeps_codes_inside_the_values(self):
+        column = IdColumn(np.array([1, 0], dtype=np.uint8), np.array(["A", "B"], dtype=object))
+        loaded = ScoreTable([0.5, 0.4], [True, False], probe_id=column)
+        assert loaded.probe_id is column
+
 
 class TestLoadScores:
     def test_two_row_file(self, tmp_path):
@@ -121,6 +134,20 @@ class TestLoadScores:
         path.write_text("score,label\nabc,genuine\n")
         with pytest.raises(ValueError, match="row 1"):
             load_scores(path)
+
+    @pytest.mark.parametrize("text", [
+        "score,label,subject_a,subject_b\n0.5,genuine,A,A\n0.4,imposter,A,B\n",
+        "score,label,subject_a,subject_b\n0.5,genuine,A,A\nnan,bogus,A,B\n",
+    ], ids=["valid", "bad-score"])
+    def test_subject_check_runs_once(self, tmp_path, text):
+        path = tmp_path / "scores.csv"
+        path.write_text(text)
+        with mock.patch.object(dataset, "_check_subjects", wraps=dataset._check_subjects) as check:
+            try:
+                load_scores(path)
+            except RowError:
+                pass
+        assert check.call_count == 1
 
     def test_labels_canonicalized(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -289,8 +316,11 @@ def reference_line(row):
 
 
 def decoded(column):
-    """A column as an array of its values: an ``IdColumn`` as ``values[codes]``."""
-    return column.values[column.codes] if isinstance(column, IdColumn) else column
+    """A column as an array of its values: an ``IdColumn`` as ``values[codes]``, and a
+    label column of latin-1 bytes as its text."""
+    if isinstance(column, IdColumn):
+        return column.values[column.codes]
+    return np.char.decode(column, "latin-1") if column.dtype.kind == "S" else column
 
 
 def layout(columns):
@@ -391,7 +421,7 @@ class TestReadColumns:
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             _, _, columns = read_columns(path)
         assert isinstance(loadtxt.call_args.args[0], str) == by_path
-        assert columns["label"].dtype == ("<U9" if by_path else object)
+        assert columns["label"].dtype == ("|S9" if by_path else object)
 
     def test_quoted_cr_is_kept(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -414,7 +444,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(f"score,label\n0.5,{padded}\n0.4,imposter \n".encode())
         _, _, columns = read_columns(path)
-        assert columns["label"].tolist() == [padded, "imposter "]
+        assert decoded(columns["label"]).tolist() == [padded, "imposter "]
         assert load_scores(path).is_genuine.tolist() == [True, False]
 
     def test_blank_lines_and_quoted_newline_before_first_row(self, tmp_path):
@@ -423,7 +453,7 @@ class TestReadColumns:
         header, n_rows, columns = read_columns(path)
         assert (header, n_rows) == (["score", "label", "free\n\ntext"], 2)
         assert columns["free\n\ntext"].tolist() == ["a\nb", "c"]
-        assert columns["label"].tolist() == ["genuine", "imposter"]
+        assert decoded(columns["label"]).tolist() == ["genuine", "imposter"]
 
     def test_pipe_is_read_through_one_handle(self):
         # Far more than the header read buffers and a pipe holds at once.
@@ -692,6 +722,52 @@ class TestNumberColumns:
         path = tmp_path / "scores.csv"
         path.write_text("score,label\n0.8,genuine\n0.1,imposter\n")
         assert load_scores(path).score.base is None
+
+
+@st.composite
+def label_texts(draw):
+    """A label in mixed case, padded, sometimes with one more character; or short text."""
+    label = "".join(c.upper() if draw(st.booleans()) else c for c in draw(st.sampled_from(LABELS)))
+    pad = st.text(st.sampled_from([" ", "\t", "\xa0"]), max_size=2)
+    return draw(pad) + label + draw(st.sampled_from(["", "x", "é", "中"])) + draw(pad)
+
+
+LABEL_TEXTS = st.one_of(label_texts(), st.text(st.sampled_from(["a", "É", "é", "中", " "]),
+                                                max_size=10))
+# Texts that fit a 9-byte latin-1 field.
+FIELD_TEXTS = LABEL_TEXTS.filter(lambda text: len(text) <= 9 and max(text, default="") < "\u0100")
+
+
+class TestLabelBytes:
+    """Label columns read as latin-1 bytes parse as the same values as ``str`` do."""
+
+    @given(st.lists(FIELD_TEXTS, min_size=1, max_size=6),
+           st.sampled_from(["label", "decision"]))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_column_parses_as_text(self, values, name):
+        fields = np.array([value.encode("latin-1") for value in values], dtype="S9")
+        assert fields.tolist() == [value.encode("latin-1") for value in values]  # none was cut
+        with mock.patch.object(dataset, "_text", wraps=dataset._text) as decode:
+            assert dataset.label_codes(fields).tolist() == dataset.label_codes(values).tolist()
+        # Exact labels are matched as bytes, not decoded; the rest once per distinct value.
+        assert decode.call_count == 2 * len(set(values) - set(LABELS))
+        assert (parsed(parse_labels, {name: fields}, [name])
+                == parsed(parse_labels, {name: values}, [name])
+                == parsed(reference_labels, {name: values}, [name]))
+
+    @given(st.lists(st.tuples(LABEL_TEXTS, LABEL_TEXTS), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_columns_read_from_a_file_parse_as_text(self, tmp_path, rows):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(("label,decision\n" + "".join(f"{a},{b}\n" for a, b in rows)).encode())
+        _, _, got = read_columns(path)
+        values = dict(zip(["label", "decision"], map(list, zip(*rows))))
+        for name in values:
+            assert (dataset.label_codes(got[name]).tolist()
+                    == dataset.label_codes(values[name]).tolist())
+        names = ["label", "decision"]
+        assert parsed(parse_labels, got, names) == parsed(reference_labels, values, names)
 
 
 class TestPartition:

@@ -269,6 +269,44 @@ class TestDecide:
         assert confidence.tolist() == [0.8, 0.5, 0.9, 1.0 - 0.49999]
 
 
+def reference_sigmoid(z):
+    """The out-of-place sigmoid that ``pic`` computed before it worked in place."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+FLOATS = st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, 745.2, -745.2])),
+                  max_size=20).map(np.array)
+
+
+class TestInPlaceArithmetic:
+    """The posterior and the decision rule, computed in their buffers, against the
+    out-of-place arithmetic they replaced, bit for bit."""
+
+    @given(FLOATS)
+    @settings(max_examples=300, deadline=None)
+    def test_sigmoid(self, z):
+        from picscore.pic import _stable_sigmoid
+
+        assert _stable_sigmoid(z.astype(float)).tobytes() == reference_sigmoid(z).tobytes()
+        for value in z.tolist():
+            assert math.isnan(value) or _stable_sigmoid(value) == float(reference_sigmoid(value))
+
+    def test_pic_values(self, synth_model):
+        _, model = synth_model
+        scores = np.linspace(-1.0, 2.0, 10001)
+        prior = math.log(model.prior_genuine) - math.log(model.prior_imposter)
+        want = reference_sigmoid(log_likelihood_ratio(model, scores) + prior)
+        assert pic_values(model, scores).tobytes() == want.tobytes()
+
+    @given(FLOATS, st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_decide(self, values, threshold):
+        is_genuine, confidence = decide(values, threshold)
+        assert is_genuine.tolist() == (values >= threshold).tolist()
+        assert confidence.tobytes() == np.where(values >= threshold, values, 1.0 - values).tobytes()
+
+
 def pic_score(value):
     from picscore.pic import PicScore
 
