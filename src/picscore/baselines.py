@@ -4,8 +4,10 @@ All three express decision confidence (the probability the accept/reject
 decision is correct) so their calibration can be compared directly with
 posterior-based confidence. Fitted state comes from training scores only,
 and each estimator type holds exactly the state its confidence function uses.
-Each takes its accept branch from ``pic.decide``, so ties accept. A scalar
-score gives a float (``np.float64``) confidence.
+Each takes its accept branch from ``pic.accepts``, so ties accept. A scalar
+score gives a float (``np.float64``) confidence. Confidences are computed a
+block of rows at a time (``pic._blockwise``), so beyond the scores and the
+result each holds one block's temporaries.
 
 DTC  - distance to the decision threshold, min-max normalized so the
        threshold maps to 0.5 and the training extremes map to 1.0.
@@ -24,7 +26,7 @@ import numpy as np
 from .dataset import ScoreTable
 from .density import DensityModel
 from .metrics import threshold_at_fmr
-from .pic import decide, log_likelihood_ratio
+from .pic import _blockwise, accepts, log_likelihood_ratio
 
 _ERBC_GRID_SIZE = 2048
 
@@ -86,21 +88,22 @@ def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> DtcEstimator:
 
 def dtc_confidence(est: DtcEstimator, s):
     """Distance-to-threshold confidence, clamped to [0, 1]."""
-    x = np.asarray(s, dtype=float)
     t = est.threshold
-
     up_span = est.score_max - t
     down_span = t - est.score_min
-    if up_span > 0:
-        above = 0.5 + 0.5 * (x - t) / up_span
-    else:
-        above = np.where(x > t, 1.0, 0.5)
-    if down_span > 0:
-        below = 0.5 + 0.5 * (t - x) / down_span
-    else:
-        below = np.where(x < t, 1.0, 0.5)
-    accepted, _ = decide(x, t)
-    return np.clip(np.where(accepted, above, below), 0.0, 1.0)
+
+    def confidence(x):
+        if up_span > 0:
+            above = 0.5 + 0.5 * (x - t) / up_span
+        else:
+            above = np.where(x > t, 1.0, 0.5)
+        if down_span > 0:
+            below = 0.5 + 0.5 * (t - x) / down_span
+        else:
+            below = np.where(x < t, 1.0, 0.5)
+        return np.clip(np.where(accepts(x, t), above, below), 0.0, 1.0)
+
+    return _blockwise(confidence, s)
 
 
 def fit_lrc(
@@ -118,16 +121,22 @@ def fit_lrc(
 
 def lrc_confidence(est: LrcEstimator, model: DensityModel, s):
     """Likelihood-ratio confidence mapped onto [0.5, 1] per decision branch."""
-    x = np.asarray(s, dtype=float)
-    llr = log_likelihood_ratio(model, x)
-    accepted, _ = decide(x, est.threshold)
-    oriented = np.where(accepted, llr, -llr)
     span = est.abs_llr_max - est.abs_llr_min
-    if span > 0:
-        norm = np.clip((oriented - est.abs_llr_min) / span, 0.0, 1.0)
-    else:
-        norm = np.where(oriented >= est.abs_llr_max, 1.0, 0.0)
-    return np.clip(0.5 + 0.5 * norm, 0.0, 1.0)
+
+    def confidence(x):
+        oriented = log_likelihood_ratio(model, x)
+        np.negative(oriented, out=oriented, where=np.logical_not(accepts(x, est.threshold)))
+        if span > 0:
+            oriented -= est.abs_llr_min
+            oriented /= span
+            norm = np.clip(oriented, 0.0, 1.0, out=oriented)
+        else:
+            norm = np.where(oriented >= est.abs_llr_max, 1.0, 0.0)
+        norm *= 0.5
+        norm += 0.5
+        return np.clip(norm, 0.0, 1.0, out=norm)
+
+    return _blockwise(confidence, s)
 
 
 def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
@@ -148,13 +157,27 @@ def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
 
 
 def erbc_confidence(est: ErbcEstimator, s):
-    """Error-rate-based confidence from the nearest tabulated threshold."""
-    x = np.asarray(s, dtype=float)
+    """Error-rate-based confidence from the nearest tabulated threshold.
+
+    A score beyond the grid takes the confidence at the grid's nearer end:
+    scores are clipped to the grid before they become indices, so no
+    finite score overflows.
+    """
     grid = est.grid_thresholds
     step = (grid[-1] - grid[0]) / (grid.size - 1)
-    if step > 0:
-        idx = np.clip(np.rint((x - grid[0]) / step).astype(int), 0, grid.size - 1)
-    else:
-        idx = np.zeros(x.shape, dtype=int)
-    accepted, _ = decide(x, est.threshold)
-    return np.clip(np.where(accepted, 1.0 - est.grid_fmr[idx], 1.0 - est.grid_fnmr[idx]), 0.0, 1.0)
+
+    def confidence(x):
+        if step > 0:
+            position = np.clip(x, grid[0], grid[-1])
+            position -= grid[0]
+            position /= step
+            np.rint(position, out=position)
+            idx = np.clip(position, 0, grid.size - 1, out=position).astype(np.intp)
+        else:
+            idx = np.zeros(x.shape, dtype=np.intp)
+        error = est.grid_fnmr[idx]
+        np.copyto(error, est.grid_fmr[idx], where=accepts(x, est.threshold))
+        np.subtract(1.0, error, out=error)
+        return np.clip(error, 0.0, 1.0, out=error)
+
+    return _blockwise(confidence, s)

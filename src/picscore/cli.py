@@ -173,20 +173,25 @@ def _pair_groups(probes: IdColumn, claimed: IdColumn, max_refs: int):
     each group; each group's size; and the first ``max_refs`` rows of each
     group, in the same order. Groups are numbered in order of their first row.
     """
-    pairs = probes.codes.astype(np.int64) * claimed.values.size + claimed.codes
+    pairs = probes.codes.astype(np.int64)
+    pairs *= claimed.values.size
+    pairs += claimed.codes
     order = np.argsort(pairs, kind="stable")  # by pair, file order within each
-    pairs = pairs[order]
+    pairs.sort()
     new = np.ones(pairs.size, dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
     del pairs
     starts = np.flatnonzero(new)  # where each pair's rows start in ``order``
+    del new
     sizes = np.diff(starts, append=order.size)
     groups = np.argsort(order[starts])  # the pairs in order of first row
     starts, sizes = starts[groups], sizes[groups]
-    rank = np.arange(order.size)
-    rank -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
-    order = order[rank + np.repeat(starts, sizes)]  # each pair's rows moved to its group's place
-    return order, sizes, order[rank < max_refs]
+    place = np.arange(order.size)
+    place -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
+    kept = place < max_refs
+    place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
+    order = order[place]
+    return order, sizes, order[kept]
 
 
 def cmd_fuse(args) -> None:
@@ -262,7 +267,7 @@ def _eval_baseline(args, path):
         lrc_confidence,
     )
     from .density import load_model
-    from .pic import decide
+    from .pic import accepts
 
     needed = ("score", "label")
     _, _, columns = read_columns(path, needed)
@@ -279,6 +284,7 @@ def _eval_baseline(args, path):
         lambda: parse_labels(columns["label"], "label"),
         lambda: parse_floats(columns["score"], "score"),
     )
+    del columns  # frees numpy's table, which the label column is a view of
 
     if args.estimator == "dtc":
         est = fit_dtc(train, args.fmr)
@@ -293,8 +299,7 @@ def _eval_baseline(args, path):
         est = fit_lrc(train, model, args.fmr)
         confidences = lrc_confidence(est, model, scores)
 
-    accepted, _ = decide(scores, est.threshold)
-    return is_genuine, scores, accepted, confidences
+    return is_genuine, scores, accepts(scores, est.threshold), confidences
 
 
 def cmd_eval(args) -> None:
@@ -306,12 +311,13 @@ def cmd_eval(args) -> None:
         is_genuine, values, accepted, confidences = _eval_baseline(args, args.input)
 
     correct = accepted == is_genuine
-    keep = np.ones(correct.size, dtype=bool)
     if args.decisions != "all":
         keep = accepted == (args.decisions == GENUINE)
         if not keep.any():
             raise ValueError(f"no rows with decision {args.decisions!r} to evaluate")
-    report = calibration_report(np.asarray(confidences)[keep], correct[keep], args.ece_bins)
+        confidences, correct = confidences[keep], correct[keep]
+    report = calibration_report(confidences, correct, args.ece_bins)
+    del accepted, confidences, correct  # verification needs only the values and labels
 
     genuine_vals = values[is_genuine]
     imposter_vals = values[~is_genuine]
@@ -364,8 +370,11 @@ def cmd_curve(args) -> None:
         lambda: parse_floats(columns["score"], "score"),
         lambda: parse_floats(columns["confidence"], "confidence"),
     )
+    del columns  # frees numpy's table, which the decision column is a view of
 
-    series = ccc(true_confidence(model, scores, accepted), predicted, args.bins)
+    truth = true_confidence(model, scores, accepted)
+    del scores, accepted
+    series = ccc(truth, predicted, args.bins)
 
     write_rows(args.out, CCC_COLUMNS, [getattr(series, column) for column in CCC_COLUMNS])
     _write_manifest(args, {"scored": args.input, "test_model": args.test_model},

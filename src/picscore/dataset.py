@@ -162,8 +162,9 @@ def read_columns(
     ``label_codes`` take either kind. An id column
     (``ID_COLUMNS``) is an ``IdColumn``, coded as it is read: numpy passes
     each id field to a dict lookup that gives a new string the next code,
-    and stores only the code. Each distinct value is then stripped with
-    ``str.strip``, and values that become equal share one code.
+    and stores only the code, in 4 bytes when the input is smaller than
+    2 GiB. Each distinct value is then stripped with ``str.strip``, and
+    values that become equal share one code.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
@@ -198,9 +199,15 @@ def read_to_append(
     that ``write_rows`` writes for it; pass them to ``write_rows`` as its
     ``lines``. A plain file, a regular one that numpy reads from its path
     and that holds no ``"``, is already written that way: ``lines`` holds
-    its bytes and the offsets of its non-blank lines, and decodes a slice
-    of them when it is taken. Any other input's ``lines`` are a list of its
-    rows quoted again.
+    only the offsets of its non-blank lines, found as the file is first
+    scanned, and reads and decodes a slice of them from the file when it
+    is taken (see ``_Lines``). ``write_rows`` checks the file before it
+    opens its output, and reads its bytes whole if the output is this very
+    file, by its own path, a hard link or a symlink. The check, and taking
+    a slice, fail with ``ValueError`` naming the file if it is no longer
+    the file that was read: another device or inode, size or modification
+    time. Any other input is read whole, and its ``lines`` are a list of
+    its rows quoted again.
     """
     return _read(path, names, copy=True)
 
@@ -208,11 +215,13 @@ def read_to_append(
 def _read(path, names, copy: bool):
     """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
-        route = _route(path, handle)
-        source = handle
+        status = os.fstat(handle.fileno())
+        route, ends = _route(path, status, line_ends=copy)
+        source, size = handle, status.st_size
         if route == _TEXT:  # read once; ``_scan_rows`` and ``lines`` may read it again
-            source = io.TextIOWrapper(io.BytesIO(handle.buffer.read()),
-                                      encoding=handle.encoding, newline="")
+            data = handle.buffer.read()
+            source, size = io.TextIOWrapper(io.BytesIO(data), encoding=handle.encoding,
+                                            newline=""), len(data)
         reader = csv.reader(source)
         header = _first_row(reader)
         if header is None:
@@ -226,11 +235,13 @@ def _read(path, names, copy: bool):
         narrow = names.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
                      if key in names and key in ID_COLUMNS}
+        # An id's code is below the number of rows, so below the file's size in bytes.
+        code = np.int32 if size <= np.iinfo(np.int32).max else np.intp
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
                                       f"S{_LABEL_WIDTH}" if key in narrow else
-                                      np.intp if i in interners else
+                                      code if i in interners else
                                       object if key in names else "U0"
                                       for i, key in enumerate(keys)]})
         try:
@@ -251,8 +262,7 @@ def _read(path, names, copy: bool):
                        _id_column(table[f"f{i}"].copy(), interners.pop(i)) if i in interners else
                        table[f"f{i}"] for i, key in enumerate(keys) if key in names}
             if (all(np.isfinite(columns[key]).all() for key in floats)
-                    and not any((np.char.str_len(columns[key]) >= _LABEL_WIDTH).any()
-                                for key in narrow)):
+                    and not any(map(_fills_width, (columns[key] for key in narrow)))):
                 n_rows = table.size
             else:
                 table = None
@@ -260,10 +270,8 @@ def _read(path, names, copy: bool):
             n_rows, columns = _scan_rows(source, keys, names)
         lines = None
         if copy and route == _PLAIN:
-            # The bytes are read whole: the output may be this very file.
-            source.seek(0)
-            lines = _Lines(source.buffer.read(), reader.line_num, source.encoding)
-        elif copy:  # a list, read whole for the same reason
+            lines = _Lines(path, ends, reader.line_num, source.encoding, status)
+        elif copy:  # a list, read whole: the output may be this very file
             lines = [",".join(_quoted(row)) for row in _data_rows(source)]
     if not n_rows:
         raise ValueError(f"{path}: no records")
@@ -286,21 +294,36 @@ def _interned(fields: Sequence[str]) -> IdColumn:
     return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
 
 
-class _Lines(Sequence):
-    """A file's non-blank lines after its first ``skip``, decoded a slice at a time.
+def _fills_width(column: np.ndarray) -> bool:
+    """Whether a field of an ``S`` column fills all its bytes: its last byte is not NUL.
 
-    Holds the file's bytes and the offset at which the header and each line
-    end: at a ``\n``, which is the byte 0x0A in a file with no ``\r`` or NUL.
+    Reads that byte of each field through a view, so no array of a
+    row's size is built.
+    """
+    width = column.dtype.itemsize
+    last = np.dtype({"names": ["last"], "formats": ["u1"], "offsets": [width - 1],
+                     "itemsize": width})
+    return bool(column.view(last)["last"].any())
+
+
+class _Lines(Sequence):
+    """A plain file's non-blank lines after its first ``skip``, read from it a slice at a time.
+
+    Holds the offset at which the header and each line end: at a ``\n``,
+    which is the byte 0x0A in a file with no ``\r`` or NUL. A slice opens
+    the file, reads only its own bytes, closes it and decodes them; it
+    fails if the file is no longer the one ``status`` describes. ``hold``,
+    called before the write, keeps the bytes instead when the write is
+    over the file itself.
     """
 
-    def __init__(self, data: bytes, skip: int, encoding: str):
-        buffer = np.frombuffer(data, dtype=np.uint8)
-        ends = np.concatenate([  # a block at a time: no mask as large as the file
-            at + np.flatnonzero(buffer[at:at + _SCAN_BYTES] == ord("\n"))
-            for at in range(0, buffer.size, _SCAN_BYTES)] + [[buffer.size]])[skip - 1:]
+    def __init__(self, path, ends: np.ndarray, skip: int, encoding: str,
+                 status: os.stat_result):
+        ends = ends[skip - 1:]
         # The header's end, then each non-blank line's: a blank one ends 1 byte after the last.
         self._ends = ends[np.append(True, np.diff(ends) > 1)]
-        self._data, self._encoding = data, encoding
+        self._path, self._encoding, self._identity = path, encoding, _identity(status)
+        self._data = None
 
     def __len__(self) -> int:
         return self._ends.size - 1
@@ -311,8 +334,40 @@ class _Lines(Sequence):
             return self[rows:rows + 1][0]
         if rows.step != 1:
             return [self[i] for i in rows]
-        text = self._data[self._ends[rows.start] + 1:self._ends[rows.stop]]
+        if not rows:
+            return []
+        start, stop = int(self._ends[rows.start]) + 1, int(self._ends[rows.stop])
+        text = self._read(start, stop) if self._data is None else self._data[start:stop]
         return [line for line in text.decode(self._encoding).split("\n") if line]
+
+    def hold(self, path) -> None:
+        """Fail if the file changed after it was read; keep its bytes if ``path`` is it.
+
+        ``path`` is the file when it has the same device and inode, so
+        writing to it would truncate the lines; a path that does not exist
+        yet is not the file.
+        """
+        try:
+            same = _identity(os.stat(path))[:2] == self._identity[:2]
+        except OSError:
+            same = False
+        data = self._read(0, self._identity[2] if same else 0)
+        if same:
+            self._data = data
+
+    def _read(self, start: int, stop: int) -> bytes:
+        with open(self._path, "rb") as raw:
+            raw.seek(start)
+            data = raw.read(stop - start)
+            # After the read: a change before or during it shows here.
+            if _identity(os.fstat(raw.fileno())) != self._identity:
+                raise ValueError(f"{self._path}: the file changed after it was read")
+        return data
+
+
+def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
+    """A file's device, inode, size and modification time."""
+    return status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns
 
 
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
@@ -331,28 +386,35 @@ _LABEL_WIDTH = max(map(len, LABELS)) + 1
 _TEXT, _PATH, _PLAIN = "text", "path", "plain"
 
 
-def _route(path: str | Path, handle) -> str:
-    """``_PATH`` or ``_PLAIN`` if numpy, opening ``path``, sees what ``csv.reader`` sees.
+def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
+    """``(route, ends)``: ``_PATH`` or ``_PLAIN`` if numpy, opening ``path``, sees what
+    ``csv.reader`` sees, else ``_TEXT``.
 
-    ``handle`` is open on ``path``. The file must be a regular one: a pipe
-    or FIFO would be drained by the scan. numpy opens a path with universal
-    newlines and decompresses it by suffix, and drops trailing NULs from
-    fixed-width string fields, so the file must hold no ``\r`` and no NUL
-    byte and have no compressed suffix; otherwise the route is ``_TEXT``.
-    Such a file is ``_PLAIN`` when it also holds no ``"``: then each line
-    is one row, and its fields are its text split at every ``,``.
+    ``status`` is ``os.fstat`` of a handle open on ``path``. The file must
+    be a regular one: a pipe or FIFO would be drained by the scan. numpy
+    opens a path with universal newlines and decompresses it by suffix,
+    and drops trailing NULs from fixed-width string fields, so the file
+    must hold no ``\r`` and no NUL byte and have no compressed suffix;
+    otherwise the route is ``_TEXT``. Such a file is ``_PLAIN`` when it
+    also holds no ``"``: then each line is one row, and its fields are its
+    text split at every ``,``. With ``line_ends``, ``ends`` of a ``_PLAIN``
+    file holds the offset of each of its ``\n`` bytes, found in the same
+    scan, and then its size; otherwise ``ends`` is ``None``.
     """
-    if (not stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    if (not stat.S_ISREG(status.st_mode)
             or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
-        return _TEXT
-    route = _PLAIN
+        return _TEXT, None
+    route, ends, size = _PLAIN, [] if line_ends else None, 0
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
             if b"\r" in chunk or b"\0" in chunk:
-                return _TEXT
+                return _TEXT, None
             if b'"' in chunk:
-                route = _PATH
-    return route
+                route, ends = _PATH, None
+            if ends is not None:
+                ends.append(size + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            size += len(chunk)
+    return route, None if ends is None else np.concatenate([*ends, [size]])
 
 
 def _first_row(reader) -> list[str] | None:
@@ -424,12 +486,15 @@ def write_rows(
     ``lines``, as ``read_to_append`` returns them, hold each row's leading
     fields already written as CSV; each is written as it is, followed by
     the row's fields from ``columns``. They are sliced a chunk of rows at a
-    time, so lines that decode on slicing are never all decoded at once.
+    time, so lines that are read from their file on slicing are never all
+    read at once; when ``path`` is that file, they are read whole first.
     """
     lengths = [len(column.codes if isinstance(column, IdColumn) else column)
                for column in ([] if lines is None else [lines]) + list(columns)]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
+    if isinstance(lines, _Lines):
+        lines.hold(path)  # before ``open`` creates the output or truncates their file
     with open(path, "w", newline="") as handle:
         _write_lines(handle, [_quoted([name]) for name in header])
         for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):

@@ -146,16 +146,26 @@ def _require_finite(values: np.ndarray, name: str) -> None:
 def _binned(keys: np.ndarray, n_bins: int, *values: np.ndarray):
     """Bin by key (right-open bins over [0, 1], 1.0 in the top bin): the count per bin,
     then per value array a ``(mean, std)`` pair of arrays, ``np.mean`` and
-    ``np.std`` over each non-empty bin's values and NaN for an empty bin.
+    ``np.std`` over each non-empty bin's values, in row order, and NaN for
+    an empty bin.
+
+    The bin of each key is computed in one float temporary and kept in the
+    narrowest unsigned integer that holds it; a bin's values are then
+    selected into one array, shared by its mean and its std.
     """
-    idx = np.clip(np.floor(keys * n_bins).astype(int), 0, n_bins - 1)
+    position = keys * n_bins
+    np.floor(position, out=position)
+    np.clip(position, 0, n_bins - 1, out=position)
+    idx = position.astype(np.min_scalar_type(n_bins - 1))
+    del position
     count = np.bincount(idx, minlength=n_bins)
     stats = [(np.full(n_bins, math.nan), np.full(n_bins, math.nan)) for _ in values]
     for b in np.flatnonzero(count):
         mask = idx == b
         for v, (mean, std) in zip(values, stats):
-            mean[b] = np.mean(v[mask])
-            std[b] = np.std(v[mask])
+            selected = v[mask]
+            mean[b] = np.mean(selected)
+            std[b] = np.std(selected)
     return count, *stats
 
 
@@ -225,7 +235,8 @@ def true_confidence(model_test: DensityModel, scores, accepted):
 
     Uses a model fitted on held-out (test) scores as the ground-truth
     posterior: the probability the score is genuine where the decision
-    accepted it as genuine, otherwise its complement.
+    accepted it as genuine, otherwise its complement, computed in the
+    posterior's buffer.
     """
-    p = pic_values(model_test, scores)
-    return np.where(accepted, p, 1.0 - p)
+    p = np.asarray(pic_values(model_test, scores))
+    return np.subtract(1.0, p, out=p, where=np.logical_not(accepted))

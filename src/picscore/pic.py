@@ -5,6 +5,11 @@ scores were drawn from the genuine distribution rather than the imposter
 distribution. Multi-score fusion multiplies per-score likelihoods, which
 is accumulated here as a sum of log likelihood ratios and squashed with a
 numerically stable sigmoid, so fusing hundreds of scores cannot underflow.
+
+The float kernels work ``_BLOCK_ROWS`` rows at a time, so beyond their
+input and output they hold a fixed amount of scratch memory. Each element
+goes through the same IEEE operations as in one whole-array pass, so the
+results do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import numpy as np
 from .dataset import GENUINE, IMPOSTER
 from .density import DensityModel, eval_density
 
+_BLOCK_ROWS = 1 << 15
+
 
 @dataclass(frozen=True)
 class PicScore:
@@ -28,22 +35,40 @@ class PicScore:
     log_lr_sum: float
 
 
+def _blockwise(kernel, x):
+    """``kernel`` of float64 ``x`` computed ``_BLOCK_ROWS`` elements at a time.
+
+    ``kernel`` maps a 1-d block to an array of the same size, one element
+    from one element. Returns a new float64 array shaped like ``x``, or a
+    float64 scalar for a 0-d ``x``.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BLOCK_ROWS):
+        out[start:start + _BLOCK_ROWS] = kernel(flat[start:start + _BLOCK_ROWS])
+    return out.reshape(x.shape)[()]
+
+
 def _stable_sigmoid(z):
     """``1 / (1 + e)`` where z >= 0, else ``e / (1 + e)``, with ``e = exp(-|z|)``.
 
     exp only ever sees non-positive arguments, so neither branch overflows.
-    A float64 array ``z`` is overwritten with the result, so that one more
-    array, ``1 + e``, is the only temporary of its size.
+    A contiguous float64 array ``z`` is overwritten with the result, a block
+    of rows at a time, so that ``1 + e`` of one block is the only temporary.
     """
     out = np.asarray(z, dtype=float)
-    positive = out >= 0.0
-    np.abs(out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    denominator = out + 1.0
-    np.copyto(out, 1.0, where=positive)  # the numerator
-    np.divide(out, denominator, out=out)
-    return float(out) if out.ndim == 0 else out
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK_ROWS):
+        block = flat[start:start + _BLOCK_ROWS]
+        positive = block >= 0.0
+        np.abs(block, out=block)
+        np.negative(block, out=block)
+        np.exp(block, out=block)
+        denominator = block + 1.0
+        np.copyto(block, 1.0, where=positive)  # the numerator
+        np.divide(block, denominator, out=block)
+    return float(flat[0]) if out.ndim == 0 else flat.reshape(out.shape)
 
 
 def _prior_logit(model: DensityModel) -> float:
@@ -54,31 +79,31 @@ def log_likelihood_ratio(model: DensityModel, scores):
     """log g(s) - log f(s) for each score; scalar in, scalar out.
 
     A score beyond the model's grid gets the ratio at the nearest grid
-    edge; NaN gives NaN. The scores are sorted and clipped to the grid
-    once, and both classes are looked up on that copy, in ascending order.
-    The genuine log is taken into the copy's buffer and the result is put
-    back in query order in the imposter lookup's, so no more than three
-    arrays of the scores' size are alive at once.
+    edge; NaN gives NaN. The scores are taken a block of ``_BLOCK_ROWS``
+    at a time: each block is sorted and clipped to the grid once, and both
+    classes are looked up on that copy, in ascending order. Beyond the
+    scores and the result, only arrays of one block's size are alive.
     """
-    arr = np.asarray(scores, dtype=float)
-    flat = arr.ravel()
-    order = np.argsort(flat)
-    llr = flat[order]
+    return _blockwise(lambda x: _llr_block(model, x), scores)
+
+
+def _llr_block(model: DensityModel, x: np.ndarray) -> np.ndarray:
+    order = np.argsort(x)
+    llr = x[order]
     np.clip(llr, model.genuine.grid_min, model.genuine.grid_max, out=llr)
     log_f = eval_density(model.imposter, llr)
     np.log(log_f, out=log_f)
     np.log(eval_density(model.genuine, llr), out=llr)
     llr -= log_f
     log_f[order] = llr
-    return log_f[0] if arr.ndim == 0 else log_f.reshape(arr.shape)
+    return log_f
 
 
 def pic_values(model: DensityModel, scores):
     """Vectorized single-comparison posterior for an array of scores.
 
-    The posterior is computed in the buffer of the log likelihood ratios:
-    beyond ``log_likelihood_ratio``'s own, it needs one temporary array of
-    the scores' size (see ``_stable_sigmoid``).
+    The posterior is computed in the buffer of the log likelihood ratios,
+    so beyond the scores and the result it holds one block's scratch.
     """
     z = log_likelihood_ratio(model, scores)
     z += _prior_logit(model)
@@ -104,7 +129,9 @@ def fuse_groups(model: DensityModel, scores, groups):
     independently, so the class likelihoods are per-score products; each
     group's ratio is accumulated in log space with an exactly rounded sum,
     making the result independent of score order. All scores go through
-    one density lookup. Returns ``(values, log_lr_sums)``, one per group.
+    one ``log_likelihood_ratio`` call; the ratios are then turned into
+    Python floats and summed a block of whole groups at a time. Returns
+    ``(values, log_lr_sums)``, one per group.
     """
     arr = np.asarray(scores, dtype=float).ravel()
     groups = np.asarray(groups).ravel()
@@ -117,9 +144,21 @@ def fuse_groups(model: DensityModel, scores, groups):
     sizes = np.bincount(groups)  # raises ValueError on a negative index
     if not sizes.all():
         raise ValueError("every group index 0 .. G-1 must occur")
-    ends = list(itertools.accumulate(sizes.tolist()))
-    llrs = log_likelihood_ratio(model, arr[np.argsort(groups, kind="stable")]).tolist()
-    sums = np.array([math.fsum(llrs[a:b]) for a, b in zip([0, *ends], ends)])
+    if (groups[1:] < groups[:-1]).any():  # rows not already by group
+        arr = arr[np.argsort(groups, kind="stable")]
+    llrs = log_likelihood_ratio(model, arr)
+    # Whole groups, a block at a time: each block ends with the last group
+    # that ends within the next ``_BLOCK_ROWS`` rows.
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, np.arange(_BLOCK_ROWS, arr.size, _BLOCK_ROWS), side="right")
+    sums = np.empty(sizes.size)
+    for first, stop in itertools.pairwise([0, *cuts.tolist(), sizes.size]):
+        if first == stop:  # a group longer than a block spans this cut too
+            continue
+        top = int(ends[first] - sizes[first])  # the block's first row
+        block_ends = (ends[first:stop] - top).tolist()
+        block = llrs[top:top + block_ends[-1]].tolist()
+        sums[first:stop] = [math.fsum(block[a:b]) for a, b in zip([0, *block_ends], block_ends)]
     return _stable_sigmoid(sums + _prior_logit(model)), sums
 
 
@@ -134,17 +173,22 @@ def pic_multi(model: DensityModel, scores) -> PicScore:
     return PicScore(value=float(values[0]), n_comparisons=int(arr.size), log_lr_sum=float(sums[0]))
 
 
+def accepts(values, threshold: float):
+    """The decision rule: a value at or above the threshold decides genuine, so ties accept."""
+    return np.asarray(values, dtype=float) >= threshold
+
+
 def decide(values, threshold: float):
     """Threshold posterior values into decisions and their confidences.
 
-    A value at or above the threshold decides genuine (ties accept) with
+    A value at or above the threshold decides genuine (``accepts``) with
     confidence equal to the value itself; below decides imposter with
     confidence one minus the value. Returns ``(is_genuine, confidence)``
     arrays shaped like ``values``; the confidences are the only float array
     allocated, ``1 - values`` with the accepted values copied over it.
     """
     values = np.asarray(values, dtype=float)
-    is_genuine = values >= threshold
+    is_genuine = accepts(values, threshold)
     confidence = np.subtract(1.0, values, out=np.empty_like(values))
     np.copyto(confidence, values, where=is_genuine)
     return is_genuine, confidence

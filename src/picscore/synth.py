@@ -70,15 +70,16 @@ def generate(config: SynthConfig) -> ScoreTable:
     subject_b = np.where(is_genuine, subject_a, (subject_a + 1 + (group // n) % (n - 1)) % n)
     # A probe string per group (each starts where index % refs_per_probe == 0), a reference per row.
     kinds = (("g", config.n_genuine), ("i", config.n_imposter))
-    probes = [f"{k}p{g:07d}" for k, size in kinds for g in range(-(-size // config.refs_per_probe))]
-    references = [f"{k}r{i:07d}" for k, size in kinds for i in range(size)]
+    probes = np.fromiter((f"{k}p{g:07d}" for k, size in kinds
+                          for g in range(-(-size // config.refs_per_probe))), dtype=object)
+    references = np.fromiter((f"{k}r{i:07d}" for k, size in kinds for i in range(size)),
+                             dtype=object, count=is_genuine.size)
     subjects = np.array([f"S{k:05d}" for k in range(n)], dtype=object)
     return ScoreTable(
         np.concatenate([genuine, imposter]),
         is_genuine,
-        probe_id=IdColumn(np.cumsum(index % config.refs_per_probe == 0) - 1,
-                          np.array(probes, dtype=object)),
-        reference_id=IdColumn(np.arange(is_genuine.size), np.array(references, dtype=object)),
+        probe_id=IdColumn(np.cumsum(index % config.refs_per_probe == 0) - 1, probes),
+        reference_id=IdColumn(np.arange(is_genuine.size), references),
         subject_a=IdColumn(subject_a, subjects),
         subject_b=IdColumn(subject_b, subjects),
     )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestLrc:
 
 
 class TestErbc:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_beyond_the_grid_takes_the_ends_confidence(self, sign):
+        grid = np.linspace(0.0, 1.0, 2048)
+        est = ErbcEstimator(0.5, grid, np.linspace(0.9, 0.1, 2048), np.linspace(0.05, 0.7, 2048))
+        end = grid[-1] if sign > 0 else grid[0]
+        beyond = sign * np.array([1.0 + 1e-9, 2.0, 1e17, 1e300, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_end = erbc_confidence(est, end)
+            assert at_end == (0.9 if sign > 0 else 0.95)
+            assert erbc_confidence(est, beyond).tolist() == [at_end] * beyond.size
+            assert [erbc_confidence(est, x) for x in beyond.tolist()] == [at_end] * beyond.size
+
     def test_above_all_imposters_genuine_decision(self, synth_train):
         est = fit_erbc(synth_train, 1e-3)
         top = float(np.concatenate(

@@ -441,12 +441,17 @@ class TestStrictChild:
         # Labels in other cases and padded, so that label codes decode the odd values.
         rows[::3] = [row.replace(",genuine,", ", Genuine,").replace(",imposter,", ",IMPOSTER,")
                      for row in rows[::3]]
+        # One score far beyond the model's and the baselines' grids, in the scored
+        # rows only: it takes the confidence at a grid's end, with no warning.
+        rows[1] = "1e300," + rows[1].split(",", 1)[1]
         source.write_text("\n".join([header, *rows]) + "\n")
         runs = [
             ("score", model_file, source, "scored.csv"),
             ("fuse", model_file, source, "fused.csv", "--max-refs", 3),
             ("eval", "scored.csv", "report"),
-            ("eval", "scored.csv", "lrc", "--estimator", "lrc", "--train", source,
+            ("eval", "scored.csv", "dtc", "--estimator", "dtc", "--train", synth_csv),
+            ("eval", "scored.csv", "erbc", "--estimator", "erbc", "--train", synth_csv),
+            ("eval", "scored.csv", "lrc", "--estimator", "lrc", "--train", synth_csv,
              "--model", model_file),
             ("curve", "scored.csv", model_file, "curve.csv"),
         ]
@@ -459,7 +464,7 @@ class TestStrictChild:
         for argv in runs:
             assert run_inprocess(*argv) == 0, argv
         outputs = sorted(path.name for path in (tmp_path / "plain").iterdir())
-        assert len(outputs) == 14
+        assert len(outputs) == 22
         for name in outputs:
             assert ((tmp_path / "strict" / name).read_bytes()
                     == (tmp_path / "plain" / name).read_bytes()), name

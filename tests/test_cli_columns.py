@@ -8,6 +8,7 @@ kept here as the reference the column code must match byte for byte.
 import csv
 import io
 import math
+import os
 import random
 import subprocess
 import sys
@@ -212,11 +213,42 @@ class TestAgainstRowReference:
 
     @pytest.mark.parametrize("name", ["blank-lines", "padded", "no-final-newline", "non-ascii"])
     def test_score_over_its_own_input(self, tmp_path, model_path, name):
+        """The output is the input file by its own path, a hard link or a symlink."""
         source = tmp_path / "in.csv"
         source.write_bytes(self.PLAIN[name].encode())
         assert run("score", model_path, source, tmp_path / "other.csv") == 0
-        assert run("score", model_path, source, source) == 0
-        assert source.read_bytes() == (tmp_path / "other.csv").read_bytes()
+        hard, soft = tmp_path / "hard.csv", tmp_path / "soft.csv"
+        os.link(source, hard)
+        soft.symlink_to(source)
+        for out in (source, hard, soft):
+            source.write_bytes(self.PLAIN[name].encode())
+            assert run("score", model_path, source, out) == 0
+            assert source.read_bytes() == (tmp_path / "other.csv").read_bytes()
+
+    @pytest.mark.parametrize("change", ["longer", "same-size", "replaced"])
+    def test_score_fails_when_its_input_changes_before_the_write(
+            self, tmp_path, model_path, monkeypatch, capsys, change):
+        source = tmp_path / "in.csv"
+        text = self.PLAIN["blank-lines"]
+        source.write_bytes(text.encode())
+        write_rows = cli.write_rows
+
+        def rewrite_then_write(*args, **kwargs):
+            if change == "longer":
+                source.write_bytes(text.replace("0.61", "0.71234").encode())
+            elif change == "same-size":
+                stat = source.stat()
+                source.write_bytes(text.replace("0.61", "0.71").encode())
+                os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+            else:
+                (tmp_path / "new.csv").write_bytes(text.encode())
+                os.replace(tmp_path / "new.csv", source)
+            return write_rows(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "write_rows", rewrite_then_write)
+        assert run("score", model_path, source, tmp_path / "out.csv") == 2
+        assert capsys.readouterr().err == f"error: {source}: the file changed after it was read\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_fuse_on_synthetic_scores(self, tmp_path, model_path):
         source = tmp_path / "scores.csv"

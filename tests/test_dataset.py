@@ -4,6 +4,7 @@ import math
 import random
 import os
 import re
+import stat
 import threading
 import warnings
 from typing import NamedTuple
@@ -539,6 +540,50 @@ class TestReadColumns:
                      slice(9, 0, -2), slice(5, 50)):
             assert lines[part] == rows[part]
         assert (lines[0], lines[-1]) == (rows[0], rows[-1])
+
+    def test_lines_of_a_plain_file_are_read_from_it_as_they_are_sliced(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n0.3,p3\n")
+        with mock.patch.object(dataset, "_SCAN_BYTES", 4):  # line ends across scan chunks
+            _, _, _, lines = read_to_append(path, ["score"])
+        assert lines._data is None  # no bytes held
+        with mock.patch("builtins.open", wraps=open) as opened:
+            assert lines[1:3] == ["0.2,p2", "0.3,p3"]
+            assert lines[2:2] == [] and lines[::-1] == ["0.3,p3", "0.2,p2", "0.1,p1"]
+        assert [call.args[0] for call in opened.call_args_list] == [path] * 4
+        path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n0.4,p3\n")
+        os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file changed"):
+            lines[0:1]
+
+    @pytest.mark.parametrize("text, pipe, scanned", [
+        ("score,probe_id\n0.1,p1\n0.2,p2\n", False, False),
+        ('score,probe_id\n0.1,"p,1"\n0.2,p2\n', False, False),
+        ("score,probe_id\n0.1,p1\n0.2,p2\n", True, False),
+        ("score,probe_id\nnan,p1\n0.2,p2\n", False, True),
+    ], ids=["plain", "path", "pipe", "scan"])
+    def test_id_codes_take_4_bytes_on_numpys_routes(self, tmp_path, text, pipe, scanned):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        _, _, columns = through_pipe(text.encode(), read_columns) if pipe else read_columns(path)
+        codes = columns["probe_id"].codes
+        assert codes.tolist() == [0, 1]
+        assert codes.dtype == (np.intp if scanned else np.int32)
+
+    def test_id_codes_of_a_file_of_2_gib_take_8_bytes(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n")
+        fstat = os.fstat
+
+        def large(fd):  # the file as if it held 2**31 bytes
+            status = list(fstat(fd))
+            status[stat.ST_SIZE] = 2**31
+            return os.stat_result(status)
+
+        with mock.patch.object(dataset.os, "fstat", large):
+            _, _, columns = read_columns(path, ["probe_id"])
+        assert columns["probe_id"].codes.dtype == np.intp
+        assert columns["probe_id"].codes.tolist() == [0, 1]
 
     @pytest.mark.parametrize("text, pipe, scores", [
         ('score,id\n0.5,"a,b"\n0.25,"c"\n', False, [0.5, 0.25]),

@@ -349,6 +349,22 @@ class TestBinsMatchReference:
         assert_same_bits(np.array(report.mce), np.array(mce_max))
         assert report.n_samples == len(conf)
 
+    @pytest.mark.parametrize("bins", [255, 256, 257, 65536, 65537])
+    def test_bin_counts_past_a_byte_and_two(self, bins):
+        """Bin numbers are kept in the narrowest unsigned type: 1, 2 or 4 bytes here."""
+        rng = np.random.default_rng(bins)
+        keys = np.concatenate([[0.0, 1.0, 1.0 - 1.0 / bins, (bins - 1) / bins, 0.5],
+                               rng.uniform(0.0, 1.0, 300)])
+        predicted = rng.uniform(0.0, 1.0, keys.size)
+        series = ccc(keys, predicted, bins)
+        for name, expected in zip(CCC_COLUMNS, reference_ccc(keys, predicted, bins), strict=True):
+            assert_same_bits(getattr(series, name), expected)
+        report = calibration_report(keys, predicted < keys, bins)
+        columns, ece_total, _ = reference_calibration(keys, predicted < keys, bins)
+        for name, expected in zip(CALIBRATION_COLUMNS, columns, strict=True):
+            assert_same_bits(getattr(report, name), expected)
+        assert_same_bits(np.array(report.ece), np.array(ece_total))
+
     @given(binned_samples(st.floats(-2.0, 2.0)))
     @example((*EDGES_AND_EMPTY_BINS, [0.9, 0.2, 0.4, 0.6, 0.8]))
     @example((*CROWDED_BINS, _RNG.uniform(0.0, 1.0, 1000).tolist()))

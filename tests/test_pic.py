@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from picscore import pic
+from picscore.baselines import (
+    DtcEstimator,
+    ErbcEstimator,
+    LrcEstimator,
+    dtc_confidence,
+    erbc_confidence,
+    lrc_confidence,
+)
 from picscore.dataset import GENUINE, IMPOSTER, ScoreTable
 from picscore.density import DensityModel, KdeDensity, eval_density, fit_model
+from picscore.metrics import true_confidence
 from picscore.pic import (
     decide,
     decision_confidence,
@@ -305,6 +315,59 @@ class TestInPlaceArithmetic:
         is_genuine, confidence = decide(values, threshold)
         assert is_genuine.tolist() == (values >= threshold).tolist()
         assert confidence.tobytes() == np.where(values >= threshold, values, 1.0 - values).tobytes()
+
+
+class TestBlocks:
+    """The block-wise kernels with blocks far smaller than their input, against one block
+    that holds it all: each element goes through the same operations, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def scores(self):
+        scores = np.random.default_rng(8).normal(0.45, 0.4, 1000)
+        scores[::97] = np.linspace(-1e300, 1e300, scores[::97].size)  # far beyond the grid
+        return scores
+
+    @staticmethod
+    def in_blocks(rows, function):
+        with mock.patch.object(pic, "_BLOCK_ROWS", rows):
+            return function()
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_elementwise_kernels(self, synth_model, scores, rows):
+        _, model = synth_model
+        erbc = ErbcEstimator(0.5, np.linspace(0.0, 1.0, 2048), np.linspace(0.9, 0.0, 2048),
+                             np.linspace(0.0, 0.8, 2048))
+        kernels = [
+            lambda: log_likelihood_ratio(model, scores),
+            lambda: log_likelihood_ratio(model, scores.reshape(10, 100)),
+            lambda: pic_values(model, scores),
+            lambda: pic._stable_sigmoid(scores * 1000.0),
+            lambda: true_confidence(model, scores, scores >= 0.5),
+            lambda: dtc_confidence(DtcEstimator(0.5, 0.0, 1.0), scores),
+            lambda: lrc_confidence(LrcEstimator(0.5, 0.0, 8.0), model, scores),
+            lambda: erbc_confidence(erbc, scores),
+        ]
+        for kernel in kernels:
+            want = self.in_blocks(1 << 30, kernel)
+            got = self.in_blocks(rows, kernel)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_fuse_groups(self, synth_model, rows):
+        _, model = synth_model
+        rng = np.random.default_rng(9)
+        sizes = rng.integers(1, 9, 120)
+        sizes[[0, 50, -1]] = 150  # groups longer than several blocks, first and last among them
+        groups = np.repeat(np.arange(sizes.size), sizes)
+        scores = rng.normal(0.45, 0.3, groups.size)
+        perm = rng.permutation(groups.size)
+        for g, s in [(groups, scores), (groups[perm], scores[perm])]:
+            values, sums = self.in_blocks(rows, lambda: fuse_groups(model, s, g))
+            want_values, want_sums = self.in_blocks(1 << 30, lambda: fuse_groups(model, s, g))
+            assert values.tobytes() == want_values.tobytes()
+            assert sums.tobytes() == want_sums.tobytes()
+            assert sums.tolist() == [math.fsum(log_likelihood_ratio(model, scores[groups == i])
+                                               .tolist()) for i in range(sizes.size)]
 
 
 def pic_score(value):
