@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "pic": (
         "PicScore", "decide", "decision_confidence", "fuse_groups", "log_likelihood_ratio",
-        "pic_multi", "pic_single", "pic_threshold_for_fmr", "pic_values",
+        "pair_groups", "pic_multi", "pic_single", "pic_threshold_for_fmr", "pic_values",
     ),
     "synth": (
         "SynthConfig", "analytic_fused_posterior", "analytic_posterior", "generate",

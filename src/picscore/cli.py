@@ -23,16 +23,16 @@ from . import __version__
 from .dataset import (
     GENUINE,
     IdColumn,
-    check_labels,
+    MissingColumns,
     check_rows,
-    fail_first_row,
-    label_codes,
     label_column,
     load_scores,
     parse_floats,
     parse_labels,
+    parse_probabilities,
     read_columns,
     read_to_append,
+    require_columns,
     save_scores,
     split_subject_exclusive,
     write_rows,
@@ -84,12 +84,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _require_columns(columns: dict, needed: tuple[str, ...], path: str) -> None:
-    missing = [c for c in needed if c not in columns]
-    if missing:
-        raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
-
-
 def cmd_synth(args) -> None:
     from .synth import SynthConfig, generate
 
@@ -116,7 +110,7 @@ def cmd_split(args) -> None:
 def cmd_train(args) -> None:
     from .density import fit_model, save_model
 
-    train = load_scores(args.input)
+    train = load_scores(args.input, ("subject_a", "subject_b"))
     model = fit_model(train, prior_genuine=args.prior, resolution=args.resolution,
                       bandwidth=args.bandwidth)
     save_model(model, args.out)
@@ -135,7 +129,7 @@ def cmd_score(args) -> None:
 
     model = load_model(args.model)
     header, n_rows, columns, lines = read_to_append(args.input, ("score", *APPENDED_COLUMNS))
-    _require_columns(columns, ("score",), args.input)
+    require_columns(columns, ("score",), args.input)
     for appended in APPENDED_COLUMNS:
         if appended in columns:
             raise ValueError(f"{args.input}: column {appended!r} already present")
@@ -151,81 +145,18 @@ def cmd_score(args) -> None:
     print(f"scored {n_rows} rows at pic threshold {_fmt(threshold)}")
 
 
-def _require_ids(probes: IdColumn, claimed: IdColumn) -> None:
-    fail_first_row((probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes],
-                   lambda i: "probe_id and subject_b are required for fusion")
-
-
-def _require_one_label(label: np.ndarray, order: np.ndarray, sizes: np.ndarray,
-                       first: np.ndarray, probes, claimed) -> None:
-    """Every row's label code (``label_codes``) equals that of its group's first row."""
-    mixed = np.empty(label.size, dtype=bool)
-    mixed[order] = label[order] != np.repeat(label[first], sizes)
-    fail_first_row(mixed, lambda i: (
-        f"group ({probes.values[probes.codes[i]]}, {claimed.values[claimed.codes[i]]}) "
-        "mixes genuine and imposter labels"))
-
-
-def _pair_groups(probes: IdColumn, claimed: IdColumn, max_refs: int):
-    """The rows grouped by distinct (probe, claimed) pair, from one stable sort of the pairs.
-
-    Returns ``(order, sizes, kept)``: the rows by group, in file order within
-    each group; each group's size; and the first ``max_refs`` rows of each
-    group, in the same order. Groups are numbered in order of their first row.
-    """
-    pairs = probes.codes.astype(np.int64)
-    pairs *= claimed.values.size
-    pairs += claimed.codes
-    order = np.argsort(pairs, kind="stable")  # by pair, file order within each
-    pairs.sort()
-    new = np.ones(pairs.size, dtype=bool)
-    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
-    del pairs
-    starts = np.flatnonzero(new)  # where each pair's rows start in ``order``
-    del new
-    sizes = np.diff(starts, append=order.size)
-    groups = np.argsort(order[starts])  # the pairs in order of first row
-    starts, sizes = starts[groups], sizes[groups]
-    place = np.arange(order.size)
-    place -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
-    kept = place < max_refs
-    place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
-    order = order[place]
-    return order, sizes, order[kept]
-
-
 def cmd_fuse(args) -> None:
-    """Fuse each (probe, claimed) group's first ``--max-refs`` scores in file order.
-
-    The groups are written in order of their first row. numpy's table is
-    freed before the rows are grouped: the label column is kept as one
-    code per row, and as text only at the first unknown label, the one row
-    an error can name.
-    """
+    """Fuse each (probe, claimed) group's first ``--max-refs`` scores, in order of first row."""
     from .density import load_model
-    from .pic import decide, fuse_groups, pic_threshold_for_fmr
+    from .pic import decide, fuse_groups, pair_groups, pic_threshold_for_fmr
 
     model = load_model(args.model)
-    needed = ("score", "label", "probe_id", "subject_b")
-    _, n_rows, columns = read_columns(args.input, needed)
-    _require_columns(columns, needed, args.input)
-
-    probes, claimed = columns["probe_id"], columns["subject_b"]
-    labels = columns.pop("label")
-    codes = label_codes(labels)
-    labels = {i: labels[i] for i in np.flatnonzero(codes > 1)[:1].tolist()}  # frees numpy's table
-    order, sizes, kept = _pair_groups(probes, claimed, args.max_refs)
+    table = load_scores(args.input, ("probe_id", "subject_b"))
+    order, sizes, kept = pair_groups(table, args.max_refs)
     first = order[np.cumsum(sizes) - sizes]  # each group's first row
-    _, _, scores, _ = check_rows(
-        lambda: _require_ids(probes, claimed),
-        lambda: check_labels(codes, labels, "label"),
-        lambda: parse_floats(columns["score"], "score"),
-        lambda: _require_one_label(codes, order, sizes, first, probes, claimed),
-    )
-    ids = [IdColumn(column.codes[first], column.values) for column in (probes, claimed)]
-    is_genuine = codes[first] == 0
-    scores = scores[kept]
-    del codes, columns, probes, claimed, order, kept  # only the kept scores go into fusion
+    ids = [IdColumn(codes[first], values) for codes, values in (table.probe_id, table.subject_b)]
+    n_rows, is_genuine, scores = len(table), table.is_genuine[first], table.score[kept]
+    del table, order, kept  # only the kept scores go into fusion
     n_used = np.minimum(sizes, args.max_refs)
     values, _ = fuse_groups(model, scores, np.repeat(np.arange(sizes.size), n_used))
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
@@ -244,20 +175,20 @@ def cmd_fuse(args) -> None:
           f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
 
 
-def _eval_pic(path):
+def _eval_pic(args):
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(path, needed)
-    _require_columns(columns, needed, path)
+    _, _, columns = read_columns(args.input, needed)
+    require_columns(columns, needed, args.input)
     is_genuine, accepted, values, confidences = check_rows(
         lambda: parse_labels(columns["label"], "label"),
         lambda: parse_labels(columns["decision"], "decision"),
-        lambda: parse_floats(columns["pic"], "pic"),
-        lambda: parse_floats(columns["confidence"], "confidence"),
+        lambda: parse_probabilities(columns["pic"], "pic"),
+        lambda: parse_probabilities(columns["confidence"], "confidence"),
     )
     return is_genuine, values, accepted, confidences
 
 
-def _eval_baseline(args, path):
+def _eval_baseline(args):
     from .baselines import (
         dtc_confidence,
         erbc_confidence,
@@ -269,22 +200,17 @@ def _eval_baseline(args, path):
     from .density import load_model
     from .pic import accepts
 
-    needed = ("score", "label")
-    _, _, columns = read_columns(path, needed)
-    if "score" not in columns:
-        raise ValueError(
-            f"{path}: estimator {args.estimator!r} needs raw scores "
-            "(fused input supports the pic estimator only)"
-        )
-    _require_columns(columns, needed, path)
+    try:
+        table = load_scores(args.input, ())
+    except MissingColumns as error:
+        if "score" not in error.missing:
+            raise
+        raise ValueError(f"{args.input}: estimator {args.estimator!r} needs raw scores "
+                         "(fused input supports the pic estimator only)") from None
     if not args.train:
         raise ValueError(f"--train is required for estimator {args.estimator!r}")
-    train = load_scores(args.train)
-    is_genuine, scores = check_rows(
-        lambda: parse_labels(columns["label"], "label"),
-        lambda: parse_floats(columns["score"], "score"),
-    )
-    del columns  # frees numpy's table, which the label column is a view of
+    train = load_scores(args.train, ("subject_a", "subject_b"))
+    scores = table.score
 
     if args.estimator == "dtc":
         est = fit_dtc(train, args.fmr)
@@ -299,16 +225,14 @@ def _eval_baseline(args, path):
         est = fit_lrc(train, model, args.fmr)
         confidences = lrc_confidence(est, model, scores)
 
-    return is_genuine, scores, accepts(scores, est.threshold), confidences
+    return table.is_genuine, scores, accepts(scores, est.threshold), confidences
 
 
 def cmd_eval(args) -> None:
     from .metrics import calibration_report, fnmr_at_fmr
 
-    if args.estimator == "pic":
-        is_genuine, values, accepted, confidences = _eval_pic(args.input)
-    else:
-        is_genuine, values, accepted, confidences = _eval_baseline(args, args.input)
+    evaluate = _eval_pic if args.estimator == "pic" else _eval_baseline
+    is_genuine, values, accepted, confidences = evaluate(args)
 
     correct = accepted == is_genuine
     if args.decisions != "all":
@@ -364,11 +288,11 @@ def cmd_curve(args) -> None:
     model = load_model(args.test_model)
     needed = ("score", "decision", "confidence")
     _, n_rows, columns = read_columns(args.input, needed)
-    _require_columns(columns, needed, args.input)
+    require_columns(columns, needed, args.input)
     accepted, scores, predicted = check_rows(
         lambda: parse_labels(columns["decision"], "decision"),
         lambda: parse_floats(columns["score"], "score"),
-        lambda: parse_floats(columns["confidence"], "confidence"),
+        lambda: parse_probabilities(columns["confidence"], "confidence"),
     )
     del columns  # frees numpy's table, which the decision column is a view of
 

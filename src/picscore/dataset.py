@@ -1,8 +1,8 @@
 """The columnar score table, CSV reading and writing, and subject-exclusive splitting.
 
 The CSV readers (``read_columns``, and ``read_to_append``, which adds each row's
-line; ``parse_*``, ``check_rows``) and the CSV writer (``write_rows``) also serve
-every CLI command.
+line; ``require_columns``, ``parse_*``, ``check_rows``) and the CSV writer
+(``write_rows``) also serve every CLI command.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class ScoreTable:
 
     ``score`` is float64 and ``is_genuine`` bool; an id column is an ``IdColumn``
     (strings ``values[codes]``, ``""`` where blank), coded if given as strings
-    and all blank if left out. Rejects columns of unequal length, an
+    and all blank, at no memory per row, if left out. Rejects columns of unequal length, an
     ``IdColumn`` whose codes are not integers in ``[0, len(values))`` and,
     naming the row, a non-finite score or a genuine row whose two non-blank
     subjects differ.
@@ -57,7 +57,7 @@ class ScoreTable:
             if field.name not in ID_COLUMNS:
                 column = np.asarray(column, float if field.name == "score" else bool)
             elif column is None:
-                column = IdColumn(np.zeros(n, np.intp), np.array([""], dtype=object))
+                column = _blank(n)
             elif not isinstance(column, IdColumn):
                 column = _interned(column)
             else:
@@ -90,6 +90,11 @@ class ScoreTable:
         return len(self) - self.n_genuine
 
 
+def _blank(n: int) -> IdColumn:
+    """An id column of ``n`` blank rows: one code, read through a zero stride."""
+    return IdColumn(np.broadcast_to(np.intp(0), n), np.array([""], dtype=object))
+
+
 def _check_codes(name: str, column: IdColumn) -> None:
     codes, n_values = np.asarray(column.codes), len(column.values)
     if codes.dtype.kind not in "iu" or codes.size and (codes.min() < 0 or codes.max() >= n_values):
@@ -97,6 +102,8 @@ def _check_codes(name: str, column: IdColumn) -> None:
 
 
 def _check_subjects(is_genuine: np.ndarray, subject_a: IdColumn, subject_b: IdColumn) -> None:
+    if not all((values != "").any() for _, values in (subject_a, subject_b)):
+        return  # a column with no value but blanks: no row has two subjects
     a, b, subjects = _subject_codes(subject_a, subject_b)
     fail_first_row(
         is_genuine & (a != b) & (subjects != "")[a] & (subjects != "")[b],
@@ -126,6 +133,21 @@ def fail_first_row(bad: np.ndarray, message) -> None:
     if rows.size:
         i = int(rows[0])
         raise RowError(i + 1, message(i))
+
+
+class MissingColumns(ValueError):
+    """A file lacks columns a command reads; ``missing`` names them."""
+
+    def __init__(self, path, missing: list[str]):
+        super().__init__(f"{path}: missing required column(s): {', '.join(missing)}")
+        self.missing = missing
+
+
+def require_columns(columns: dict, needed: Sequence[str], path) -> None:
+    """Fail with ``MissingColumns`` unless every ``needed`` name is a key of ``columns``."""
+    missing = [name for name in needed if name not in columns]
+    if missing:
+        raise MissingColumns(path, missing)
 
 
 class IdColumn(NamedTuple):
@@ -561,6 +583,14 @@ def parse_floats(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
     return values
 
 
+def parse_probabilities(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
+    """``parse_floats``, each value also in [0, 1]: ``row N: <name> must be in [0, 1], got ...``."""
+    values = parse_floats(column, name)
+    fail_first_row((values < 0.0) | (values > 1.0),
+                   lambda i: f"{name} must be in [0, 1], got {float(values[i])!r}")
+    return values
+
+
 def label_codes(column: Sequence[str] | np.ndarray) -> np.ndarray:
     """Each label stripped and lower-cased, as a uint8 code: 0 ``genuine``, 1 ``imposter``, 2 other.
 
@@ -629,37 +659,37 @@ def label_column(is_genuine: np.ndarray) -> IdColumn:
                     np.array((IMPOSTER, GENUINE), dtype=object))
 
 
-def load_scores(path: str | Path) -> ScoreTable:
+def load_scores(path: str | Path, ids: Sequence[str] = ID_COLUMNS) -> ScoreTable:
     """Load a labeled score table from a CSV file.
 
     The file must carry a header with at least ``score`` and ``label``
-    columns; ``probe_id``, ``reference_id``, ``subject_a``, ``subject_b``
-    are optional. Column names and labels are case-insensitive; ids are
-    stripped. A bad score, an unknown label or a genuine row between two
-    different subjects fails with the number of the lowest bad row.
+    columns. Of the id columns (``ID_COLUMNS``) only those named in ``ids``
+    are read; the others, and those the file lacks, are blank. Column names
+    and labels are case-insensitive; ids are stripped. A bad score, an
+    unknown label or a genuine row between two different subjects fails
+    with the number of the lowest bad row.
     """
-    path = Path(path)
-    _, n_rows, columns = read_columns(path, CSV_COLUMNS)
-    if "score" not in columns or "label" not in columns:
-        raise ValueError(f"{path}: header must include 'score' and 'label' columns")
-    blank = IdColumn(np.zeros(n_rows, np.intp), np.array([""], dtype=object))
-    ids = {name: columns.pop(name) if name in columns else blank for name in ID_COLUMNS}
-    labels = columns["label"]
+    _, _, columns = read_columns(path, ("score", "label", *ids))
+    require_columns(columns, ("score", "label"), path)
+    scores, labels = columns.pop("score"), columns.pop("label")
     codes = label_codes(labels)
+    # The text of the first unknown label, the one an error names: frees numpy's table.
+    labels = {i: labels[i] for i in np.flatnonzero(codes > 1)[:1].tolist()}
     is_genuine = codes == 0
     try:
-        scores, _ = check_rows(lambda: parse_floats(columns["score"], "score"),
+        scores, _ = check_rows(lambda: parse_floats(scores, "score"),
                                lambda: check_labels(codes, labels, "label"))
     except RowError as error:
         # The table's subject check, which takes rows with a bad label as not
         # genuine, may name a lower row; on a tie the score or label error wins.
         try:
-            _check_subjects(is_genuine, ids["subject_a"], ids["subject_b"])
+            _check_subjects(is_genuine, *(columns.get(name, _blank(codes.size))
+                                          for name in ("subject_a", "subject_b")))
         except RowError as subject_error:
             if subject_error.row < error.row:
                 raise subject_error from None
         raise
-    return ScoreTable(scores, is_genuine, **ids)
+    return ScoreTable(scores, is_genuine, **columns)
 
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:
@@ -724,3 +754,4 @@ def split_subject_exclusive(
 def _rows(table: ScoreTable, mask: np.ndarray) -> ScoreTable:
     return ScoreTable(table.score[mask], table.is_genuine[mask], *(
         IdColumn(codes[mask], values) for codes, values in map(table.__getattribute__, ID_COLUMNS)))
+

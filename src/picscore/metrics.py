@@ -130,17 +130,18 @@ def _validated_confidences(confidences, correct) -> tuple[np.ndarray, np.ndarray
         raise ValueError("confidence array is empty")
     if conf.size != corr.size:
         raise ValueError(f"length mismatch: {conf.size} confidences vs {corr.size} outcomes")
-    _require_finite(conf, "confidences")
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
-        raise ValueError("confidences must lie in [0, 1]")
+    _require_finite(conf, "confidences", unit=True)
     return conf, corr
 
 
-def _require_finite(values: np.ndarray, name: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
+def _require_finite(values: np.ndarray, name: str, unit: bool = False) -> None:
+    """Fail naming the first index not finite, or then, with ``unit``, outside [0, 1]."""
+    bad, must = np.flatnonzero(~np.isfinite(values)), "be finite"
+    if unit and not bad.size:
+        bad, must = np.flatnonzero((values < 0.0) | (values > 1.0)), "lie in [0, 1]"
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"{name} must be finite, got {float(values[i])!r} at index {i}")
+        raise ValueError(f"{name} must {must}, got {float(values[i])!r} at index {i}")
 
 
 def _binned(keys: np.ndarray, n_bins: int, *values: np.ndarray):
@@ -176,7 +177,7 @@ def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationRep
     predicted confidence and the fraction of correct decisions per bin;
     MCE is the maximum gap over non-empty bins. Empty bins contribute
     nothing to either. A confidence that is not finite, or lies outside
-    [0, 1], raises ``ValueError``; the first non-finite one is named by index.
+    [0, 1], raises ``ValueError`` naming the first such index.
     """
     if m_bins < 1:
         raise ValueError(f"m_bins must be >= 1, got {m_bins}")
@@ -212,8 +213,8 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> CccSeries:
 
     Samples are binned by their true confidence; each bin reports the mean
     and standard deviation of the predicted confidences it holds. Empty bins
-    have count 0 and NaN statistics. A non-finite input raises
-    ``ValueError`` naming its index.
+    have count 0 and NaN statistics. A non-finite input, or a predicted
+    confidence outside [0, 1], raises ``ValueError`` naming its index.
     """
     if b_bins < 1:
         raise ValueError(f"b_bins must be >= 1, got {b_bins}")
@@ -224,7 +225,7 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> CccSeries:
     if t.size == 0:
         raise ValueError("input arrays are empty")
     _require_finite(t, "true confidences")
-    _require_finite(p, "predicted confidences")
+    _require_finite(p, "predicted confidences", unit=True)
     count, (pred_mean, pred_std) = _binned(t, b_bins, p)
     return CccSeries(bin_center=(np.arange(b_bins) + 0.5) / b_bins, pred_mean=pred_mean,
                      pred_std=pred_std, count=count)

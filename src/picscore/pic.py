@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GENUINE, IMPOSTER
+from .dataset import GENUINE, IMPOSTER, ScoreTable, fail_first_row
 from .density import DensityModel, eval_density
 
 _BLOCK_ROWS = 1 << 15
@@ -121,6 +121,43 @@ def pic_single(model: DensityModel, s: float) -> PicScore:
     return PicScore(value=value, n_comparisons=1, log_lr_sum=llr)
 
 
+def pair_groups(table: ScoreTable, max_refs: int):
+    """``table``'s rows grouped by (probe, claimed identity), ``probe_id`` and ``subject_b``.
+
+    Returns ``(order, sizes, kept)``: the groups' rows, in order of each group's first row
+    and in file order within it; each group's size; and each group's first ``max_refs``
+    rows, in that order. Fails at the lowest row with a blank id or a mixed group's label.
+    """
+    probes, claimed = table.probe_id, table.subject_b
+    pairs = probes.codes.astype(np.int64)
+    pairs *= claimed.values.size
+    pairs += claimed.codes
+    order = np.argsort(pairs, kind="stable")  # by pair, file order within each
+    pairs.sort()
+    new = np.ones(pairs.size, dtype=bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+    del pairs
+    starts = np.flatnonzero(new)  # where each pair's rows start in ``order``
+    del new
+    sizes = np.diff(starts, append=order.size)
+    groups = np.argsort(order[starts])  # the pairs in order of first row
+    starts, sizes = starts[groups], sizes[groups]
+    place = np.arange(order.size)
+    place -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
+    kept = place < max_refs
+    place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
+    order = order[place]
+
+    label = table.is_genuine
+    mixed = np.empty(label.size, dtype=bool)
+    mixed[order] = label[order] != np.repeat(label[order[np.cumsum(sizes) - sizes]], sizes)
+    blank = (probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes]
+    fail_first_row(blank | mixed, lambda i: "probe_id and subject_b are required for fusion"
+                   if blank[i] else f"group ({probes.values[probes.codes[i]]}, "
+                   f"{claimed.values[claimed.codes[i]]}) mixes genuine and imposter labels")
+    return order, sizes, order[kept]
+
+
 def fuse_groups(model: DensityModel, scores, groups):
     """Joint posterior of every group of scores of one claimed identity.
 
@@ -213,3 +250,4 @@ def pic_threshold_for_fmr(target_fmr: float) -> float:
     if not 0.0 < target_fmr < 1.0:
         raise ValueError(f"target FMR must be in (0, 1), got {target_fmr}")
     return 1.0 - target_fmr
+

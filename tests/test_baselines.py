@@ -14,6 +14,7 @@ from picscore.baselines import (
     fit_lrc,
     lrc_confidence,
 )
+from picscore.dataset import ScoreTable
 from picscore.density import fit_model
 from picscore.metrics import empirical_fmr, empirical_fnmr
 from picscore.pic import log_likelihood_ratio
@@ -28,6 +29,20 @@ def synth_train():
 @pytest.fixture(scope="module")
 def synth_fitted(synth_train):
     return fit_model(synth_train)
+
+
+def reference_dtc(est, x):
+    """``dtc_confidence`` as it was before scores were clipped: the clamp absorbs overflow."""
+    t = est.threshold
+    up_span, down_span = est.score_max - t, t - est.score_min
+    with np.errstate(over="ignore"):
+        above = 0.5 + 0.5 * (x - t) / up_span if up_span > 0 else np.where(x > t, 1.0, 0.5)
+        below = 0.5 + 0.5 * (t - x) / down_span if down_span > 0 else np.where(x < t, 1.0, 0.5)
+    return np.clip(np.where(x >= t, above, below), 0.0, 1.0)
+
+
+MAX = np.finfo(float).max
+EXTREMES = [MAX, -MAX, 1e300, -1e300, 1e17, -1e17, 5e-324, -5e-324, -0.0]
 
 
 class TestDtc:
@@ -68,6 +83,34 @@ class TestDtc:
         assert est.score_min == all_scores.min()
         assert est.score_max == all_scores.max()
         assert empirical_fmr(synth_train.imposter_scores, est.threshold) <= 1e-3
+
+    def test_extreme_scores_do_not_overflow(self):
+        est = DtcEstimator(0.5, 0.0, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dtc_confidence(est, np.array([MAX, -MAX, 1e300, -1e300])).tolist() == [1.0] * 4
+            assert [dtc_confidence(est, x) for x in (MAX, -MAX)] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("fitted", ["synth", "threshold-above-all"])
+    def test_fitted_confidences_are_unchanged(self, synth_train, fitted):
+        """Bit for bit as before, in the training range and beyond it.
+
+        With no imposter score allowed above it, the threshold is
+        ``nextafter(score_max)``: a clipped score there would flip the decision.
+        """
+        if fitted == "synth":
+            est = fit_dtc(synth_train, 1e-2)
+        else:
+            with pytest.warns(RuntimeWarning, match="returning a threshold above"):
+                est = fit_dtc(ScoreTable([0.5, 0.6, 0.7], [True, False, False]), 0.1)
+            assert est.threshold == np.nextafter(est.score_max, np.inf)
+        ends = [est.score_min, est.score_max, est.threshold]
+        scores = np.array([*np.linspace(est.score_min, est.score_max, 1001), *ends,
+                           *np.nextafter(ends, np.inf), *np.nextafter(ends, -np.inf), *EXTREMES])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dtc_confidence(est, scores)
+        assert got.tobytes() == reference_dtc(est, scores).tobytes()
 
     def test_in_unit_interval(self, synth_train):
         est = fit_dtc(synth_train, 1e-2)

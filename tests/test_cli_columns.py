@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from picscore import cli
 from picscore.cli import main
-from picscore.dataset import GENUINE, IMPOSTER, IdColumn, load_scores
+from picscore.dataset import GENUINE, IMPOSTER, IdColumn, ScoreTable, load_scores
 from picscore.density import fit_model, load_model, save_model
-from picscore.pic import log_likelihood_ratio, pic_threshold_for_fmr, pic_values
+from picscore.pic import log_likelihood_ratio, pair_groups, pic_threshold_for_fmr, pic_values
 from picscore.synth import SynthConfig, generate
 from test_dataset import through_pipe
 
@@ -278,8 +278,15 @@ def reference_groups(probes, claimed, max_refs):
     return order, sizes, order[rank < max_refs]
 
 
+def grouped(probes, claimed, max_refs):
+    """``pair_groups`` of imposter rows with these ids."""
+    table = ScoreTable(np.zeros(probes.codes.size), np.zeros(probes.codes.size, bool),
+                       probe_id=probes, subject_b=claimed)
+    return pair_groups(table, max_refs)
+
+
 class TestPairGroups:
-    """``fuse``'s one-sort grouping against the ``np.unique`` grouping it replaced."""
+    """``pair_groups``' one-sort grouping against the ``np.unique`` grouping it replaced."""
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=40),
            st.integers(1, 5), st.randoms(use_true_random=False))
@@ -290,14 +297,14 @@ class TestPairGroups:
         probe_codes, claimed_codes = map(np.array, zip(*rows))
         probes = IdColumn(probe_codes, np.array([f"p{i}" for i in range(5)], dtype=object))
         claimed = IdColumn(claimed_codes, np.array([f"s{i}" for i in range(4)], dtype=object))
-        got = cli._pair_groups(probes, claimed, max_refs)
+        got = grouped(probes, claimed, max_refs)
         want = reference_groups(probes, claimed, max_refs)
         assert [part.tolist() for part in got] == [part.tolist() for part in want]
 
     def test_truncates_interleaved_groups(self):
         probes = IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object))
         claimed = IdColumn(np.array([0, 0, 0, 1, 0, 0, 0]), np.array(["s", "t"], dtype=object))
-        order, sizes, kept = cli._pair_groups(probes, claimed, 2)
+        order, sizes, kept = grouped(probes, claimed, 2)
         assert order.tolist() == [0, 2, 5, 1, 4, 6, 3]
         assert sizes.tolist() == [3, 3, 1]
         assert kept.tolist() == [0, 2, 1, 4, 3]
@@ -388,6 +395,45 @@ class TestMessages:
                           "0.9,genuine,p1,s1\n0.2,imposter,p2,s2\n0.1,imposter,p1,s1\n")
         self.fails_with(capsys, "row 3: group (p1, s1) mixes genuine and imposter labels",
                         "fuse", model_path, source, tmp_path / "f.csv")
+
+    def test_fuse_without_a_probe_column(self, tmp_path, model_path, capsys):
+        source = tmp_path / "in.csv"
+        source.write_text("score,label,subject_b\n0.9,genuine,s1\n0.2,imposter,s2\n")
+        self.fails_with(capsys, "row 1: probe_id and subject_b are required for fusion",
+                        "fuse", model_path, source, tmp_path / "f.csv")
+
+    def test_fuse_names_a_bad_score_before_a_lower_blank_probe(self, tmp_path, model_path,
+                                                                capsys):
+        """Field errors come first, as ``load_scores`` finds them; then the grouping's."""
+        source = tmp_path / "in.csv"
+        source.write_text("score,label,probe_id,subject_b\n0.9,genuine,,s1\nnan,genuine,p1,s1\n")
+        self.fails_with(capsys, "row 2: invalid score value 'nan'",
+                        "fuse", model_path, source, tmp_path / "f.csv")
+
+    def test_eval_baseline_on_fused_input(self, tmp_path, capsys):
+        source = tmp_path / "fused.csv"
+        source.write_text("probe_id,claimed_id,label,n_used,pic,decision,confidence\n"
+                          "p1,s1,genuine,1,0.9,genuine,0.9\n")
+        self.fails_with(capsys, f"error: {source}: estimator 'dtc' needs raw scores "
+                        "(fused input supports the pic estimator only)\n",
+                        "eval", source, tmp_path / "r", "--estimator", "dtc")
+
+    @pytest.mark.parametrize("argv, column, value", [
+        (["eval", "in.csv", "r"], "pic", "-0.5"),
+        (["eval", "in.csv", "r"], "confidence", "1e308"),
+        (["curve", "in.csv", "model.json", "c.csv"], "confidence", "1e308"),
+    ], ids=["eval-pic", "eval-confidence", "curve-confidence"])
+    def test_probability_out_of_range(self, tmp_path, model_path, capsys, monkeypatch, argv,
+                                      column, value):
+        fields = {"score": "0.2", "label": "imposter", "pic": "0.1", "decision": "imposter",
+                  "confidence": "0.9"}
+        bad = {**fields, column: value}
+        (tmp_path / "in.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values())
+                                         + "\n" + ",".join(bad.values()) + "\n")
+        (tmp_path / "model.json").write_bytes(model_path.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        self.fails_with(capsys, f"row 2: {column} must be in [0, 1], got {float(value)!r}",
+                        *argv)
 
     def test_fuse_empty_probe(self, tmp_path, model_path, capsys):
         source = tmp_path / "in.csv"

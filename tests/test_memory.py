@@ -1,4 +1,4 @@
-"""Peak memory per row of ``score``, ``fuse``, ``eval``, ``curve`` and ``synth``, traced.
+"""Peak memory per row of ``score``, ``fuse``, ``eval``, ``curve``, ``synth`` and ``train``, traced.
 
 An id column costs one string per distinct value and a 4-byte code per
 row. ``score`` keeps only the offsets of a plain file's lines and reads
@@ -29,6 +29,10 @@ that any copy of the whole file fails it.
 
 Earlier, one string per id field cost about 240 bytes per row for ``score``
 and 315 for ``fuse`` on this input.
+
+``train`` reads only the id columns its subject check needs, ``subject_a``
+and ``subject_b``: about 260 bytes per row of this input with
+``--resolution 512``, where reading all four cost about 340. Its bound is 300.
 
 ``synth`` builds coded id columns, with one probe string per group where it
 built one per row. Its bound sits between the peak of the per-row strings
@@ -107,6 +111,11 @@ def test_synth_peak_bytes_per_row(tmp_path):
     argv = ["synth", tmp_path / "scores.csv", "--n-genuine", N_ROWS // 2,
             "--n-imposter", N_ROWS // 2, "--refs-per-probe", 8, "--seed", 3]
     assert traced_peak_per_row(argv) < 215
+
+
+def test_train_peak_bytes_per_row(inputs, tmp_path):
+    argv = ["train", inputs / "scores.csv", tmp_path / "model.json", "--resolution", 512]
+    assert traced_peak_per_row(argv) < 300
 
 
 @pytest.mark.parametrize("scores", ["crlf.csv", "quoted.csv"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,6 +187,12 @@ class TestEceMce:
         with pytest.raises(ValueError, match="\\[0, 1\\]"):
             ece([1.2], [True], 10)
 
+    @pytest.mark.parametrize("bad", [-0.5, 1.2, 1e308])
+    def test_confidence_out_of_range_names_first_index(self, bad):
+        message = f"confidences must lie in [0, 1], got {bad!r} at index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibration_report([0.5, bad, 0.9, bad], [True, True, False, False], 10)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_confidence_names_first_index(self, bad):
         with pytest.raises(ValueError, match=f"confidences must be finite, got {bad!r} at index 1$"):
@@ -229,6 +236,12 @@ class TestCcc:
         with pytest.raises(ValueError, match="^predicted confidences must be finite, got nan "
                                              "at index 0$"):
             ccc([0.1, 0.5], [math.nan, 0.5], 10)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5, 1e308])
+    def test_predicted_confidence_out_of_range_names_first_index(self, bad):
+        message = f"predicted confidences must lie in [0, 1], got {bad!r} at index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ccc([0.1, 0.5, 0.9], [0.5, bad, bad], 10)
 
     def test_calibrated_posterior_tracks_bisectrix(self, test_fitted):
         # predicted confidence from a train-fitted model, ground truth from a
@@ -365,7 +378,7 @@ class TestBinsMatchReference:
             assert_same_bits(getattr(report, name), expected)
         assert_same_bits(np.array(report.ece), np.array(ece_total))
 
-    @given(binned_samples(st.floats(-2.0, 2.0)))
+    @given(binned_samples(st.floats(0.0, 1.0)))
     @example((*EDGES_AND_EMPTY_BINS, [0.9, 0.2, 0.4, 0.6, 0.8]))
     @example((*CROWDED_BINS, _RNG.uniform(0.0, 1.0, 1000).tolist()))
     @settings(max_examples=300, deadline=None)

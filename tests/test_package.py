@@ -61,9 +61,9 @@ PUBLIC_NAMES = [
     "decision_confidence", "default_bandwidth", "dtc_confidence", "ece", "empirical_fmr",
     "empirical_fnmr", "erbc_confidence", "eval_density", "fit_dtc", "fit_erbc", "fit_kde",
     "fit_lrc", "fit_model", "fnmr_at_fmr", "fuse_groups", "generate", "load_model",
-    "load_scores", "log_likelihood_ratio", "lrc_confidence", "mce", "pic_multi", "pic_single",
-    "pic_threshold_for_fmr", "pic_values", "save_model", "save_scores", "scott_bandwidth",
-    "split_subject_exclusive", "threshold_at_fmr", "true_confidence",
+    "load_scores", "log_likelihood_ratio", "lrc_confidence", "mce", "pair_groups", "pic_multi",
+    "pic_single", "pic_threshold_for_fmr", "pic_values", "save_model", "save_scores",
+    "scott_bandwidth", "split_subject_exclusive", "threshold_at_fmr", "true_confidence",
 ]
 
 
