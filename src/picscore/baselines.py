@@ -19,6 +19,7 @@ ERBC - the training error rate (FMR or FNMR, by decision branch) of the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +149,9 @@ def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
     g, f = _train_arrays(train)
     threshold = threshold_at_fmr(f, target_fmr)
     all_scores = np.concatenate([g, f])
-    grid = np.linspace(float(all_scores.min()), float(all_scores.max()), _ERBC_GRID_SIZE)
+    lo, hi = float(all_scores.min()), float(all_scores.max())
+    scale = _grid_scale(lo, hi)
+    grid = np.linspace(lo * scale, hi * scale, _ERBC_GRID_SIZE) / scale
     g_sorted = np.sort(g)
     f_sorted = np.sort(f)
     fmr_curve = (f_sorted.size - np.searchsorted(f_sorted, grid, side="left")) / f_sorted.size
@@ -161,20 +164,32 @@ def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
     )
 
 
+def _grid_scale(lo: float, hi: float) -> float:
+    """1, or 1/4 where a grid from ``lo`` to ``hi`` would overflow: in its span or
+    its last step, as ``np.linspace`` computes them. A quarter of any finite range
+    spans at most half the largest float, and a power of two scales a normal
+    float exactly."""
+    n = _ERBC_GRID_SIZE - 1
+    return 1.0 if math.isfinite((hi - lo) / n * n) else 0.25
+
+
 def erbc_confidence(est: ErbcEstimator, s):
     """Error-rate-based confidence from the nearest tabulated threshold.
 
     A score beyond the grid takes the confidence at the grid's nearer end:
-    scores are clipped to the grid before they become indices, so no
-    finite score overflows.
+    scores are clipped to the grid, and scaled as the grid was built,
+    before they become indices, so no finite score overflows.
     """
     grid = est.grid_thresholds
-    step = (grid[-1] - grid[0]) / (grid.size - 1)
+    scale = _grid_scale(float(grid[0]), float(grid[-1]))
+    lo = grid[0] * scale
+    step = (grid[-1] * scale - lo) / (grid.size - 1)
 
     def confidence(x):
         if step > 0:
             position = np.clip(x, grid[0], grid[-1])
-            position -= grid[0]
+            position *= scale
+            position -= lo
             position /= step
             np.rint(position, out=position)
             idx = np.clip(position, 0, grid.size - 1, out=position).astype(np.intp)

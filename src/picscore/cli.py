@@ -24,15 +24,10 @@ from .dataset import (
     GENUINE,
     IdColumn,
     MissingColumns,
-    check_rows,
     label_column,
     load_scores,
-    parse_floats,
-    parse_labels,
-    parse_probabilities,
     read_columns,
     read_to_append,
-    require_columns,
     save_scores,
     split_subject_exclusive,
     write_rows,
@@ -128,14 +123,14 @@ def cmd_score(args) -> None:
     from .pic import decide, pic_threshold_for_fmr, pic_values
 
     model = load_model(args.model)
-    header, n_rows, columns, lines = read_to_append(args.input, ("score", *APPENDED_COLUMNS))
-    require_columns(columns, ("score",), args.input)
+    header, n_rows, columns, lines = read_to_append(args.input, ("score",))
+    keys = {name.strip().lower() for name in header}
     for appended in APPENDED_COLUMNS:
-        if appended in columns:
+        if appended in keys:
             raise ValueError(f"{args.input}: column {appended!r} already present")
 
-    # The parsed scores are dropped once their posteriors exist.
-    values = pic_values(model, parse_floats(columns.pop("score"), "score"))
+    # The scores are dropped once their posteriors exist.
+    values = pic_values(model, columns.pop("score"))
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
@@ -176,16 +171,10 @@ def cmd_fuse(args) -> None:
 
 
 def _eval_pic(args):
+    """``(is_genuine, values, accepted, confidences)``, read from a scored or fused file."""
     needed = ("label", "pic", "decision", "confidence")
     _, _, columns = read_columns(args.input, needed)
-    require_columns(columns, needed, args.input)
-    is_genuine, accepted, values, confidences = check_rows(
-        lambda: parse_labels(columns["label"], "label"),
-        lambda: parse_labels(columns["decision"], "decision"),
-        lambda: parse_probabilities(columns["pic"], "pic"),
-        lambda: parse_probabilities(columns["confidence"], "confidence"),
-    )
-    return is_genuine, values, accepted, confidences
+    return [columns[name] for name in needed]
 
 
 def _eval_baseline(args):
@@ -286,19 +275,9 @@ def cmd_curve(args) -> None:
     from .metrics import ccc, true_confidence
 
     model = load_model(args.test_model)
-    needed = ("score", "decision", "confidence")
-    _, n_rows, columns = read_columns(args.input, needed)
-    require_columns(columns, needed, args.input)
-    accepted, scores, predicted = check_rows(
-        lambda: parse_labels(columns["decision"], "decision"),
-        lambda: parse_floats(columns["score"], "score"),
-        lambda: parse_probabilities(columns["confidence"], "confidence"),
-    )
-    del columns  # frees numpy's table, which the decision column is a view of
-
-    truth = true_confidence(model, scores, accepted)
-    del scores, accepted
-    series = ccc(truth, predicted, args.bins)
+    _, n_rows, columns = read_columns(args.input, ("score", "decision", "confidence"))
+    truth = true_confidence(model, columns.pop("score"), columns.pop("decision"))
+    series = ccc(truth, columns.pop("confidence"), args.bins)
 
     write_rows(args.out, CCC_COLUMNS, [getattr(series, column) for column in CCC_COLUMNS])
     _write_manifest(args, {"scored": args.input, "test_model": args.test_model},

@@ -1,8 +1,7 @@
 """The columnar score table, CSV reading and writing, and subject-exclusive splitting.
 
 The CSV readers (``read_columns``, and ``read_to_append``, which adds each row's
-line; ``require_columns``, ``parse_*``, ``check_rows``) and the CSV writer
-(``write_rows``) also serve every CLI command.
+line) and the CSV writer (``write_rows``) also serve every CLI command.
 """
 
 from __future__ import annotations
@@ -143,13 +142,6 @@ class MissingColumns(ValueError):
         self.missing = missing
 
 
-def require_columns(columns: dict, needed: Sequence[str], path) -> None:
-    """Fail with ``MissingColumns`` unless every ``needed`` name is a key of ``columns``."""
-    missing = [name for name in needed if name not in columns]
-    if missing:
-        raise MissingColumns(path, missing)
-
-
 class IdColumn(NamedTuple):
     """A column as ``values[codes]``: distinct strings, in no set order, and a code per row."""
 
@@ -161,51 +153,52 @@ def read_columns(
     path: str | Path,
     names: Iterable[str] | None = None,
 ) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn]]:
-    """Read a CSV file with a header row into columns of raw strings or numbers.
+    """Read a CSV file with a header row into columns, each parsed by its name.
 
     Returns ``(header, n_rows, columns)``: the header as written, the number
     of data rows, and the columns, each keyed by its name stripped and
     lower-cased, in header order. ``names`` (lower case) selects the
-    columns returned; those the file lacks are left out, and ``None``
-    returns every column, the number columns among them as numbers (see
-    below).
+    columns returned, and ``None`` every column.
     Quoting and line endings follow the ``csv`` module; blank lines are
     skipped and not counted as rows. Every row must have as many fields as
     the header, and no two header names may be equal.
 
-    A column is an array of ``str`` objects, with three exceptions. A number
-    column (``score``, ``pic`` or ``confidence``, listed in
-    ``_NUMBER_COLUMNS``) is a float64 array when every one of its fields
-    parses as a finite number. Those numbers are parsed by numpy with
-    ``PyOS_string_to_double``, the parser behind ``float()``, so they equal
-    what ``float()`` gives bit for bit. A ``label`` or ``decision`` column
-    may be an ``"S9"`` array (see below), each field the latin-1 bytes of
-    its text, which ``.decode("latin-1")`` gives back; ``parse_labels`` and
-    ``label_codes`` take either kind. An id column
-    (``ID_COLUMNS``) is an ``IdColumn``, coded as it is read: numpy passes
-    each id field to a dict lookup that gives a new string the next code,
-    and stores only the code, in 4 bytes when the input is smaller than
-    2 GiB. Each distinct value is then stripped with ``str.strip``, and
-    values that become equal share one code.
+    - ``score`` is finite float64;
+    - ``pic`` and ``confidence`` are float64 in [0, 1];
+    - ``label`` and ``decision`` are bool, true for ``genuine`` (stripped, any case)
+      and false for ``imposter``;
+    - an id column (``ID_COLUMNS``) is an ``IdColumn`` of stripped values, and one
+      the file lacks is blank;
+    - any other column is an array of ``str`` objects.
+
+    Numbers equal what ``float()`` gives, bit for bit. A requested column
+    the file lacks, other than an id column, raises ``MissingColumns``. Then
+    the first bad field in file order, the lowest row and then the leftmost
+    column among those read, raises ``RowError``: ``invalid <name> value
+    '...'``, ``<name> must be in [0, 1], got ...`` or ``unknown <name> '...'``.
 
     The header is read with ``csv.reader`` and the data rows with numpy's C
-    tokenizer (``np.loadtxt``). numpy opens the file itself where ``_route``
-    finds that safe, and reads a ``label`` or ``decision`` column into
-    9-byte fields: ``imposter``, the longest label, fits, and a field that
-    fills all 9 may have been cut. numpy stores such a field in latin-1, so
-    it rejects the file when a label field holds a character beyond it. Any
-    other input, a pipe included, is read once into memory, and numpy reads
-    that text line by line.
+    tokenizer (``np.loadtxt``), which parses numbers with
+    ``PyOS_string_to_double``, the parser behind ``float()``. numpy opens
+    the file itself where ``_route`` finds that safe, and reads a label
+    column into 9-byte latin-1 fields: ``imposter``, the longest label,
+    fits, and a field that fills all 9 may have been cut. Any other input,
+    a pipe included, is read once into memory, and numpy reads that text
+    line by line. numpy codes an id column as it is read: it passes each id
+    field to a dict lookup that gives a new string the next code, and
+    stores only the code, in 4 bytes when the input is smaller than 2 GiB.
+    Each distinct value is then stripped, and values that become equal
+    share one code.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
     rejects the file, a number column holds a non-finite value, or a label
     field fills all 9 bytes, the same text is read again as strings
     with ``csv.reader`` (``_scan_rows``), which names the first row with a
-    bad field count, or returns the columns as strings, and codes the id
-    columns, if it finds none. ``parse_floats`` then names the first bad
-    number, including those ``float()`` accepts and numpy does not, such
-    as ``1_0`` or non-ASCII digits.
+    bad field count, and otherwise each number field is parsed with
+    ``float()``, which accepts some text numpy does not, such as ``1_0``.
+    Each label column becomes flags before the numbers are checked, and
+    frees numpy's table.
     """
     header, n_rows, columns, _ = _read(path, names, copy=False)
     return header, n_rows, columns
@@ -252,11 +245,12 @@ def _read(path, names, copy: bool):
         for i, key in enumerate(keys):
             if key in keys[:i]:
                 raise ValueError(f"{path}: duplicate column {key!r}")
-        names = set(keys if names is None else names)
-        floats = names.intersection(keys, _NUMBER_COLUMNS)
-        narrow = names.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
+        names = keys if names is None else list(names)
+        wanted = set(names)
+        floats = wanted.intersection(keys, _NUMBER_COLUMNS)
+        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
-                     if key in names and key in ID_COLUMNS}
+                     if key in wanted and key in ID_COLUMNS}
         # An id's code is below the number of rows, so below the file's size in bytes.
         code = np.int32 if size <= np.iinfo(np.int32).max else np.intp
         # Positional field names: a header may hold names numpy rejects or renames.
@@ -264,7 +258,7 @@ def _read(path, names, copy: bool):
                           "formats": [float if key in floats else
                                       f"S{_LABEL_WIDTH}" if key in narrow else
                                       code if i in interners else
-                                      object if key in names else "U0"
+                                      object if key in wanted else "U0"
                                       for i, key in enumerate(keys)]})
         try:
             with warnings.catch_warnings():
@@ -282,14 +276,14 @@ def _read(path, names, copy: bool):
             # the table's strings alive; each id dict is freed once its column is built.
             columns = {key: table[f"f{i}"].copy() if key in floats else
                        _id_column(table[f"f{i}"].copy(), interners.pop(i)) if i in interners else
-                       table[f"f{i}"] for i, key in enumerate(keys) if key in names}
+                       table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
             if (all(np.isfinite(columns[key]).all() for key in floats)
                     and not any(map(_fills_width, (columns[key] for key in narrow)))):
                 n_rows = table.size
             else:
                 table = None
         if table is None:
-            n_rows, columns = _scan_rows(source, keys, names)
+            n_rows, columns = _scan_rows(source, keys, wanted)
         lines = None
         if copy and route == _PLAIN:
             lines = _Lines(path, ends, reader.line_num, source.encoding, status)
@@ -297,7 +291,46 @@ def _read(path, names, copy: bool):
             lines = [",".join(_quoted(row)) for row in _data_rows(source)]
     if not n_rows:
         raise ValueError(f"{path}: no records")
+    missing = [name for name in names if name not in columns and name not in ID_COLUMNS]
+    if missing:
+        raise MissingColumns(path, missing)
+    del table  # label columns, parsed first, hold its last views
+    errors = []
+    for key in sorted(columns, key=lambda key: key not in _LABEL_COLUMNS):
+        columns[key], bad = _parsed(key, columns[key])
+        errors += [(i, keys.index(key), message) for i, message in bad]
+    if errors:
+        i, _, message = min(errors)
+        raise RowError(i + 1, message)
+    columns.update((name, _blank(n_rows)) for name in names if name not in columns)
     return header, n_rows, columns, lines
+
+
+def _parsed(key: str, column: np.ndarray):
+    """A column as ``read_columns`` returns it, and ``[(index, message)]`` of its first
+    bad field, or ``[]``."""
+    if key in _LABEL_COLUMNS:
+        codes = label_codes(column)
+        return codes == 0, [(i, f"unknown {key} {_text(column[i])!r}")
+                            for i in np.flatnonzero(codes > 1)[:1].tolist()]
+    if key not in _NUMBER_COLUMNS:
+        return column, []
+    values = (column if column.dtype == np.float64 else
+              np.fromiter(map(_float, column), dtype=float, count=len(column)))
+    bad = ~np.isfinite(values)
+    if key in _PROBABILITY_COLUMNS:
+        bad |= (values < 0.0) | (values > 1.0)
+    return values, [(i, f"{key} must be in [0, 1], got {float(values[i])!r}"
+                     if math.isfinite(values[i]) else f"invalid {key} value {column[i].strip()!r}")
+                    for i in np.flatnonzero(bad)[:1].tolist()]
+
+
+def _float(field: str) -> float:
+    """``float(field)``, or NaN where it fails."""
+    try:
+        return float(field)
+    except ValueError:
+        return math.nan
 
 
 def _id_column(codes: np.ndarray, values: Iterable[str]) -> IdColumn:
@@ -400,8 +433,9 @@ _LABEL_COLUMNS = ("label", "decision")
 # ``label_codes``' codes of the labels, and the labels as a bytes field holds them.
 _LABEL_CODES = {GENUINE: 0, IMPOSTER: 1}
 _LABEL_BYTES = tuple(label.encode("latin-1") for label in LABELS)
-# Columns read as float64 when every field is a finite number.
-_NUMBER_COLUMNS = ("score", "pic", "confidence")
+# Columns of finite numbers, and those among them that are probabilities, in [0, 1].
+_PROBABILITY_COLUMNS = ("pic", "confidence")
+_NUMBER_COLUMNS = ("score", *_PROBABILITY_COLUMNS)
 # Width in bytes of a label field read by numpy: one more than the longest label.
 _LABEL_WIDTH = max(map(len, LABELS)) + 1
 # How numpy reads a file: from text in memory, from its path, or from its path with no quote.
@@ -560,42 +594,11 @@ def _write_lines(handle, columns: list[list[str]]) -> None:
     handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def parse_floats(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
-    """Parse a column of finite numbers: ``row N: invalid <name> value '...'``.
-
-    A float64 array, as ``read_columns`` returns for a number column, is
-    already parsed and finite, and is returned as it is.
-    """
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return column
-    try:
-        values = np.fromiter(map(float, column), dtype=float, count=len(column))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        for i, raw in enumerate(column, start=1):
-            try:
-                ok = math.isfinite(float(raw))
-            except ValueError:
-                ok = False
-            if not ok:
-                raise RowError(i, f"invalid {name} value {raw.strip()!r}")
-    return values
-
-
-def parse_probabilities(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
-    """``parse_floats``, each value also in [0, 1]: ``row N: <name> must be in [0, 1], got ...``."""
-    values = parse_floats(column, name)
-    fail_first_row((values < 0.0) | (values > 1.0),
-                   lambda i: f"{name} must be in [0, 1], got {float(values[i])!r}")
-    return values
-
-
 def label_codes(column: Sequence[str] | np.ndarray) -> np.ndarray:
     """Each label stripped and lower-cased, as a uint8 code: 0 ``genuine``, 1 ``imposter``, 2 other.
 
-    ``column`` holds ``str`` objects or, as ``read_columns`` may return a
-    label column, latin-1 bytes. Exact ``genuine`` and ``imposter`` are
+    ``column`` holds ``str`` objects or, as numpy may read a label column,
+    latin-1 bytes. Exact ``genuine`` and ``imposter`` are
     matched on the whole array at once, bytes against bytes; only the other
     distinct values are decoded, stripped and lower-cased.
     """
@@ -616,42 +619,6 @@ def _text(field) -> str:
     return field.decode("latin-1") if isinstance(field, bytes) else str(field)
 
 
-def parse_labels(column: Sequence[str] | np.ndarray, name: str) -> np.ndarray:
-    """Parse a ``genuine``/``imposter`` column (any case) into ``is_genuine`` flags.
-
-    Unknown values fail as ``row N: unknown <name> '...'``.
-    """
-    codes = label_codes(column)
-    check_labels(codes, column, name)
-    return codes == 0
-
-
-def check_labels(codes: np.ndarray, column, name: str) -> None:
-    """Fail at the first row of ``column`` whose ``label_codes`` code is not a label's.
-
-    ``column[i]`` is read only for that row, and named as text.
-    """
-    fail_first_row(codes > 1, lambda i: f"unknown {name} {_text(column[i])!r}")
-
-
-def check_rows(*checks):
-    """Run column checks and return their results in order.
-
-    When several fail, the error of the lowest row is raised; on the same
-    row, the error of the earlier check. Each check is a function of no
-    arguments that may raise ``RowError``.
-    """
-    results, errors = [], []
-    for check in checks:
-        try:
-            results.append(check())
-        except RowError as exc:
-            errors.append(exc)
-    if errors:
-        raise min(errors, key=lambda exc: exc.row)
-    return results
-
-
 def label_column(is_genuine: np.ndarray) -> IdColumn:
     """``genuine`` where ``is_genuine`` is set, else ``imposter``: an ``IdColumn`` whose
     codes are the flags' own bytes."""
@@ -665,31 +632,12 @@ def load_scores(path: str | Path, ids: Sequence[str] = ID_COLUMNS) -> ScoreTable
     The file must carry a header with at least ``score`` and ``label``
     columns. Of the id columns (``ID_COLUMNS``) only those named in ``ids``
     are read; the others, and those the file lacks, are blank. Column names
-    and labels are case-insensitive; ids are stripped. A bad score, an
-    unknown label or a genuine row between two different subjects fails
-    with the number of the lowest bad row.
+    and labels are case-insensitive; ids are stripped. The first bad field
+    fails as ``read_columns`` finds it; then the table's own checks, such as
+    a genuine row between two different subjects, name their lowest row.
     """
     _, _, columns = read_columns(path, ("score", "label", *ids))
-    require_columns(columns, ("score", "label"), path)
-    scores, labels = columns.pop("score"), columns.pop("label")
-    codes = label_codes(labels)
-    # The text of the first unknown label, the one an error names: frees numpy's table.
-    labels = {i: labels[i] for i in np.flatnonzero(codes > 1)[:1].tolist()}
-    is_genuine = codes == 0
-    try:
-        scores, _ = check_rows(lambda: parse_floats(scores, "score"),
-                               lambda: check_labels(codes, labels, "label"))
-    except RowError as error:
-        # The table's subject check, which takes rows with a bad label as not
-        # genuine, may name a lower row; on a tie the score or label error wins.
-        try:
-            _check_subjects(is_genuine, *(columns.get(name, _blank(codes.size))
-                                          for name in ("subject_a", "subject_b")))
-        except RowError as subject_error:
-            if subject_error.row < error.row:
-                raise subject_error from None
-        raise
-    return ScoreTable(scores, is_genuine, **columns)
+    return ScoreTable(columns.pop("score"), columns.pop("label"), **columns)
 
 
 def save_scores(table: ScoreTable, path: str | Path) -> None:

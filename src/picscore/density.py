@@ -52,11 +52,13 @@ def default_bandwidth(scores: np.ndarray) -> float:
     """Scott bandwidth scaled by the sample standard deviation.
 
     Falls back to the bare Scott factor when the sample is constant
-    (zero standard deviation).
+    (zero standard deviation). A standard deviation that overflows gives
+    ``inf`` or NaN, with no warning.
     """
     scores = np.asarray(scores, dtype=float)
     factor = scott_bandwidth(scores.size)
-    spread = float(scores.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(scores.std())
     scale = max(1.0, float(np.abs(scores).max())) if scores.size else 1.0
     if spread <= scale * 1e-12:  # numerically constant sample
         return factor
@@ -254,6 +256,11 @@ def fit_model(
 
     if bandwidth is None:
         hg, hf = default_bandwidth(g_scores), default_bandwidth(f_scores)
+        for name, scores, h in (("genuine", g_scores, hg), ("imposter", f_scores, hf)):
+            if not math.isfinite(h):
+                extreme = float(scores[np.argmax(np.abs(scores))])
+                raise ValueError(f"{name} scores spread too widely for a bandwidth: their "
+                                 f"standard deviation overflows (most extreme {extreme!r})")
     else:
         hg = hf = float(bandwidth)
     lo = min(g_scores.min() - _GRID_PAD_BANDWIDTHS * hg, f_scores.min() - _GRID_PAD_BANDWIDTHS * hf)

@@ -222,6 +222,29 @@ class TestErbc:
         conf = erbc_confidence(est, np.linspace(-3, 3, 301))
         assert np.all((conf >= 0) & (conf <= 1))
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0.1, np.finfo(float).max), (-np.finfo(float).max, np.finfo(float).max),
+        (-np.finfo(float).max, -0.1), (-1e300, 1e300),
+    ])
+    def test_grid_over_the_widest_ranges_does_not_overflow(self, lo, hi):
+        mid = lo / 2 + hi / 2
+        train = ScoreTable([lo, mid, hi] * 2, [True] * 3 + [False] * 3)
+        top = np.finfo(float).max
+        scores = np.array([-top, lo, -1.0, -0.0, 5e-324, 0.25, 1.0, hi, top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fit_erbc(train, 0.5)
+            conf = erbc_confidence(est, scores)
+        grid = est.grid_thresholds
+        assert np.isfinite(grid).all() and (grid[0], grid[-1]) == (lo, hi)
+        assert np.all(np.diff(grid) >= 0)
+        assert np.isfinite(conf).all() and np.all((conf >= 0) & (conf <= 1))
+
+    def test_grid_of_an_ordinary_range_is_linspaces(self, synth_train):
+        scores = np.concatenate([synth_train.genuine_scores, synth_train.imposter_scores])
+        grid = fit_erbc(synth_train, 1e-2).grid_thresholds
+        assert grid.tobytes() == np.linspace(scores.min(), scores.max(), 2048).tobytes()
+
     def test_equal_fits_compare_equal(self):
         train = generate(SynthConfig(n_genuine=500, n_imposter=500, seed=1))
         assert fit_erbc(train, 1e-2) == fit_erbc(train, 1e-2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from picscore.cli import main
-from picscore.dataset import load_scores
+from picscore.dataset import GENUINE, IMPOSTER, load_scores
 from picscore.density import eval_density, load_model
 
 
@@ -468,6 +468,47 @@ class TestStrictChild:
         for name in outputs:
             assert ((tmp_path / "strict" / name).read_bytes()
                     == (tmp_path / "plain" / name).read_bytes()), name
+
+    EXTREMES = (1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300, 1e17,
+                5e-324, -5e-324, -0.0)
+    # Scores whose class's standard deviation overflows, so that ``train`` has no bandwidth.
+    UNTRAINABLE = EXTREMES[:4]
+
+    def test_extreme_scores(self, tmp_path, child_env):
+        """Each extreme score on one genuine and one imposter row, through every command:
+        a clean exit, or one ``error:`` line that names the class ``train`` cannot fit."""
+        assert run_inprocess("synth", tmp_path / "base.csv", "--n-genuine", 300,
+                             "--n-imposter", 300, "--n-subjects", 10, "--refs-per-probe", 3,
+                             "--seed", 3) == 0
+        assert run_inprocess("train", tmp_path / "base.csv", tmp_path / "model.json") == 0
+        base = (tmp_path / "base.csv").read_text()
+
+        def write(name, values):
+            rows = [f"{value!r},{label},x{k},{label[0]}{k},s0,{subject}" for k, value in
+                    enumerate(values) for label, subject in ((GENUINE, "s0"), (IMPOSTER, "s1"))]
+            (tmp_path / name).write_text(base + "\n".join(rows) + "\n")
+            return name
+
+        source = write("extremes.csv", self.EXTREMES)
+        trainable = write("trainable.csv", [v for v in self.EXTREMES if v not in self.UNTRAINABLE])
+        runs = [
+            ("split", source, "--out-train", "train.csv", "--out-test", "test.csv"),
+            ("score", "model.json", source, "scored.csv", "--fmr", 0.01),
+            ("fuse", "model.json", source, "fused.csv", "--fmr", 0.01),
+            ("eval", "scored.csv", "pic", "--fmr", 0.01),
+            *(("eval", "scored.csv", estimator, "--estimator", estimator, "--train", source,
+               "--model", "model.json", "--fmr", 0.01) for estimator in ("dtc", "erbc", "lrc")),
+            ("curve", "scored.csv", "model.json", "curve.csv"),
+            ("train", trainable, "trained.json"),
+        ]
+        for argv in runs:
+            proc = self.strict(child_env, tmp_path, *argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        for value in self.UNTRAINABLE:
+            proc = self.strict(child_env, tmp_path, "train", write("one.csv", [value]), "m.json")
+            assert proc.returncode == 2, value
+            assert proc.stderr == (f"error: genuine scores spread too widely for a bandwidth: "
+                                   f"their standard deviation overflows (most extreme {value!r})\n")
 
     def test_unknown_label_is_named_as_text(self, tmp_path, child_env):
         source = tmp_path / "scored.csv"

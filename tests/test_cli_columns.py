@@ -447,6 +447,17 @@ class TestMessages:
         self.fails_with(capsys, "column 'pic' already present",
                         "score", model_path, source, tmp_path / "s.csv")
 
+    @pytest.mark.parametrize("score, pic, message", [
+        ("abc", "0.5", "row 1: invalid score value 'abc'"),
+        ("0.9", "abc", "column 'pic' already present"),
+    ])
+    def test_score_names_field_errors_before_an_appended_column(self, tmp_path, model_path,
+                                                                capsys, score, pic, message):
+        """``score`` parses only the score; a column it would append fails after it."""
+        source = tmp_path / "in.csv"
+        source.write_text(f"score,label,pic\n{score},genuine,{pic}\n")
+        self.fails_with(capsys, message, "score", model_path, source, tmp_path / "s.csv")
+
     @pytest.mark.parametrize("label, decision, message", [
         ("bogus", "genuine", "row 2: unknown label 'bogus'"),
         ("genuine", "maybe", "row 2: unknown decision 'maybe'"),
@@ -456,6 +467,12 @@ class TestMessages:
         source.write_text("label,pic,decision,confidence\n"
                           f"genuine,0.9,genuine,0.9\n{label},0.8,{decision},0.8\n")
         self.fails_with(capsys, message, "eval", source, tmp_path / "r")
+
+    def test_curve_names_the_leftmost_bad_field_of_a_row(self, tmp_path, model_path, capsys):
+        source = tmp_path / "in.csv"
+        source.write_text("score,decision,confidence\n0.9,genuine,0.9\nnan,no,0.8\n")
+        self.fails_with(capsys, "row 2: invalid score value 'nan'",
+                        "curve", source, model_path, tmp_path / "c.csv")
 
     def test_curve_unknown_decision(self, tmp_path, model_path, capsys):
         source = tmp_path / "in.csv"
@@ -479,6 +496,11 @@ class TestMessages:
         (["genuine,0.9,genuine,x", "genuine,0.9,no,0.9"], "row 1: invalid confidence value 'x'"),
         (["genuine,0.9,no,0.9", "genuine,0.9,genuine,x"], "row 1: unknown decision 'no'"),
         (["genuine,y,genuine,0.9", "bogus,0.9,genuine,0.9"], "row 1: invalid pic value 'y'"),
+        # Two bad fields on one row: the leftmost is named.
+        (["genuine,0.9,genuine,0.9", "genuine,y,no,0.9"], "row 2: invalid pic value 'y'"),
+        # In one column too, the lowest row is named, whatever its fault.
+        (["genuine,-0.5,genuine,0.9", "genuine,y,genuine,0.9"],
+         "row 1: pic must be in [0, 1], got -0.5"),
     ])
     def test_eval_names_lower_row(self, tmp_path, capsys, rows, message):
         source = tmp_path / "in.csv"
@@ -486,10 +508,12 @@ class TestMessages:
         self.fails_with(capsys, message, "eval", source, tmp_path / "r")
 
     @pytest.mark.parametrize("rows, error", [
-        pytest.param(["0.9,genuine,A,B", "nan,genuine,A,A"], "row 1: ", id="rows0-1"),
+        # Every field error comes before the table's subject check, even on a higher row.
+        pytest.param(["0.9,genuine,A,B", "nan,genuine,A,A"], "row 2: invalid score value 'nan'$",
+                     id="rows0-1"),
         pytest.param(["abc,genuine,A,A", "0.9,genuine,A,B"], "row 1: ", id="rows1-1"),
-        pytest.param(["0.9,genuine,A,A", "0.9,genuine,A,B", "0.1,bogus,A,B"], "row 2: ",
-                     id="rows2-2"),
+        pytest.param(["0.9,genuine,A,A", "0.9,genuine,A,B", "0.1,bogus,A,B"],
+                     "row 3: unknown label 'bogus'$", id="rows2-2"),
         # One row with two faults: the score error wins, as it would in a per-row check.
         pytest.param(["0.9,genuine,A,A", "nan,genuine,A,B"], "row 2: invalid score value 'nan'$",
                      id="rows3-2"),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -23,12 +24,10 @@ from picscore.dataset import (
     IMPOSTER,
     LABELS,
     IdColumn,
+    MissingColumns,
     RowError,
     ScoreTable,
-    check_rows,
     load_scores,
-    parse_floats,
-    parse_labels,
     read_columns,
     read_to_append,
     save_scores,
@@ -136,11 +135,12 @@ class TestLoadScores:
         with pytest.raises(ValueError, match="row 1"):
             load_scores(path)
 
-    @pytest.mark.parametrize("text", [
-        "score,label,subject_a,subject_b\n0.5,genuine,A,A\n0.4,imposter,A,B\n",
-        "score,label,subject_a,subject_b\n0.5,genuine,A,A\nnan,bogus,A,B\n",
+    @pytest.mark.parametrize("text, calls", [
+        ("score,label,subject_a,subject_b\n0.5,genuine,A,A\n0.4,imposter,A,B\n", 1),
+        # A bad field fails before the table, which checks subjects, is built.
+        ("score,label,subject_a,subject_b\n0.5,genuine,A,A\nnan,bogus,A,B\n", 0),
     ], ids=["valid", "bad-score"])
-    def test_subject_check_runs_once(self, tmp_path, text):
+    def test_subject_check_runs_once(self, tmp_path, text, calls):
         path = tmp_path / "scores.csv"
         path.write_text(text)
         with mock.patch.object(dataset, "_check_subjects", wraps=dataset._check_subjects) as check:
@@ -148,7 +148,7 @@ class TestLoadScores:
                 load_scores(path)
             except RowError:
                 pass
-        assert check.call_count == 1
+        assert check.call_count == calls
 
     def test_labels_canonicalized(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -317,11 +317,8 @@ def reference_line(row):
 
 
 def decoded(column):
-    """A column as an array of its values: an ``IdColumn`` as ``values[codes]``, and a
-    label column of latin-1 bytes as its text."""
-    if isinstance(column, IdColumn):
-        return column.values[column.codes]
-    return np.char.decode(column, "latin-1") if column.dtype.kind == "S" else column
+    """A column as an array of its values: an ``IdColumn`` as ``values[codes]``."""
+    return column.values[column.codes] if isinstance(column, IdColumn) else column
 
 
 def layout(columns):
@@ -338,15 +335,20 @@ def one_object_per_value(column):
 
 def assert_reads_like_reference(path, names, labels=(), ids=()):
     """``read_columns`` and ``read_to_append`` with ``labels`` as the label columns and
-    ``ids`` as the id columns, against ``reference_read``; a row error also through a pipe."""
+    ``ids`` as the id columns, against ``reference_read`` and ``reference_labels``; a row
+    error also through a pipe."""
+    data = path.read_bytes()
+    reads = [lambda: read_columns(path, names), lambda: read_to_append(path, names)[:3],
+             lambda: through_pipe(data, lambda source: read_columns(source, names))]
     with (mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)),
           mock.patch.object(dataset, "ID_COLUMNS", tuple(ids))):
         try:
             header, n_rows, columns = reference_read(path, names)
+            label_keys = [key for key in columns if key in labels]
+            # The first unknown label in file order: the lowest row, then the leftmost column.
+            flags = parsed(reference_labels, columns, label_keys)
         except RowError as expected:
-            data = path.read_bytes()
-            for read in (lambda: read_columns(path, names),
-                         lambda: through_pipe(data, lambda source: read_columns(source, names))):
+            for read in reads:
                 with pytest.raises(RowError) as got:
                     read()
                 assert (got.value.row, str(got.value)) == (expected.row, str(expected))
@@ -361,12 +363,26 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
             with pytest.raises(ValueError, match="no records"):
                 read_columns(path, names)
             return
+        missing = [name for name in names or () if name not in columns and name not in ids]
+        if missing:
+            with pytest.raises(MissingColumns) as got:
+                read_columns(path, names)
+            assert got.value.missing == missing
+            return
+        if isinstance(flags, tuple):
+            for read in reads:
+                with pytest.raises(RowError) as got:
+                    read()
+                assert (got.value.row, str(got.value)) == flags
+            return
         got_header, got_rows, got_columns = read_columns(path, names)
         append_header, append_rows, append_columns, lines = read_to_append(path, names)
     assert (got_header, got_rows) == (append_header, append_rows) == (header, n_rows)
-    # The reader strips each id value.
-    columns = {key: [field.strip() for field in column] if key in ids else column
+    # The reader strips each id value, parses each label and leaves an absent id blank.
+    columns = {key: [field.strip() for field in column] if key in ids else
+               reference_labels(column, key).tolist() if key in labels else column
                for key, column in columns.items()}
+    columns.update({name: [""] * n_rows for name in names or () if name not in columns})
     assert {key: decoded(column).tolist() for key, column in got_columns.items()} == columns
     assert {key: decoded(column).tolist() for key, column in append_columns.items()} == columns
     _, _, every_column = reference_read(path)
@@ -374,9 +390,6 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
     assert lines[:] == list(lines)
     for key in set(ids).intersection(got_columns):
         assert one_object_per_value(decoded(got_columns[key]))
-    label_keys = sorted(set(labels).intersection(columns))
-    assert (parsed(parse_labels, got_columns, label_keys)
-            == parsed(reference_labels, columns, label_keys))
 
 
 class TestReadColumns:
@@ -395,6 +408,39 @@ class TestReadColumns:
     def test_bad_field_count_names_the_same_row(self, tmp_path, table, data):
         path = tmp_path / "table.csv"
         assert_reads_like_reference(path, *write_csv(path, *table, data))
+
+    CONTRACT_ROWS = ["a b,10,genuine,{p1},A,A,0.9,GENUINE,0.9",
+                     "c,0.25,Imposter,p2,A,B,0.1,imposter,0.9",
+                     "d,-0.0,imposter,{p1},B,A,0.75, genuine,0.75"]
+
+    @pytest.mark.parametrize("route", ["plain", "quoted", "crlf", "pipe", "fallback"])
+    def test_each_column_is_parsed_by_its_name_on_every_route(self, tmp_path, route):
+        rows = [row.format(p1='"p1"' if route == "quoted" else "p1") for row in self.CONTRACT_ROWS]
+        if route == "fallback":  # float() takes 1_0 as 10; numpy rejects it
+            rows[0] = rows[0].replace(",10,", ",1_0,")
+        end = "\r\n" if route == "crlf" else "\n"
+        text = end.join(["note,score,label,probe_id,subject_a,subject_b,pic,decision,confidence",
+                         *rows]) + end
+        path = tmp_path / "scores.csv"
+        path.write_bytes(text.encode())
+        names = ["note", "score", "label", *ID_COLUMNS, "pic", "decision", "confidence"]
+
+        def read(source):
+            return read_columns(source, names)
+
+        with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+            _, _, columns = through_pipe(text.encode(), read) if route == "pipe" else read(path)
+        assert scan.called == (route == "fallback")
+        assert {key: column.dtype for key, column in columns.items() if key not in ID_COLUMNS} == {
+            "note": object, "score": np.float64, "pic": np.float64, "confidence": np.float64,
+            "label": bool, "decision": bool}
+        assert all(isinstance(columns[key], IdColumn) for key in ID_COLUMNS)
+        assert {key: decoded(column).tolist() for key, column in columns.items()} == {
+            "note": ["a b", "c", "d"], "score": [10.0, 0.25, -0.0], "label": [True, False, False],
+            "probe_id": ["p1", "p2", "p1"], "reference_id": [""] * 3,
+            "subject_a": ["A", "A", "B"], "subject_b": ["A", "B", "A"],
+            "pic": [0.9, 0.1, 0.75], "decision": [True, False, True],
+            "confidence": [0.9, 0.9, 0.75]}
 
     def test_columns_in_header_order(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -419,17 +465,19 @@ class TestReadColumns:
     def test_route_and_label_field(self, tmp_path, text, by_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            _, _, columns = read_columns(path)
+        # A label that ends in NUL is unknown; the field it was read into is what counts here.
+        with (mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+              contextlib.suppress(RowError)):
+            read_columns(path)
         assert isinstance(loadtxt.call_args.args[0], str) == by_path
-        assert columns["label"].dtype == ("|S9" if by_path else object)
+        assert loadtxt.call_args.kwargs["dtype"]["f1"] == ("|S9" if by_path else object)
 
     def test_quoted_cr_is_kept(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label,probe_id\n0.5,genuine,"p\r1"\n0.4,imposter,p2\n')
         _, _, columns = read_columns(path)
         assert decoded(columns["probe_id"]).tolist() == ["p\r1", "p2"]
-        assert parse_labels(columns["label"], "label").tolist() == [True, False]
+        assert columns["label"].tolist() == [True, False]
 
     @pytest.mark.parametrize("label", ["genuine\x00", " genuine  x", "imposterxx"])
     def test_label_beyond_the_field_width_is_unknown(self, tmp_path, label):
@@ -445,7 +493,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(f"score,label\n0.5,{padded}\n0.4,imposter \n".encode())
         _, _, columns = read_columns(path)
-        assert decoded(columns["label"]).tolist() == [padded, "imposter "]
+        assert columns["label"].tolist() == [True, False]
         assert load_scores(path).is_genuine.tolist() == [True, False]
 
     def test_blank_lines_and_quoted_newline_before_first_row(self, tmp_path):
@@ -454,7 +502,7 @@ class TestReadColumns:
         header, n_rows, columns = read_columns(path)
         assert (header, n_rows) == (["score", "label", "free\n\ntext"], 2)
         assert columns["free\n\ntext"].tolist() == ["a\nb", "c"]
-        assert decoded(columns["label"]).tolist() == ["genuine", "imposter"]
+        assert columns["label"].tolist() == [True, False]
 
     def test_pipe_is_read_through_one_handle(self):
         # Far more than the header read buffers and a pipe holds at once.
@@ -463,7 +511,7 @@ class TestReadColumns:
         header, n_rows, columns = through_pipe(text.encode(), read_columns)
         assert (header, n_rows) == (["score", "label", "probe_id"], 20000)
         assert decoded(columns["probe_id"])[-1] == "p19999"
-        assert parse_labels(columns["label"], "label").tolist() == [True, False] * 10000
+        assert columns["label"].tolist() == [True, False] * 10000
 
     @pytest.mark.parametrize("text, message", [
         ("score,label\n0.5,genuine\nabc,imposter\n", "row 2: invalid score value 'abc'"),
@@ -497,7 +545,7 @@ class TestReadColumns:
         ("path", 'score,"probe_id",reference_id,subject_a,subject_b\n{}\n', False),
         ("crlf", "score,probe_id,reference_id,subject_a,subject_b\r\n{}\r\n", False),
         ("pipe", "score,probe_id,reference_id,subject_a,subject_b\n{}\n", False),
-        ("scan", "score,probe_id,reference_id,subject_a,subject_b\n{}\nnan,p1,r1,A,A\n", True),
+        ("scan", "score,probe_id,reference_id,subject_a,subject_b\n{}\n1_0,p1,r1,A,A\n", True),
         ("scan-pipe", "score,probe_id,reference_id,subject_a,subject_b\r\n{}\r\n1_0,p1,r1,A,A\r\n",
          True),
     ], ids=["plain", "path", "crlf", "pipe", "scan", "scan-pipe"])
@@ -519,7 +567,7 @@ class TestReadColumns:
 
     def test_strip_merges_codes_of_equal_stripped_ids(self, tmp_path):
         path = tmp_path / "scores.csv"
-        for last_score, scanned in [("0.5", False), ("nan", True)]:  # numpy's route, then the scan
+        for last_score, scanned in [("0.5", False), ("1_0", True)]:  # numpy's route, then the scan
             path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n{},p2\n"
                              .format(last_score).encode())
             with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
@@ -560,7 +608,7 @@ class TestReadColumns:
         ("score,probe_id\n0.1,p1\n0.2,p2\n", False, False),
         ('score,probe_id\n0.1,"p,1"\n0.2,p2\n', False, False),
         ("score,probe_id\n0.1,p1\n0.2,p2\n", True, False),
-        ("score,probe_id\nnan,p1\n0.2,p2\n", False, True),
+        ("score,probe_id\n1_0,p1\n0.2,p2\n", False, True),
     ], ids=["plain", "path", "pipe", "scan"])
     def test_id_codes_take_4_bytes_on_numpys_routes(self, tmp_path, text, pipe, scanned):
         path = tmp_path / "scores.csv"
@@ -589,7 +637,7 @@ class TestReadColumns:
         ('score,id\n0.5,"a,b"\n0.25,"c"\n', False, [0.5, 0.25]),
         ("score,id\r\n0.5,a\r\n0.25,c\r\n", False, [0.5, 0.25]),
         ("score,id\n0.5,a\n\n0.25,c\n", True, [0.5, 0.25]),
-        ('score,id\n0.5,"a,b"\nnan,c\n', False, ["0.5", "nan"]),
+        ('score,id\n0.5,"a,b"\n1_0,c\n', False, [0.5, 10.0]),
     ], ids=["quoted", "crlf", "pipe", "fallback"])
     def test_other_input_rows_are_quoted_again(self, tmp_path, text, pipe, scores):
         path = tmp_path / "scores.csv"
@@ -607,7 +655,7 @@ class TestReadColumns:
         ('score,label,probe_id\n0.5,genuine,"p,1"\n0.25,imposter,"p,1"\n', False),
         ("score,label,probe_id\r\n0.5,genuine,p1\r\n0.25,imposter,p1\r\n", False),
         ("score,label,probe_id\n0.5,genuine,p1\n\n0.25,imposter,p1\n", True),
-        ("score,label,probe_id\n0.5,genuine,p1\nnan,imposter,p1\n", False),
+        ("score,label,probe_id\n0.5,genuine,p1\n1_0,imposter,p1\n", False),
     ], ids=["plain", "quoted", "crlf", "pipe", "fallback"])
     def test_append_read_returns_the_columns_read(self, tmp_path, text, pipe):
         path = tmp_path / "scores.csv"
@@ -741,13 +789,33 @@ def reference_floats(column, name):
     return np.array(values, dtype=float)
 
 
-def parsed(parse, columns, numbers):
-    """The named columns parsed as ``check_rows`` does, or the ``RowError`` it raises."""
+def parsed(parse, columns, names):
+    """The named columns, each parsed by ``parse``, as bytes; or ``(row, message)`` of the
+    first ``RowError`` in file order: the lowest row, then the leftmost of ``names``."""
+    results, errors = [], []
+    for position, name in enumerate(names):
+        try:
+            results.append(parse(columns[name], name).tobytes())
+        except RowError as exc:
+            errors.append((exc.row, position, str(exc)))
+    return min(errors)[::2] if errors else results
+
+
+def read_parsed(path, names):
+    """``read_columns(path)``'s named columns as bytes, or ``(row, message)`` of its error."""
     try:
-        return [values.tobytes() for values in check_rows(
-            *(lambda name=name: parse(columns[name], name) for name in numbers))]
+        _, _, columns = read_columns(path)
     except RowError as exc:
         return exc.row, str(exc)
+    return [columns[name].tobytes() for name in names]
+
+
+def reader_parse(column, name):
+    """A column of raw fields parsed as the reader parses a column named ``name``."""
+    values, bad = dataset._parsed(name, column)
+    for i, message in bad:
+        raise RowError(i + 1, message)
+    return values
 
 
 class TestNumberColumns:
@@ -760,8 +828,8 @@ class TestNumberColumns:
         path.write_bytes(("x,t,y\n" + "".join(f"{x},id,{y}\n" for x, y in rows)).encode())
         _, _, expected = reference_read(path)
         with mock.patch.object(dataset, "_NUMBER_COLUMNS", numbers):
-            _, _, got = read_columns(path)
-        assert parsed(parse_floats, got, numbers) == parsed(reference_floats, expected, numbers)
+            got = read_parsed(path, numbers)
+        assert got == parsed(reference_floats, expected, numbers)
 
     def test_loaded_scores_keep_no_strings_alive(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -796,8 +864,8 @@ class TestLabelBytes:
             assert dataset.label_codes(fields).tolist() == dataset.label_codes(values).tolist()
         # Exact labels are matched as bytes, not decoded; the rest once per distinct value.
         assert decode.call_count == 2 * len(set(values) - set(LABELS))
-        assert (parsed(parse_labels, {name: fields}, [name])
-                == parsed(parse_labels, {name: values}, [name])
+        assert (parsed(reader_parse, {name: fields}, [name])
+                == parsed(reader_parse, {name: np.array(values, dtype=object)}, [name])
                 == parsed(reference_labels, {name: values}, [name]))
 
     @given(st.lists(st.tuples(LABEL_TEXTS, LABEL_TEXTS), min_size=1, max_size=6))
@@ -806,13 +874,13 @@ class TestLabelBytes:
     def test_columns_read_from_a_file_parse_as_text(self, tmp_path, rows):
         path = tmp_path / "labels.csv"
         path.write_bytes(("label,decision\n" + "".join(f"{a},{b}\n" for a, b in rows)).encode())
-        _, _, got = read_columns(path)
-        values = dict(zip(["label", "decision"], map(list, zip(*rows))))
-        for name in values:
-            assert (dataset.label_codes(got[name]).tolist()
-                    == dataset.label_codes(values[name]).tolist())
         names = ["label", "decision"]
-        assert parsed(parse_labels, got, names) == parsed(reference_labels, values, names)
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            got = read_parsed(path, names)
+        # Read by numpy into 9-byte fields, or again as text when numpy rejects one.
+        assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == ["|S9"] * 2
+        values = dict(zip(names, map(list, zip(*rows))))
+        assert got == parsed(reference_labels, values, names)
 
 
 class TestPartition:

@@ -279,6 +279,20 @@ class TestFitModel:
             assert np.isfinite(density.grid_values).all()
             assert density.grid_values.min() >= DENSITY_FLOOR
 
+    @pytest.mark.parametrize("name, extreme", [
+        ("genuine", 1e300), ("genuine", -1.7976931348623157e308), ("imposter", 1e300),
+    ])
+    def test_class_whose_spread_overflows_is_named(self, name, extreme):
+        ordinary = [0.5, 0.6, 0.7]
+        classes = {"genuine": ordinary, "imposter": [0.1, 0.2, 0.3]}
+        classes[name] = [*classes[name], extreme]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} scores spread too widely for a bandwidth: their standard "
+                    f"deviation overflows (most extreme {extreme!r})")):
+                fit_model(_toy_set(classes["genuine"], classes["imposter"]))
+
     def test_identical_classes_give_identical_grids(self):
         scores = [0.2, 0.4, 0.6, 0.8]
         model = fit_model(_toy_set(scores, scores))
