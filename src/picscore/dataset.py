@@ -115,7 +115,9 @@ def _subject_codes(*columns: IdColumn):
     """Both columns as codes into the sorted subjects their rows hold, and those subjects."""
     held = [values[np.bincount(codes, minlength=values.size) > 0] for codes, values in columns]
     subjects = np.array(sorted(set().union(*held)), dtype=object)  # np.unique imports numpy.ma
-    return *(np.searchsorted(subjects, values)[codes] for codes, values in columns), subjects
+    # Each row's position takes 1 byte for up to 255 subjects, 2 for up to 65,535.
+    return *(np.searchsorted(subjects, values).astype(np.min_scalar_type(subjects.size))[codes]
+             for codes, values in columns), subjects
 
 
 class RowError(ValueError):
@@ -160,8 +162,9 @@ def read_columns(
     lower-cased, in header order. ``names`` (lower case) selects the
     columns returned, and ``None`` every column.
     Quoting and line endings follow the ``csv`` module; blank lines are
-    skipped and not counted as rows. Every row must have as many fields as
-    the header, and no two header names may be equal.
+    skipped and not counted as rows, and a leading UTF-8 byte-order mark
+    is dropped. Every row must have as many fields as the header, and no
+    two header names may be equal.
 
     - ``score`` is finite float64;
     - ``pic`` and ``confidence`` are float64 in [0, 1];
@@ -237,6 +240,8 @@ def _read(path, names, copy: bool):
             data = handle.buffer.read()
             source, size = io.TextIOWrapper(io.BytesIO(data), encoding=handle.encoding,
                                             newline=""), len(data)
+        if source.read(1) != "\ufeff":  # a byte-order mark is not part of the header
+            source.seek(0)
         reader = csv.reader(source)
         header = _first_row(reader)
         if header is None:
@@ -333,13 +338,12 @@ def _float(field: str) -> float:
         return math.nan
 
 
-def _id_column(codes: np.ndarray, values: Iterable[str]) -> IdColumn:
+def _id_column(codes: np.ndarray, values: Sequence[str] | dict[str, int]) -> IdColumn:
     """A column read as ``codes`` into ``values``, each value stripped; equal results merge."""
-    values = list(values)
-    stripped = list(map(str.strip, values))
-    if stripped == values:  # no padding: the codes stand
-        return IdColumn(codes, np.array(values, dtype=object))
-    merged = _interned(stripped)
+    values = np.fromiter(values, dtype=object, count=len(values))
+    if all(value == value.strip() for value in values):  # no padding: the codes stand
+        return IdColumn(codes, values)
+    merged = _interned([value.strip() for value in values])
     return IdColumn(merged.codes[codes], merged.values)
 
 

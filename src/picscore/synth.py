@@ -61,25 +61,38 @@ def generate(config: SynthConfig) -> ScoreTable:
     genuine = rng.normal(config.genuine_mean, config.genuine_std, config.n_genuine)
     imposter = rng.normal(config.imposter_mean, config.imposter_std, config.n_imposter)
 
-    n = config.n_subjects
-    is_genuine = np.arange(config.n_genuine + config.n_imposter) < config.n_genuine
-    # Each row's position within its class.
-    index = np.concatenate([np.arange(config.n_genuine), np.arange(config.n_imposter)])
-    group = index // config.refs_per_probe
+    n, n_genuine, refs = config.n_subjects, config.n_genuine, config.refs_per_probe
+    n_rows = n_genuine + config.n_imposter
+    # int32 codes, as ``dataset`` reads them, where the row count fits: no code
+    # and no step of the subject arithmetic below exceeds it.
+    code = np.int32 if n_rows <= np.iinfo(np.int32).max else np.intp
+    is_genuine = np.zeros(n_rows, dtype=bool)
+    is_genuine[:n_genuine] = True
+    # Each row's group: its position within its class over refs_per_probe.
+    group = np.arange(n_rows, dtype=code)
+    group[n_genuine:] -= n_genuine
+    group //= refs
     subject_a = group % n
-    subject_b = np.where(is_genuine, subject_a, (subject_a + 1 + (group // n) % (n - 1)) % n)
-    # A probe string per group (each starts where index % refs_per_probe == 0), a reference per row.
-    kinds = (("g", config.n_genuine), ("i", config.n_imposter))
+    # An imposter group claims (subject_a + 1 + (group // n) % (n - 1)) % n.
+    subject_b = group // n
+    subject_b %= n - 1
+    subject_b += subject_a
+    subject_b += 1
+    subject_b %= n
+    np.copyto(subject_b, subject_a, where=is_genuine)
+    # A probe string per group, genuine groups first, and a reference per row.
+    kinds = (("g", n_genuine), ("i", config.n_imposter))
     probes = np.fromiter((f"{k}p{g:07d}" for k, size in kinds
-                          for g in range(-(-size // config.refs_per_probe))), dtype=object)
+                          for g in range(-(-size // refs))), dtype=object)
+    group[n_genuine:] += -(-n_genuine // refs)  # now each row's code into the probes
     references = np.fromiter((f"{k}r{i:07d}" for k, size in kinds for i in range(size)),
-                             dtype=object, count=is_genuine.size)
+                             dtype=object, count=n_rows)
     subjects = np.array([f"S{k:05d}" for k in range(n)], dtype=object)
     return ScoreTable(
         np.concatenate([genuine, imposter]),
         is_genuine,
-        probe_id=IdColumn(np.cumsum(index % config.refs_per_probe == 0) - 1, probes),
-        reference_id=IdColumn(np.arange(is_genuine.size), references),
+        probe_id=IdColumn(group, probes),
+        reference_id=IdColumn(np.arange(n_rows, dtype=code), references),
         subject_a=IdColumn(subject_a, subjects),
         subject_b=IdColumn(subject_b, subjects),
     )

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from picscore import cli
 from picscore.cli import main
-from picscore.dataset import GENUINE, IMPOSTER, IdColumn, ScoreTable, load_scores
+from picscore.dataset import GENUINE, IMPOSTER, IdColumn, ScoreTable, load_scores, save_scores
 from picscore.density import fit_model, load_model, save_model
 from picscore.pic import log_likelihood_ratio, pair_groups, pic_threshold_for_fmr, pic_values
 from picscore.synth import SynthConfig, generate
@@ -374,6 +374,24 @@ class TestHeaderNames:
         out = tmp_path / "f.csv"
         assert run("fuse", model_path, source, out) == 0
         assert out.read_text().splitlines()[1].startswith("p1,s1,genuine,2,")
+
+    @pytest.mark.parametrize("route", ["plain", "quoted", "pipe"])
+    def test_train_reads_a_byte_order_mark_like_none(self, tmp_path, route):
+        source = tmp_path / "in.csv"
+        save_scores(generate(SynthConfig(n_genuine=300, n_imposter=300, seed=8)), source)
+        text = source.read_bytes()
+        if route == "quoted":  # numpy reads the file from its path, after a quoted first name
+            text = b'"score"' + text[len(b"score"):]
+        models = []
+        for data in (b"\xef\xbb\xbf" + text, text):
+            source.write_bytes(data)
+            out = tmp_path / f"model{len(models)}.json"
+            if route == "pipe":
+                assert through_pipe(data, lambda fd: run("train", fd, out)) == 0
+            else:
+                assert run("train", source, out) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
 
     def test_appended_column_in_any_case_is_rejected(self, tmp_path, model_path, capsys):
         source = tmp_path / "in.csv"

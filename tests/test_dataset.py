@@ -669,6 +669,30 @@ class TestReadColumns:
         assert layout(append_columns) == layout(columns)
         assert isinstance(columns["probe_id"], IdColumn)
 
+    @pytest.mark.parametrize("route", ["plain", "quoted", "pipe"])
+    def test_a_byte_order_mark_reads_like_none(self, tmp_path, route):
+        # The quoted route also quotes the first header name, right after the mark.
+        text = ('"score",label,probe_id\n0.5,genuine,"p,1"\n0.25,imposter,p2\n' if route == "quoted"
+                else "score,label,probe_id\n0.5,genuine,p1\n\n0.25,imposter,p2\n")
+        names = ["score", "label", "probe_id"]
+
+        def loaded(source):
+            table = load_scores(source)
+            return table.score.tolist(), table.is_genuine.tolist(), decoded(table.probe_id).tolist()
+
+        def appended(source):
+            header, n_rows, columns, lines = read_to_append(source, names)
+            return header, n_rows, layout(columns), list(lines)
+
+        def read(data):
+            path = tmp_path / "scores.csv"
+            path.write_bytes(data)
+            return [through_pipe(data, each) if route == "pipe" else each(path)
+                    for each in (loaded, appended)]
+
+        assert read(b"\xef\xbb\xbf" + text.encode()) == read(text.encode())
+        assert read(text.encode())[1][0] == names
+
     def test_plain_file_with_a_compressed_suffix(self, tmp_path):
         path = tmp_path / "scores.csv.gz"
         path.write_text("score,label\n0.5,genuine\n0.4,imposter\n")
@@ -953,6 +977,8 @@ def reference_split(rows, train_fraction, seed):
 class TestSplitSubjectExclusive:
     @pytest.mark.parametrize("n_subjects, per_subject, fraction, seed", [
         (30, 5, 0.5, 9), (25, 4, 0.3, 3), (7, 1, 0.5, 0), (100, 10, 0.7, 11),
+        # Either side of the 1-byte subject positions: 255 subjects fit, 256 and 257 take 2.
+        (255, 2, 0.5, 1), (256, 2, 0.4, 2), (257, 2, 0.6, 3),
     ])
     def test_matches_per_row_reference(self, n_subjects, per_subject, fraction, seed):
         records = _synthetic_records(n_subjects, per_subject, seed=seed)
@@ -961,6 +987,15 @@ class TestSplitSubjectExclusive:
         expected_train, expected_test = reference_split(records, fraction, seed)
         assert decoded(train.reference_id).tolist() == [f"r{i}" for i in expected_train]
         assert decoded(test.reference_id).tolist() == [f"r{i}" for i in expected_test]
+
+    @pytest.mark.parametrize("other", ["S003", "S000"])
+    def test_a_genuine_row_between_subjects_past_255_fails(self, other):
+        # Subject 256 in sorted order takes a 2-byte position; cut to 1 byte it would be 0.
+        records = [rec(0.2, IMPOSTER, f"S{i:03d}", f"S{(i + 1) % 300:03d}") for i in range(300)]
+        records[5] = rec(0.9, GENUINE, "S256", other)
+        with pytest.raises(RowError, match=re.escape(
+                f"row 6: genuine comparison between different subjects ('S256' vs '{other}')")):
+            table(records)
 
     def test_two_subjects_within_only(self):
         records = [rec(0.8, GENUINE, "A"), rec(0.7, GENUINE, "A"), rec(0.9, GENUINE, "B")]

@@ -1,4 +1,5 @@
-"""Peak memory per row of ``score``, ``fuse``, ``eval``, ``curve``, ``synth`` and ``train``, traced.
+"""Peak memory per row of ``score``, ``fuse``, ``eval``, ``curve``, ``synth``, ``split`` and
+``train``, traced.
 
 An id column costs one string per distinct value and a 4-byte code per
 row. ``score`` keeps only the offsets of a plain file's lines and reads
@@ -8,7 +9,8 @@ into 9-byte fields, and numpy's table is freed once the columns are parsed.
 The float kernels (the log likelihood ratio, the posterior, the baselines'
 confidences) work a block of rows at a time, with a fixed amount of
 scratch. Each bound sits between the peak before these changes and
-today's, in bytes per row of this 40k-row input:
+today's (``split``'s, which has not moved, just above it), in bytes per
+row of this 40k-row input:
 
 | command | before | today | bound |
 |---|---|---|---|
@@ -19,6 +21,8 @@ today's, in bytes per row of this 40k-row input:
 | ``eval --estimator dtc`` | 73 | 49 | 60 |
 | ``eval --estimator erbc`` | 74 | 51 | 62 |
 | ``curve`` | 76 | 53 | 64 |
+| ``synth`` | 232 | 133 | 150 |
+| ``split`` | 179 | 179 | 185 |
 
 At this size a block of rows is most of the input, so these figures hold
 the blocks' scratch too. What ``score`` holds per row is measured apart,
@@ -35,8 +39,12 @@ and ``subject_b``: about 260 bytes per row of this input with
 ``--resolution 512``, where reading all four cost about 340. Its bound is 300.
 
 ``synth`` builds coded id columns, with one probe string per group where it
-built one per row. Its bound sits between the peak of the per-row strings
-(about 232 bytes per row) and today's (about 170).
+built one per row (about 232 bytes per row before, 165 after). It now builds
+its 4-byte codes from one group index, in place, with no 8-byte temporaries,
+and the subject check holds a 1- or 2-byte position per row where it held 8:
+133 today. ``split`` did not move with those positions: its traced peak is
+numpy's read of all six columns, with the dict that codes ``reference_id``
+(a distinct value per row) alive. Its bound sits just above it.
 
 Input that is not plain (``\r\n`` line ends, a quoted column) costs
 ``score`` one string per line and numpy's read of its one number column:
@@ -110,7 +118,13 @@ def test_score_holds_less_per_row_than_its_input_file(inputs):
 def test_synth_peak_bytes_per_row(tmp_path):
     argv = ["synth", tmp_path / "scores.csv", "--n-genuine", N_ROWS // 2,
             "--n-imposter", N_ROWS // 2, "--refs-per-probe", 8, "--seed", 3]
-    assert traced_peak_per_row(argv) < 215
+    assert traced_peak_per_row(argv) < 150
+
+
+def test_split_peak_bytes_per_row(inputs, tmp_path):
+    argv = ["split", inputs / "scores.csv", "--out-train", tmp_path / "train.csv",
+            "--out-test", tmp_path / "test.csv", "--seed", 3]
+    assert traced_peak_per_row(argv) < 185
 
 
 def test_train_peak_bytes_per_row(inputs, tmp_path):
