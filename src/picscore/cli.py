@@ -147,13 +147,15 @@ def cmd_fuse(args) -> None:
 
     model = load_model(args.model)
     table = load_scores(args.input, ("probe_id", "subject_b"))
-    order, sizes, kept = pair_groups(table, args.max_refs)
+    max_refs = min(args.max_refs, len(table))  # keeps every row, in numpy's integer range
+    order, sizes, kept = pair_groups(table, max_refs)
     first = order[np.cumsum(sizes) - sizes]  # each group's first row
     ids = [IdColumn(codes[first], values) for codes, values in (table.probe_id, table.subject_b)]
     n_rows, is_genuine, scores = len(table), table.is_genuine[first], table.score[kept]
     del table, order, kept  # only the kept scores go into fusion
-    n_used = np.minimum(sizes, args.max_refs)
-    values, _ = fuse_groups(model, scores, np.repeat(np.arange(sizes.size), n_used))
+    n_used = np.minimum(sizes, max_refs)
+    values, _ = fuse_groups(model, scores,
+                            np.repeat(np.arange(sizes.size, dtype=sizes.dtype), n_used))
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
 
     write_rows(args.out, FUSED_COLUMNS, [
@@ -166,7 +168,7 @@ def cmd_fuse(args) -> None:
     ])
     _write_manifest(args, {"model": args.model, "scores": args.input}, {"fused": args.out})
     print(f"fused {n_rows} rows into {sizes.size} groups (max {args.max_refs} refs)")
-    print(f"truncated {int(np.count_nonzero(sizes > args.max_refs))} groups to "
+    print(f"truncated {int(np.count_nonzero(sizes > max_refs))} groups to "
           f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
 
 

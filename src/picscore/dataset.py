@@ -145,7 +145,10 @@ class MissingColumns(ValueError):
 
 
 class IdColumn(NamedTuple):
-    """A column as ``values[codes]``: distinct strings, in no set order, and a code per row."""
+    """A column as ``values[codes]``: distinct strings, in no set order, and a code per row.
+
+    Codes may have any integer type; ``read_columns`` gives the narrowest.
+    """
 
     codes: np.ndarray
     values: np.ndarray
@@ -189,9 +192,10 @@ def read_columns(
     a pipe included, is read once into memory, and numpy reads that text
     line by line. numpy codes an id column as it is read: it passes each id
     field to a dict lookup that gives a new string the next code, and
-    stores only the code, in 4 bytes when the input is smaller than 2 GiB.
-    Each distinct value is then stripped, and values that become equal
-    share one code.
+    stores only the code. Each distinct value is then stripped, values that
+    become equal share one code, and the codes are copied out at the
+    narrowest width that holds them: 1 byte for up to 256 distinct values,
+    2 for up to 65,536.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
@@ -277,10 +281,10 @@ def _read(path, names, copy: bool):
         except ValueError:
             table = None
         if table is not None:
-            # Number and id code columns are copied, so that they do not keep
-            # the table's strings alive; each id dict is freed once its column is built.
-            columns = {key: table[f"f{i}"].copy() if key in floats else
-                       _id_column(table[f"f{i}"].copy(), interners.pop(i)) if i in interners else
+            # Id columns first, each freeing its dict, then copies of the number
+            # columns, so that no column keeps the table's strings alive.
+            ids = {i: _id_column(table[f"f{i}"], interners.pop(i)) for i in list(interners)}
+            columns = {key: ids[i] if i in ids else table[f"f{i}"].copy() if key in floats else
                        table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
             if (all(np.isfinite(columns[key]).all() for key in floats)
                     and not any(map(_fills_width, (columns[key] for key in narrow)))):
@@ -339,12 +343,14 @@ def _float(field: str) -> float:
 
 
 def _id_column(codes: np.ndarray, values: Sequence[str] | dict[str, int]) -> IdColumn:
-    """A column read as ``codes`` into ``values``, each value stripped; equal results merge."""
-    values = np.fromiter(values, dtype=object, count=len(values))
-    if all(value == value.strip() for value in values):  # no padding: the codes stand
-        return IdColumn(codes, values)
-    merged = _interned([value.strip() for value in values])
-    return IdColumn(merged.codes[codes], merged.values)
+    """A column read as ``codes`` into ``values``, each value stripped; equal results merge,
+    and the codes are copied into the narrowest unsigned type (``np.intp`` past uint32)."""
+    values, moved = np.fromiter(values, dtype=object, count=len(values)), None
+    if any(value != value.strip() for value in values):  # padding: each code moves
+        moved, values = _interned([value.strip() for value in values])
+    code = np.min_scalar_type(max(values.size - 1, 0))
+    code = code if code.itemsize < 8 else np.intp
+    return IdColumn(codes.astype(code) if moved is None else moved.astype(code)[codes], values)
 
 
 def _interned(fields: Sequence[str]) -> IdColumn:

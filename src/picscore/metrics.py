@@ -144,10 +144,10 @@ def _require_finite(values: np.ndarray, name: str, unit: bool = False) -> None:
         raise ValueError(f"{name} must {must}, got {float(values[i])!r} at index {i}")
 
 
-def _binned(keys: np.ndarray, n_bins: int, *values: np.ndarray):
+def _binned(keys: np.ndarray, n_bins: int, values: np.ndarray, *others: np.ndarray):
     """Bin by key (right-open bins over [0, 1], 1.0 in the top bin): the count per bin,
-    then per value array a ``(mean, std)`` pair of arrays, ``np.mean`` and
-    ``np.std`` over each non-empty bin's values, in row order, and NaN for
+    ``np.mean`` and ``np.std`` of ``values``, then ``np.mean`` of each array of
+    ``others``, over each non-empty bin's values, in row order, and NaN for
     an empty bin.
 
     The bin of each key is computed in one float temporary and kept in the
@@ -160,14 +160,15 @@ def _binned(keys: np.ndarray, n_bins: int, *values: np.ndarray):
     idx = position.astype(np.min_scalar_type(n_bins - 1))
     del position
     count = np.bincount(idx, minlength=n_bins)
-    stats = [(np.full(n_bins, math.nan), np.full(n_bins, math.nan)) for _ in values]
+    mean, std, *means = (np.full(n_bins, math.nan) for _ in range(len(others) + 2))
     for b in np.flatnonzero(count):
         mask = idx == b
-        for v, (mean, std) in zip(values, stats):
-            selected = v[mask]
-            mean[b] = np.mean(selected)
-            std[b] = np.std(selected)
-    return count, *stats
+        selected = values[mask]
+        mean[b] = np.mean(selected)
+        std[b] = np.std(selected)
+        for other, other_mean in zip(others, means):
+            other_mean[b] = np.mean(other[mask])
+    return count, mean, std, *means
 
 
 def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationReport:
@@ -183,7 +184,7 @@ def calibration_report(confidences, correct, m_bins: int = 10) -> CalibrationRep
         raise ValueError(f"m_bins must be >= 1, got {m_bins}")
     conf, corr = _validated_confidences(confidences, correct)
     n = conf.size
-    count, (p_true, _), (p_pred_mean, p_pred_std) = _binned(conf, m_bins, corr, conf)
+    count, p_pred_mean, p_pred_std, p_true = _binned(conf, m_bins, conf, corr)
 
     ece_total = mce_max = 0.0
     for c, gap in zip(count.tolist(), np.abs(p_true - p_pred_mean).tolist()):
@@ -226,7 +227,7 @@ def ccc(true_conf, pred_conf, b_bins: int = 30) -> CccSeries:
         raise ValueError("input arrays are empty")
     _require_finite(t, "true confidences")
     _require_finite(p, "predicted confidences", unit=True)
-    count, (pred_mean, pred_std) = _binned(t, b_bins, p)
+    count, pred_mean, pred_std = _binned(t, b_bins, p)
     return CccSeries(bin_center=(np.arange(b_bins) + 0.5) / b_bins, pred_mean=pred_mean,
                      pred_std=pred_std, count=count)
 

@@ -129,28 +129,34 @@ def pair_groups(table: ScoreTable, max_refs: int):
     rows, in that order. Fails at the lowest row with a blank id or a mixed group's label.
     """
     probes, claimed = table.probe_id, table.subject_b
-    pairs = probes.codes.astype(np.int64)
+    # Pair keys, and every index array, in 4 bytes where their range fits.
+    fits = np.iinfo(np.int32).max
+    pairs = probes.codes.astype(
+        np.int32 if probes.values.size * claimed.values.size <= fits else np.int64)
     pairs *= claimed.values.size
     pairs += claimed.codes
-    order = np.argsort(pairs, kind="stable")  # by pair, file order within each
+    index = np.int32 if pairs.size <= fits else np.intp
+    order = np.argsort(pairs, kind="stable").astype(index)  # by pair, file order within each
     pairs.sort()
     new = np.ones(pairs.size, dtype=bool)
     np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
     del pairs
-    starts = np.flatnonzero(new)  # where each pair's rows start in ``order``
+    starts = np.flatnonzero(new).astype(index)  # where each pair's rows start in ``order``
     del new
-    sizes = np.diff(starts, append=order.size)
+    sizes = np.diff(starts, append=index(order.size))
     groups = np.argsort(order[starts])  # the pairs in order of first row
     starts, sizes = starts[groups], sizes[groups]
-    place = np.arange(order.size)
-    place -= np.repeat(np.cumsum(sizes) - sizes, sizes)  # each row's place in its group
+    firsts = np.cumsum(sizes, dtype=index) - sizes  # each group's first place
+    place = np.arange(order.size, dtype=index)
+    place -= np.repeat(firsts, sizes)  # each row's place in its group
     kept = place < max_refs
     place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
     order = order[place]
+    del place
 
     label = table.is_genuine
     mixed = np.empty(label.size, dtype=bool)
-    mixed[order] = label[order] != np.repeat(label[order[np.cumsum(sizes) - sizes]], sizes)
+    mixed[order] = label[order] != np.repeat(label[order[firsts]], sizes)
     blank = (probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes]
     fail_first_row(blank | mixed, lambda i: "probe_id and subject_b are required for fusion"
                    if blank[i] else f"group ({probes.values[probes.codes[i]]}, "
@@ -184,10 +190,12 @@ def fuse_groups(model: DensityModel, scores, groups):
     if (groups[1:] < groups[:-1]).any():  # rows not already by group
         arr = arr[np.argsort(groups, kind="stable")]
     llrs = log_likelihood_ratio(model, arr)
-    # Whole groups, a block at a time: each block ends with the last group
-    # that ends within the next ``_BLOCK_ROWS`` rows.
+    # Whole groups, a block at a time: each block ends with the last group that
+    # ends within the next ``step`` rows. A Python float and its list entry take
+    # 4 times numpy's 8 bytes, so ``step`` is a quarter of the kernels' block.
     ends = np.cumsum(sizes)
-    cuts = np.searchsorted(ends, np.arange(_BLOCK_ROWS, arr.size, _BLOCK_ROWS), side="right")
+    step = -(-_BLOCK_ROWS // 4)
+    cuts = np.searchsorted(ends, np.arange(step, arr.size, step), side="right")
     sums = np.empty(sizes.size)
     for first, stop in itertools.pairwise([0, *cuts.tolist(), sizes.size]):
         if first == stop:  # a group longer than a block spans this cut too

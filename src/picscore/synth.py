@@ -63,8 +63,8 @@ def generate(config: SynthConfig) -> ScoreTable:
 
     n, n_genuine, refs = config.n_subjects, config.n_genuine, config.refs_per_probe
     n_rows = n_genuine + config.n_imposter
-    # int32 codes, as ``dataset`` reads them, where the row count fits: no code
-    # and no step of the subject arithmetic below exceeds it.
+    # int32 codes where the row count fits (``dataset`` reads codes no wider):
+    # no code and no step of the subject arithmetic below exceeds it.
     code = np.int32 if n_rows <= np.iinfo(np.int32).max else np.intp
     is_genuine = np.zeros(n_rows, dtype=bool)
     is_genuine[:n_genuine] = True

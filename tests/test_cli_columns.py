@@ -7,6 +7,7 @@ kept here as the reference the column code must match byte for byte.
 
 import csv
 import io
+import json
 import math
 import os
 import random
@@ -265,6 +266,17 @@ class TestAgainstRowReference:
         # and leave 3 + 1 + 2 rows unused
         assert "truncated 3 groups to 5 refs, leaving 6 rows unused" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("max_refs", [2**31, 2**63, 10**20])
+    def test_fuse_max_refs_past_numpys_integers(self, tmp_path, model_path, capsys, max_refs):
+        source = awkward_csv(tmp_path / "in.csv")  # 42 rows
+        assert run("fuse", model_path, source, tmp_path / "all.csv", "--max-refs", 42) == 0
+        capsys.readouterr()
+        assert run("fuse", model_path, source, tmp_path / "f.csv", "--max-refs", max_refs) == 0
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "all.csv").read_bytes()
+        assert f"(max {max_refs} refs)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
+        assert manifest["parameters"]["max_refs"] == max_refs
+
 
 def reference_groups(probes, claimed, max_refs):
     """``fuse``'s earlier grouping: ``np.unique`` of the pair keys, then two argsorts."""
@@ -300,6 +312,22 @@ class TestPairGroups:
         got = grouped(probes, claimed, max_refs)
         want = reference_groups(probes, claimed, max_refs)
         assert [part.tolist() for part in got] == [part.tolist() for part in want]
+
+    # 46,340**2 keys fit int32; 70,000**2 pass 2**32, where (61,356, 47,296) and
+    # (0, 0) would wrap to one int32 key.
+    @pytest.mark.parametrize("n_values", [46_340, 70_000])
+    def test_matches_unique_at_the_ends_of_the_key_span(self, n_values):
+        top = n_values - 1
+        wrap = (61_356 % n_values, 47_296 % n_values)
+        pairs = [(top, top), wrap, (0, 0), (top, 0), (0, top), (top, top), (0, 0), wrap,
+                 (1, top - 1)]
+        values = np.array([f"v{i}" for i in range(n_values)], dtype=object)
+        probes, claimed = (IdColumn(np.array(codes), values) for codes in zip(*pairs))
+        for max_refs in (1, 2, 3):
+            got = grouped(probes, claimed, max_refs)
+            want = reference_groups(probes, claimed, max_refs)
+            assert [part.tolist() for part in got] == [part.tolist() for part in want]
+            assert all(part.dtype == np.int32 for part in got)  # 4-byte row indices
 
     def test_truncates_interleaved_groups(self):
         probes = IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object))

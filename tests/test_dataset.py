@@ -310,6 +310,18 @@ def through_pipe(data: bytes, read):
         feeder.join()
 
 
+def id_rows(n_ids: int, route: str) -> bytes:
+    """A ``score,probe_id`` file of ``n_ids`` distinct ids, the first on two rows.
+
+    ``route`` is ``plain``, ``path`` (each id quoted), ``pipe`` (read as
+    plain) or ``scan`` (a first score only ``float()`` parses).
+    """
+    field = '"p{}"' if route == "path" else "p{}"
+    lines = [f"{'1_0' if route == 'scan' else '0.5'},{field.format(0)}"]
+    lines += [f"0.5,{field.format(i)}" for i in range(n_ids)]
+    return ("score,probe_id\n" + "\n".join(lines) + "\n").encode()
+
+
 def reference_line(row):
     """A row as ``write_rows`` writes it: ``csv.writer``'s quoting, with a ``\\r`` quoted too."""
     return ",".join('"' + field.replace('"', '""') + '"' if re.search('[,"\r\n]', field)
@@ -604,19 +616,42 @@ class TestReadColumns:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file changed"):
             lines[0:1]
 
-    @pytest.mark.parametrize("text, pipe, scanned", [
-        ("score,probe_id\n0.1,p1\n0.2,p2\n", False, False),
-        ('score,probe_id\n0.1,"p,1"\n0.2,p2\n', False, False),
-        ("score,probe_id\n0.1,p1\n0.2,p2\n", True, False),
-        ("score,probe_id\n1_0,p1\n0.2,p2\n", False, True),
-    ], ids=["plain", "path", "pipe", "scan"])
-    def test_id_codes_take_4_bytes_on_numpys_routes(self, tmp_path, text, pipe, scanned):
+    def read_probe_ids(self, tmp_path, data, route):
+        """``probe_id`` of ``data`` read by ``route``, checked against ``csv.reader``."""
         path = tmp_path / "scores.csv"
-        path.write_bytes(text.encode())
-        _, _, columns = through_pipe(text.encode(), read_columns) if pipe else read_columns(path)
-        codes = columns["probe_id"].codes
-        assert codes.tolist() == [0, 1]
-        assert codes.dtype == (np.intp if scanned else np.int32)
+        path.write_bytes(data)
+        with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+            _, _, columns = (through_pipe(data, read_columns) if route == "pipe"
+                             else read_columns(path))
+        assert scan.called == (route == "scan")
+        probes = columns["probe_id"]
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+        assert probes.values[probes.codes].tolist() == [row[1].strip() for row in rows[1:]]
+        return probes
+
+    @pytest.mark.parametrize("route", ["plain", "path", "pipe", "scan"])
+    def test_id_codes_take_4_bytes_on_numpys_routes(self, tmp_path, route):
+        # 65,537 distinct ids, one more than 2 bytes of code tell apart
+        probes = self.read_probe_ids(tmp_path, id_rows(65_537, route), route)
+        assert probes.codes.dtype == np.uint32
+        assert probes.codes[:3].tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("route", ["plain", "path", "pipe", "scan"])
+    @pytest.mark.parametrize("n_ids, width", [
+        (255, np.uint8), (256, np.uint8), (257, np.uint16), (65_535, np.uint16),
+        (65_536, np.uint16)])
+    def test_id_codes_take_the_narrowest_width(self, tmp_path, route, n_ids, width):
+        probes = self.read_probe_ids(tmp_path, id_rows(n_ids, route), route)
+        assert len(probes.values) == n_ids and probes.codes.dtype == width
+
+    @pytest.mark.parametrize("route", ["plain", "scan"])
+    @pytest.mark.parametrize("n_ids, width", [(256, np.uint8), (65_536, np.uint16)])
+    def test_padded_ids_merge_back_into_a_narrower_width(self, tmp_path, route, n_ids, width):
+        # " p7" strips to "p7": one more distinct field than distinct id
+        data = id_rows(n_ids, route) + b"0.5, p7\n"
+        probes = self.read_probe_ids(tmp_path, data, route)
+        assert len(probes.values) == n_ids and probes.codes.dtype == width
+        assert probes.codes[-1] == probes.codes[8]
 
     def test_id_codes_of_a_file_of_2_gib_take_8_bytes(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -628,9 +663,11 @@ class TestReadColumns:
             status[stat.ST_SIZE] = 2**31
             return os.stat_result(status)
 
-        with mock.patch.object(dataset.os, "fstat", large):
+        with mock.patch.object(dataset.os, "fstat", large), \
+                mock.patch.object(dataset.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             _, _, columns = read_columns(path, ["probe_id"])
-        assert columns["probe_id"].codes.dtype == np.intp
+        assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.intp  # numpy's table
+        assert columns["probe_id"].codes.dtype == np.uint8  # the codes copied out of it
         assert columns["probe_id"].codes.tolist() == [0, 1]
 
     @pytest.mark.parametrize("text, pipe, scores", [

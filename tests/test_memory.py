@@ -1,28 +1,28 @@
 """Peak memory per row of ``score``, ``fuse``, ``eval``, ``curve``, ``synth``, ``split`` and
 ``train``, traced.
 
-An id column costs one string per distinct value and a 4-byte code per
-row. ``score`` keeps only the offsets of a plain file's lines and reads
+An id column costs one string per distinct value and a code per row, in
+1, 2 or 4 bytes: the narrowest width that tells its distinct values
+apart. ``score`` keeps only the offsets of a plain file's lines and reads
 each chunk of them from the file as it writes it, so it holds neither the
 file nor a string per input row. A ``label`` or ``decision`` column is read
 into 9-byte fields, and numpy's table is freed once the columns are parsed.
 The float kernels (the log likelihood ratio, the posterior, the baselines'
 confidences) work a block of rows at a time, with a fixed amount of
 scratch. Each bound sits between the peak before these changes and
-today's (``split``'s, which has not moved, just above it), in bytes per
-row of this 40k-row input:
+today's, in bytes per row of this 40k-row input:
 
 | command | before | today | bound |
 |---|---|---|---|
 | ``score`` | 126 | 74 | 100 |
-| ``fuse`` | 83 | 62 | 72 |
+| ``fuse`` | 83 | 60 | 61 |
 | ``eval`` (pic) | 61 | 56 | 58.5 |
 | ``eval --estimator lrc`` | 81 | 56 | 68 |
 | ``eval --estimator dtc`` | 73 | 49 | 60 |
 | ``eval --estimator erbc`` | 74 | 51 | 62 |
 | ``curve`` | 76 | 53 | 64 |
 | ``synth`` | 232 | 133 | 150 |
-| ``split`` | 179 | 179 | 185 |
+| ``split`` | 179 | 167 | 172 |
 
 At this size a block of rows is most of the input, so these figures hold
 the blocks' scratch too. What ``score`` holds per row is measured apart,
@@ -42,9 +42,12 @@ and ``subject_b``: about 260 bytes per row of this input with
 built one per row (about 232 bytes per row before, 165 after). It now builds
 its 4-byte codes from one group index, in place, with no 8-byte temporaries,
 and the subject check holds a 1- or 2-byte position per row where it held 8:
-133 today. ``split`` did not move with those positions: its traced peak is
-numpy's read of all six columns, with the dict that codes ``reference_id``
-(a distinct value per row) alive. Its bound sits just above it.
+133 today. ``split``'s traced peak is numpy's read of all six columns. It
+fell from 178 to 167 when the reader began to copy each id column's codes
+out at the narrowest width and free its dict (the one that codes
+``reference_id`` holds a distinct value per row) before it copies the
+score column. ``fuse`` fell from 62 to 60 with those codes and with
+``pair_groups``' 4-byte pair keys and row indices.
 
 Input that is not plain (``\r\n`` line ends, a quoted column) costs
 ``score`` one string per line and numpy's read of its one number column:
@@ -102,7 +105,7 @@ def traced_peak_per_row(argv):
     return peak / N_ROWS
 
 
-@pytest.mark.parametrize("command, bytes_per_row", [("score", 100), ("fuse", 72)])
+@pytest.mark.parametrize("command, bytes_per_row", [("score", 100), ("fuse", 61)])
 def test_peak_bytes_per_input_row(inputs, command, bytes_per_row):
     assert peak_bytes_per_row(inputs, command, "scores.csv") < bytes_per_row
 
@@ -124,7 +127,7 @@ def test_synth_peak_bytes_per_row(tmp_path):
 def test_split_peak_bytes_per_row(inputs, tmp_path):
     argv = ["split", inputs / "scores.csv", "--out-train", tmp_path / "train.csv",
             "--out-test", tmp_path / "test.csv", "--seed", 3]
-    assert traced_peak_per_row(argv) < 185
+    assert traced_peak_per_row(argv) < 172
 
 
 def test_train_peak_bytes_per_row(inputs, tmp_path):
