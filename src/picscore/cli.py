@@ -148,14 +148,12 @@ def cmd_fuse(args) -> None:
     model = load_model(args.model)
     table = load_scores(args.input, ("probe_id", "subject_b"))
     max_refs = min(args.max_refs, len(table))  # keeps every row, in numpy's integer range
-    order, sizes, kept = pair_groups(table, max_refs)
-    first = order[np.cumsum(sizes) - sizes]  # each group's first row
+    first, sizes, kept = pair_groups(table, max_refs)
     ids = [IdColumn(codes[first], values) for codes, values in (table.probe_id, table.subject_b)]
     n_rows, is_genuine, scores = len(table), table.is_genuine[first], table.score[kept]
-    del table, order, kept  # only the kept scores go into fusion
+    del table, first, kept  # only the kept scores go into fusion
     n_used = np.minimum(sizes, max_refs)
-    values, _ = fuse_groups(model, scores,
-                            np.repeat(np.arange(sizes.size, dtype=sizes.dtype), n_used))
+    values, _ = fuse_groups(model, scores, n_used)
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
 
     write_rows(args.out, FUSED_COLUMNS, [

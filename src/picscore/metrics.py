@@ -1,9 +1,9 @@
 """Verification (FMR/FNMR) and calibration (ECE/MCE/CCC) metrics.
 
 Conventions used throughout:
-  match decision:  score >= threshold
-  FMR(t)  = #(imposter scores >= t) / n_imposter
-  FNMR(t) = #(genuine scores  < t) / n_genuine
+  match decision:  ``pic.accepts``, score >= threshold
+  FMR(t)  = #(imposter scores accepted) / n_imposter
+  FNMR(t) = #(genuine scores not accepted) / n_genuine
   calibration bins are equally spaced over [0, 1], right-open except the
   top bin, which includes 1.0
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityModel
-from .pic import pic_values
+from .pic import accepts, pic_values
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,13 @@ class CccSeries:
 
 def empirical_fmr(imposter_scores, threshold: float) -> float:
     imposter_scores = np.asarray(imposter_scores, dtype=float)
-    return float(np.count_nonzero(imposter_scores >= threshold) / imposter_scores.size)
+    return float(np.count_nonzero(accepts(imposter_scores, threshold)) / imposter_scores.size)
 
 
 def empirical_fnmr(genuine_scores, threshold: float) -> float:
     genuine_scores = np.asarray(genuine_scores, dtype=float)
-    return float(np.count_nonzero(genuine_scores < threshold) / genuine_scores.size)
+    rejected = genuine_scores.size - np.count_nonzero(accepts(genuine_scores, threshold))
+    return float(rejected / genuine_scores.size)
 
 
 def threshold_at_fmr(imposter_scores, target_fmr: float) -> float:

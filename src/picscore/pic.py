@@ -124,9 +124,9 @@ def pic_single(model: DensityModel, s: float) -> PicScore:
 def pair_groups(table: ScoreTable, max_refs: int):
     """``table``'s rows grouped by (probe, claimed identity), ``probe_id`` and ``subject_b``.
 
-    Returns ``(order, sizes, kept)``: the groups' rows, in order of each group's first row
-    and in file order within it; each group's size; and each group's first ``max_refs``
-    rows, in that order. Fails at the lowest row with a blank id or a mixed group's label.
+    Returns ``(first, sizes, kept)``, the groups in order of first row: each group's first
+    row; its size; and its first ``max_refs`` rows in file order, group after group, as
+    ``fuse_groups`` takes them. Fails at the lowest row with a blank id or a mixed label.
     """
     probes, claimed = table.probe_id, table.subject_b
     # Pair keys, and every index array, in 4 bytes where their range fits.
@@ -153,42 +153,39 @@ def pair_groups(table: ScoreTable, max_refs: int):
     place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
     order = order[place]
     del place
+    first = order[firsts]
 
     label = table.is_genuine
     mixed = np.empty(label.size, dtype=bool)
-    mixed[order] = label[order] != np.repeat(label[order[firsts]], sizes)
+    mixed[order] = label[order] != np.repeat(label[first], sizes)
     blank = (probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes]
     fail_first_row(blank | mixed, lambda i: "probe_id and subject_b are required for fusion"
                    if blank[i] else f"group ({probes.values[probes.codes[i]]}, "
                    f"{claimed.values[claimed.codes[i]]}) mixes genuine and imposter labels")
-    return order, sizes, order[kept]
+    return first, sizes, order[kept]
 
 
-def fuse_groups(model: DensityModel, scores, groups):
+def fuse_groups(model: DensityModel, scores, sizes):
     """Joint posterior of every group of scores of one claimed identity.
 
-    ``groups[i]`` is the group index (0 .. G-1) of ``scores[i]``, and every
-    index in that range must occur. Assumes the scores of a group are drawn
-    independently, so the class likelihoods are per-score products; each
-    group's ratio is accumulated in log space with an exactly rounded sum,
-    making the result independent of score order. All scores go through
-    one ``log_likelihood_ratio`` call; the ratios are then turned into
-    Python floats and summed a block of whole groups at a time. Returns
+    ``scores`` holds the groups one after another and ``sizes[g]`` is group
+    g's length. Assumes the scores of a group are drawn independently, so
+    the class likelihoods are per-score products; each group's ratio is
+    accumulated in log space with an exactly rounded sum, making the result
+    independent of score order within a group. All scores go through one
+    ``log_likelihood_ratio`` call; the ratios are then turned into Python
+    floats and summed a block of whole groups at a time. Returns
     ``(values, log_lr_sums)``, one per group.
     """
     arr = np.asarray(scores, dtype=float).ravel()
-    groups = np.asarray(groups).ravel()
+    sizes = np.asarray(sizes)
     if arr.size == 0:
         raise ValueError("fusion requires at least one score")
-    if groups.shape != arr.shape:
-        raise ValueError(f"got {groups.size} group indices for {arr.size} scores")
+    if (sizes.ndim != 1 or sizes.dtype.kind not in "iu"
+            or ((sizes < 1) | (sizes > arr.size)).any() or sizes.sum() != arr.size):
+        raise ValueError(f"sizes must be a 1-d array of integers >= 1 summing to {arr.size}")
     if not np.isfinite(arr).all():
         raise ValueError("scores must all be finite")
-    sizes = np.bincount(groups)  # raises ValueError on a negative index
-    if not sizes.all():
-        raise ValueError("every group index 0 .. G-1 must occur")
-    if (groups[1:] < groups[:-1]).any():  # rows not already by group
-        arr = arr[np.argsort(groups, kind="stable")]
     llrs = log_likelihood_ratio(model, arr)
     # Whole groups, a block at a time: each block ends with the last group that
     # ends within the next ``step`` rows. A Python float and its list entry take
@@ -210,11 +207,11 @@ def fuse_groups(model: DensityModel, scores, groups):
 def pic_multi(model: DensityModel, scores) -> PicScore:
     """Joint posterior for several scores of one claimed identity.
 
-    The single-group case of ``fuse_groups``: independent scores, log
-    likelihood ratios summed exactly, independent of score order.
+    The one-group case of ``fuse_groups``, ``sizes=[len(scores)]``: log likelihood
+    ratios of independent scores summed exactly, independent of their order.
     """
     arr = np.asarray(scores, dtype=float).ravel()
-    values, sums = fuse_groups(model, arr, np.zeros(arr.size, dtype=np.intp))
+    values, sums = fuse_groups(model, arr, [arr.size])
     return PicScore(value=float(values[0]), n_comparisons=int(arr.size), log_lr_sum=float(sums[0]))
 
 

@@ -93,6 +93,15 @@ class TestSplitCommand:
         err = capsys.readouterr().err
         assert "row 2: subject_a and subject_b are required for splitting" in err
 
+    def test_imposters_between_two_subjects_cannot_split(self, tmp_path, capsys):
+        source = tmp_path / "in.csv"
+        source.write_text("score,label,subject_a,subject_b\n0.1,imposter,A,B\n0.2,imposter,B,A\n")
+        code = run_inprocess("split", source, "--out-train", tmp_path / "a.csv",
+                             "--out-test", tmp_path / "b.csv")
+        assert code == 2
+        assert "cannot split: one side would be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [source]
+
     def test_byte_identical_reruns(self, tmp_path, synth_csv):
         outs = []
         for tag in ("x", "y"):
@@ -416,6 +425,16 @@ class TestExitCodes:
     def test_unknown_command(self, child_env):
         proc = run_subprocess(child_env, "frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--fmr", "1", "expected a value in (0, 1), got 1"),
+        ("--max-refs", "0", "expected a positive integer, got 0"),
+    ])
+    def test_option_out_of_range(self, capsys, option, value, message):
+        with pytest.raises(SystemExit) as exited:
+            main(["fuse", "model.json", "in.csv", "f.csv", option, value])
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_version_flag(self, child_env):
         proc = run_subprocess(child_env, "--version")

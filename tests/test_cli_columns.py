@@ -287,7 +287,7 @@ def reference_groups(probes, claimed, max_refs):
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes
     rank = np.arange(groups.size) - np.repeat(starts, sizes)
-    return order, sizes, order[rank < max_refs]
+    return order[starts], sizes, order[rank < max_refs]
 
 
 def grouped(probes, claimed, max_refs):
@@ -332,8 +332,8 @@ class TestPairGroups:
     def test_truncates_interleaved_groups(self):
         probes = IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object))
         claimed = IdColumn(np.array([0, 0, 0, 1, 0, 0, 0]), np.array(["s", "t"], dtype=object))
-        order, sizes, kept = grouped(probes, claimed, 2)
-        assert order.tolist() == [0, 2, 5, 1, 4, 6, 3]
+        first, sizes, kept = grouped(probes, claimed, 2)
+        assert first.tolist() == [0, 1, 3]
         assert sizes.tolist() == [3, 3, 1]
         assert kept.tolist() == [0, 2, 1, 4, 3]
 
@@ -513,6 +513,18 @@ class TestMessages:
         source.write_text("label,pic,decision,confidence\n"
                           f"genuine,0.9,genuine,0.9\n{label},0.8,{decision},0.8\n")
         self.fails_with(capsys, message, "eval", source, tmp_path / "r")
+
+    @pytest.mark.parametrize("rows, argv, message", [
+        (["genuine,0.9,genuine,0.9", "imposter,0.8,genuine,0.8"], ["--decisions", "imposter"],
+         "no rows with decision 'imposter' to evaluate"),
+        (["genuine,0.9,genuine,0.9", "genuine,0.2,imposter,0.8"], [],
+         "need both genuine and imposter rows for verification"),
+    ], ids=["no-imposter-decisions", "one-class"])
+    def test_eval_rows_it_cannot_evaluate(self, tmp_path, capsys, rows, argv, message):
+        source = tmp_path / "in.csv"
+        source.write_text("label,pic,decision,confidence\n" + "\n".join(rows) + "\n")
+        self.fails_with(capsys, message, "eval", source, tmp_path / "r", *argv)
+        assert list(tmp_path.iterdir()) == [source]  # no report
 
     def test_curve_names_the_leftmost_bad_field_of_a_row(self, tmp_path, model_path, capsys):
         source = tmp_path / "in.csv"

@@ -77,7 +77,8 @@ class TestFitKde:
         ({"bandwidth": 3e307}, "got (-1.5e+308, 1.5e+308)"),  # its width overflows
         ({"grid_range": (0.0, math.inf)}, "must be finite with lo < hi, got (0.0, inf)"),
         ({"grid_range": (1.0, 0.0)}, "must be finite with lo < hi, got (1.0, 0.0)"),
-    ], ids=["inf", "nan", "1e308", "3e307", "infinite-range", "reversed-range"])
+        ({"resolution": 1}, "grid resolution must be >= 2, got 1"),
+    ], ids=["inf", "nan", "1e308", "3e307", "infinite-range", "reversed-range", "resolution-1"])
     def test_fit_that_cannot_be_saved_is_rejected(self, kwargs, message):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # rejected before the grid is built
@@ -441,6 +442,7 @@ class TestSerialization:
             ("imposter.bandwidth", float("inf")),
             ("genuine.grid_min", float("nan")),
             ("imposter.grid_max", float("-inf")),
+            ("genuine.grid_values", [0.5, 0.5]),
         ],
     )
     def test_invalid_field_names_field(self, tmp_path, field, value):

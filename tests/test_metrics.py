@@ -20,6 +20,7 @@ from picscore.metrics import (
     threshold_at_fmr,
     true_confidence,
 )
+from picscore.pic import decide
 from picscore.synth import SynthConfig, analytic_posterior, generate
 
 
@@ -119,6 +120,25 @@ class TestFnmrAtFmr:
         fnmrs = [empirical_fnmr(genuine, t) for t in ts]
         assert all(a >= b for a, b in zip(fmrs, fmrs[1:]))
         assert all(a <= b for a, b in zip(fnmrs, fnmrs[1:]))
+
+    def test_rates_count_through_the_decision_rule(self):
+        genuine = [0.9, math.nan, 0.2, 0.8]
+        assert empirical_fnmr(genuine, 0.5) == 0.5
+        assert empirical_fnmr(genuine, 0.5) == np.mean(~decide(genuine, 0.5)[0])
+        imposter = [0.5, math.nan, 0.4]  # a tie accepts, NaN does not
+        assert empirical_fmr(imposter, 0.5) == np.mean(decide(imposter, 0.5)[0]) == 1 / 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: calibration_report([], []), "confidence array is empty"),
+    (lambda: calibration_report([0.5], [True], 0), "m_bins must be >= 1, got 0"),
+    (lambda: ccc([], []), "input arrays are empty"),
+    (lambda: ccc([0.5], [0.5], 0), "b_bins must be >= 1, got 0"),
+    (lambda: fnmr_at_fmr([], [0.1], 0.5), "genuine score array is empty"),
+], ids=["calibration-empty", "calibration-0-bins", "ccc-empty", "ccc-0-bins", "fnmr-empty"])
+def test_empty_input_and_zero_bins_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestEceMce:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import picscore
@@ -97,3 +98,17 @@ def test_script_runs_the_function_that_python_m_runs():
     called = [node.func.id for node in ast.walk(guard)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     assert called == [attr]
+
+
+def test_readme_library_example_runs():
+    """The README's "Library" code block, run as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    model, test, first, sizes, kept, values = (
+        ns[name] for name in ("model", "test", "first", "sizes", "kept", "values"))
+    assert first[0] == 0 and values.shape == sizes.shape == ns["accepted"].shape
+    assert kept.size == int(np.minimum(sizes, 5).sum())
+    n = min(int(sizes[0]), 5)  # the first group's fused scores open ``kept``
+    assert values[0] == picscore.pic_multi(model, test.score[kept[:n]]).value

@@ -245,30 +245,35 @@ class TestFuseGroups:
     def test_matches_pic_multi_per_group(self, synth_model):
         _, model = synth_model
         rng = np.random.default_rng(4)
-        groups = rng.integers(0, 40, 300)
-        groups[:40] = np.arange(40)  # every group occurs
-        scores = rng.normal(0.45, 0.3, groups.size)
-        values, sums = fuse_groups(model, scores, groups)
-        for g in range(40):
-            joint = pic_multi(model, scores[groups == g])
+        sizes = rng.integers(1, 15, 40)
+        scores = rng.normal(0.45, 0.3, sizes.sum())
+        values, sums = fuse_groups(model, scores, sizes)
+        for g, group in enumerate(np.split(scores, np.cumsum(sizes)[:-1])):
+            joint = pic_multi(model, group)
             assert values[g] == joint.value
             assert sums[g] == joint.log_lr_sum
 
     def test_independent_of_row_order(self, synth_model):
+        """Within a group: the rows of each group shuffled among themselves."""
         _, model = synth_model
         rng = np.random.default_rng(5)
-        groups = np.repeat(np.arange(25), 4)
-        scores = rng.normal(0.45, 0.3, groups.size)
-        perm = rng.permutation(groups.size)
-        assert np.array_equal(
-            fuse_groups(model, scores, groups)[0], fuse_groups(model, scores[perm], groups[perm])[0]
-        )
+        sizes = np.full(25, 4)
+        scores = rng.normal(0.45, 0.3, sizes.sum())
+        shuffled = rng.permuted(scores.reshape(25, 4), axis=1).ravel()
+        assert not np.array_equal(scores, shuffled)
+        assert np.array_equal(fuse_groups(model, scores, sizes)[0],
+                              fuse_groups(model, shuffled, sizes)[0])
 
-    @pytest.mark.parametrize("groups", [[0, 2], [1, 1], [-1, 0], [0]])
-    def test_rejects_bad_group_indices(self, synth_model, groups):
+    @pytest.mark.parametrize("sizes", [
+        [1], [3], [2, 0], [3, -1], [1.0, 1.0], [[1, 1]], 2, [True, True],
+        np.array([1, 1], dtype=object), [], [2**63 - 1, 2**63 - 1, 4],
+    ], ids=["short", "over", "zero", "negative", "float", "2-d", "scalar", "bool", "object",
+            "empty", "sum-wraps-to-2"])
+    def test_rejects_bad_sizes(self, synth_model, sizes):
         _, model = synth_model
-        with pytest.raises(ValueError):
-            fuse_groups(model, [0.4, 0.5], groups)
+        with pytest.raises(ValueError, match="sizes must be a 1-d array of integers >= 1 "
+                                             "summing to 2"):
+            fuse_groups(model, [0.4, 0.5], sizes)
 
 
 class TestDecide:
@@ -358,16 +363,13 @@ class TestBlocks:
         rng = np.random.default_rng(9)
         sizes = rng.integers(1, 9, 120)
         sizes[[0, 50, -1]] = 150  # groups longer than several blocks, first and last among them
-        groups = np.repeat(np.arange(sizes.size), sizes)
-        scores = rng.normal(0.45, 0.3, groups.size)
-        perm = rng.permutation(groups.size)
-        for g, s in [(groups, scores), (groups[perm], scores[perm])]:
-            values, sums = self.in_blocks(rows, lambda: fuse_groups(model, s, g))
-            want_values, want_sums = self.in_blocks(1 << 30, lambda: fuse_groups(model, s, g))
-            assert values.tobytes() == want_values.tobytes()
-            assert sums.tobytes() == want_sums.tobytes()
-            assert sums.tolist() == [math.fsum(log_likelihood_ratio(model, scores[groups == i])
-                                               .tolist()) for i in range(sizes.size)]
+        scores = rng.normal(0.45, 0.3, sizes.sum())
+        values, sums = self.in_blocks(rows, lambda: fuse_groups(model, scores, sizes))
+        want_values, want_sums = self.in_blocks(1 << 30, lambda: fuse_groups(model, scores, sizes))
+        assert values.tobytes() == want_values.tobytes()
+        assert sums.tobytes() == want_sums.tobytes()
+        assert sums.tolist() == [math.fsum(log_likelihood_ratio(model, group).tolist())
+                                 for group in np.split(scores, np.cumsum(sizes)[:-1])]
 
 
 def pic_score(value):
