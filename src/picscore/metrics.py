@@ -80,28 +80,15 @@ def threshold_at_fmr(imposter_scores, target_fmr: float) -> float:
         raise ValueError(f"target FMR must be in (0, 1), got {target_fmr}")
 
     allowed = int(math.floor(target_fmr * n))
-    if allowed == 0:
-        warnings.warn(
-            f"target FMR {target_fmr} is below 1/{n}; returning a threshold "
-            "above the maximum imposter score (FMR 0)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float(np.nextafter(scores[-1], np.inf))
-
-    # Candidate: the value whose suffix count is `allowed`; with ties the
-    # suffix may be longer, in which case step up to the next distinct value.
-    idx = n - allowed
-    candidate = scores[idx]
-    first = int(np.searchsorted(scores, candidate, side="left"))
-    if first >= idx:
-        return float(candidate)
-    nxt = int(np.searchsorted(scores, candidate, side="right"))
-    if nxt < n:
-        return float(scores[nxt])
+    k = n - allowed  # the suffix from k holds `allowed` scores
+    if k < n and scores[k - 1] == scores[k]:  # a tie across the cut: step past it
+        k = int(np.searchsorted(scores, scores[k], side="right"))
+    if k < n:
+        return float(scores[k])
+    reason = f"is below 1/{n}" if allowed == 0 else "unreachable due to tied scores"
     warnings.warn(
-        f"target FMR {target_fmr} unreachable due to tied scores; returning a "
-        "threshold above the maximum imposter score (FMR 0)",
+        f"target FMR {target_fmr} {reason}; returning a threshold above the maximum "
+        "imposter score (FMR 0)",
         RuntimeWarning,
         stacklevel=2,
     )

@@ -144,25 +144,20 @@ def pair_groups(table: ScoreTable, max_refs: int):
     starts = np.flatnonzero(new).astype(index)  # where each pair's rows start in ``order``
     del new
     sizes = np.diff(starts, append=index(order.size))
-    groups = np.argsort(order[starts])  # the pairs in order of first row
-    starts, sizes = starts[groups], sizes[groups]
-    firsts = np.cumsum(sizes, dtype=index) - sizes  # each group's first place
-    place = np.arange(order.size, dtype=index)
-    place -= np.repeat(firsts, sizes)  # each row's place in its group
-    kept = place < max_refs
-    place += np.repeat(starts, sizes)  # its place in ``order``: each pair's rows at their group's
-    order = order[place]
-    del place
-    first = order[firsts]
-
+    first = order[starts]
     label = table.is_genuine
     mixed = np.empty(label.size, dtype=bool)
     mixed[order] = label[order] != np.repeat(label[first], sizes)
+    groups = np.argsort(first)  # the pairs in order of first row
+    first, starts, sizes = first[groups], starts[groups], sizes[groups]
+    used = np.minimum(sizes, max(0, min(max_refs, order.size)))  # in numpy's integer range
+    place = np.arange(used.sum(), dtype=index)  # each kept row's place in ``order``
+    place += np.repeat(starts - (np.cumsum(used, dtype=index) - used), used)
     blank = (probes.values == "")[probes.codes] | (claimed.values == "")[claimed.codes]
     fail_first_row(blank | mixed, lambda i: "probe_id and subject_b are required for fusion"
                    if blank[i] else f"group ({probes.values[probes.codes[i]]}, "
                    f"{claimed.values[claimed.codes[i]]}) mixes genuine and imposter labels")
-    return first, sizes, order[kept]
+    return first, sizes, order[place]
 
 
 def fuse_groups(model: DensityModel, scores, sizes):
