@@ -56,11 +56,15 @@ class CccSeries:
 
 def empirical_fmr(imposter_scores, threshold: float) -> float:
     imposter_scores = np.asarray(imposter_scores, dtype=float)
+    if imposter_scores.size == 0:
+        raise ValueError("imposter score array is empty")
     return float(np.count_nonzero(accepts(imposter_scores, threshold)) / imposter_scores.size)
 
 
 def empirical_fnmr(genuine_scores, threshold: float) -> float:
     genuine_scores = np.asarray(genuine_scores, dtype=float)
+    if genuine_scores.size == 0:
+        raise ValueError("genuine score array is empty")
     rejected = genuine_scores.size - np.count_nonzero(accepts(genuine_scores, threshold))
     return float(rejected / genuine_scores.size)
 
@@ -68,18 +72,23 @@ def empirical_fnmr(genuine_scores, threshold: float) -> float:
 def threshold_at_fmr(imposter_scores, target_fmr: float) -> float:
     """Smallest observed score usable as a threshold with FMR <= target.
 
-    Computed by sorting the imposter scores and indexing. When the target
-    is below 1/n (no observed threshold can reach it) the value just above
-    the maximum imposter score is returned and a warning is emitted.
+    FMR is ``empirical_fmr``'s share, so the threshold accepts the largest count ``allowed``
+    of imposter scores with ``allowed / n <= target``; a tie at the cut steps it up to the
+    next larger score. When no observed score qualifies (the target is below 1/n, or the tie
+    at the cut runs up to the maximum), one warning names which, and the value just above
+    the maximum is returned (FMR 0). A non-finite score raises ``ValueError`` naming its index.
     """
-    scores = np.sort(np.asarray(imposter_scores, dtype=float).ravel())
-    n = scores.size
+    values = np.asarray(imposter_scores, dtype=float).ravel()
+    n = values.size
     if n == 0:
         raise ValueError("imposter score array is empty")
     if not 0.0 < target_fmr < 1.0:
         raise ValueError(f"target FMR must be in (0, 1), got {target_fmr}")
-
+    _require_finite(values, "imposter scores")
+    scores = np.sort(values)
     allowed = int(math.floor(target_fmr * n))
+    if (allowed + 1) / n <= target_fmr:  # the product rounded below a whole number
+        allowed += 1
     k = n - allowed  # the suffix from k holds `allowed` scores
     if k < n and scores[k - 1] == scores[k]:  # a tie across the cut: step past it
         k = int(np.searchsorted(scores, scores[k], side="right"))

@@ -144,7 +144,7 @@ def pair_groups(table: ScoreTable, max_refs: int):
     starts = np.flatnonzero(new).astype(index)  # where each pair's rows start in ``order``
     del new
     sizes = np.diff(starts, append=index(order.size))
-    first = order[starts]
+    first = order[starts]  # each pair's first row
     label = table.is_genuine
     mixed = np.empty(label.size, dtype=bool)
     mixed[order] = label[order] != np.repeat(label[first], sizes)

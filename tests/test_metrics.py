@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,20 @@ from picscore.synth import SynthConfig, analytic_posterior, generate
 
 def phi_c(z):
     return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+@st.composite
+def tied_scores_and_target(draw):
+    """1 to 120 scores drawn from at most 12 values, so ties are common, and a
+    target drawn as k/100, as any value in (0, 1), or below 1/n."""
+    grid = draw(st.lists(st.floats(-5, 5), min_size=1, max_size=12, unique=True))
+    scores = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=120))
+    target = draw(st.one_of(
+        st.integers(1, 99).map(lambda k: k / 100),
+        st.floats(0, 1, exclude_min=True, exclude_max=True),
+        st.floats(0, 1 / len(scores), exclude_min=True, exclude_max=True),
+    ))
+    return scores, target
 
 
 class TestThresholdAtFmr:
@@ -67,12 +82,36 @@ class TestThresholdAtFmr:
     )
     @settings(max_examples=100, deadline=None)
     def test_postcondition_fmr_below_target(self, scores, target):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # unreachable targets expected
             t = threshold_at_fmr(scores, target)
         assert empirical_fmr(scores, t) <= target
+
+    @given(case=tied_scores_and_target())
+    @example(case=(list(range(100)), 0.29))  # 0.29 * 100 rounds below 29
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, case):
+        scores, target = case
+        n = len(scores)
+        qualifying = [s for s in set(scores) if sum(x >= s for x in scores) / n <= target]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            t = threshold_at_fmr(scores, target)
+        if qualifying:
+            assert t == min(qualifying)
+            assert not caught
+            return
+        reason = f"is below 1/{n}" if 1 / n > target else "unreachable due to tied scores"
+        assert t == np.nextafter(max(scores), np.inf)
+        assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, (
+            f"target FMR {target} {reason}; returning a threshold above the maximum "
+            "imposter score (FMR 0)"))]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        message = f"imposter scores must be finite, got {bad!r} at index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fnmr_at_fmr([0.9, 0.8], [0.1, bad, 0.2, 0.3], 0.3)
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -135,7 +174,10 @@ class TestFnmrAtFmr:
     (lambda: ccc([], []), "input arrays are empty"),
     (lambda: ccc([0.5], [0.5], 0), "b_bins must be >= 1, got 0"),
     (lambda: fnmr_at_fmr([], [0.1], 0.5), "genuine score array is empty"),
-], ids=["calibration-empty", "calibration-0-bins", "ccc-empty", "ccc-0-bins", "fnmr-empty"])
+    (lambda: empirical_fmr([], 0.5), "imposter score array is empty"),
+    (lambda: empirical_fnmr([], 0.5), "genuine score array is empty"),
+], ids=["calibration-empty", "calibration-0-bins", "ccc-empty", "ccc-0-bins", "fnmr-empty",
+        "empirical-fmr-empty", "empirical-fnmr-empty"])
 def test_empty_input_and_zero_bins_rejected(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
