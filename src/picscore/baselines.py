@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ScoreTable
-from .density import DensityModel
+from .density import DensityModel, _equal_fields
 from .metrics import threshold_at_fmr
 from .pic import _blockwise, accepts, log_likelihood_ratio
 
@@ -59,13 +59,7 @@ class ErbcEstimator:
     grid_fmr: np.ndarray
     grid_fnmr: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, ErbcEstimator):
-            return NotImplemented
-        return self.threshold == other.threshold and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in ("grid_thresholds", "grid_fmr", "grid_fnmr")
-        )
+    __eq__ = _equal_fields
 
 
 def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +65,52 @@ def default_bandwidth(scores: np.ndarray) -> float:
     return spread * factor
 
 
+def _require_finite(values: np.ndarray, name: str, unit: bool = False) -> None:
+    """Fail naming the first index not finite, or then, with ``unit``, outside [0, 1]."""
+    bad, must = np.flatnonzero(~np.isfinite(values)), "be finite"
+    if unit and not bad.size:
+        bad, must = np.flatnonzero((values < 0.0) | (values > 1.0)), "lie in [0, 1]"
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} must {must}, got {float(values[i])!r} at index {i}")
+
+
+def _equal_fields(a, b) -> bool:
+    """Dataclass equality that compares array fields by ``np.array_equal``."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a))
+
+
+def _check_grid(bandwidth, grid_min, grid_max, resolution, prefix: str = "") -> None:
+    """The grid rule of every density, fitted or loaded; errors name ``prefix`` + field."""
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"{prefix}bandwidth must be finite and positive, got {bandwidth!r}")
+    for key, value in (("grid_min", grid_min), ("grid_max", grid_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
+    if not (grid_min < grid_max and math.isfinite(grid_max - grid_min)):
+        raise ValueError(f"{prefix}grid_min must be below {prefix}grid_max with a finite span, "
+                         f"got ({grid_min!r}, {grid_max!r})")
+    if not (resolution >= 2 and float(resolution).is_integer()):
+        raise ValueError(f"{prefix}grid_resolution must be a whole number >= 2, "
+                         f"got {float(resolution)!r}")
+
+
+def _check_values(density: "KdeDensity", prefix: str = "") -> None:
+    """The grid-value rule: values finite and >= 0, and no cell whose slope overflows
+    (``np.interp`` would give ``inf`` inside it, and two such classes a NaN posterior)."""
+    values, widths = density.grid_values, np.diff(density.grid_points())
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise ValueError(f"{prefix}grid_values[{bad[0]}] must be finite and >= 0, "
+                         f"got {float(values[bad[0]])!r}")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steep = np.flatnonzero(np.isinf(np.diff(values) / widths) & (widths > 0.0))
+    if steep.size:
+        raise ValueError(f"{prefix}grid_values[{steep[0]}] to [{steep[0] + 1}] rise too steeply: "
+                         f"the slope over a grid step of {float(widths[steep[0]])!r} overflows")
+
+
 @dataclass(frozen=True, eq=False)
 class KdeDensity:
     """A fitted one-dimensional Gaussian KDE, tabulated on a uniform grid.
@@ -80,14 +126,7 @@ class KdeDensity:
     grid_max: float
     grid_values: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, KdeDensity):
-            return NotImplemented
-        return (
-            (self.bandwidth, self.grid_min, self.grid_max)
-            == (other.bandwidth, other.grid_min, other.grid_max)
-            and np.array_equal(self.grid_values, other.grid_values)
-        )
+    __eq__ = _equal_fields
 
     @property
     def grid_resolution(self) -> int:
@@ -164,37 +203,29 @@ def fit_kde(
     grid_range : (float, float), optional
         Grid span. Defaults to the data range padded by five bandwidths
         on each side.
+
+    The grid and its values must pass the rules :func:`load_model` applies, with the
+    same error texts less the class name, so every fitted density loads again.
     """
     scores = np.asarray(scores, dtype=float).ravel()
     if scores.size == 0:
         raise ValueError("cannot fit a density to an empty score array")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("training scores must all be finite")
-    if resolution < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {resolution}")
+    _require_finite(scores, "training scores")
 
     h = default_bandwidth(scores) if bandwidth is None else float(bandwidth)
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"bandwidth must be finite and positive, got {h}")
-    if not math.isfinite(1.0 / (scores.size * h * _SQRT_2PI)):
-        raise ValueError(f"bandwidth {h} is too small: the kernel's peak height overflows")
-
     if grid_range is None:
         lo = float(scores.min()) - _GRID_PAD_BANDWIDTHS * h
         hi = float(scores.max()) + _GRID_PAD_BANDWIDTHS * h
     else:
         lo, hi = float(grid_range[0]), float(grid_range[1])
-    if not (lo < hi and math.isfinite(hi - lo)):  # as ``load_model`` requires
-        raise ValueError(f"grid range must be finite with lo < hi, got ({lo}, {hi}) "
-                         f"at bandwidth {h}")
+    _check_grid(h, lo, hi, resolution)
+    if not math.isfinite(1.0 / (scores.size * h * _SQRT_2PI)):
+        raise ValueError(f"bandwidth {h} is too small: the kernel's peak height overflows")
 
-    grid = np.linspace(lo, hi, resolution)
-    return KdeDensity(
-        bandwidth=h,
-        grid_min=lo,
-        grid_max=hi,
-        grid_values=kernel_density(scores, h, grid),
-    )
+    grid = np.linspace(lo, hi, int(resolution))
+    density = KdeDensity(h, lo, hi, kernel_density(scores, h, grid))
+    _check_values(density)
+    return density
 
 
 def eval_density(density: KdeDensity, s):
@@ -273,69 +304,51 @@ def fit_model(
 
 
 def _density_to_dict(density: KdeDensity) -> dict:
-    return {
-        "bandwidth": density.bandwidth,
-        "grid_min": density.grid_min,
-        "grid_max": density.grid_max,
-        "grid_resolution": density.grid_resolution,
-        "grid_values": [float(v) for v in density.grid_values],
-    }
+    return {"bandwidth": density.bandwidth, "grid_min": density.grid_min,
+            "grid_max": density.grid_max, "grid_resolution": density.grid_resolution,
+            "grid_values": density.grid_values.tolist()}
 
 
 def _number(data: dict, field: str) -> float:
     """``data``'s number at ``field``, ``key`` or ``name.key``, which errors name.
 
-    A missing key raises ``KeyError(field)``, a value that is not a number ``ValueError``.
+    A missing key raises ``KeyError(field)``; a value that is not an ``int`` or ``float``
+    (a ``bool`` is not), or is an ``int`` too large for a float, ``ValueError``.
     """
     key = field.rpartition(".")[2]
     if key not in data:
         raise KeyError(field)
+    value = data[key]
     try:
-        return float(data[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be a number, got {data[key]!r}") from None
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{field} must be a number, got {value!r}") from None
 
 
 def _density_from_dict(data: dict, name: str) -> KdeDensity:
     """Rebuild one class density, naming the field (``name.key``) that is wrong."""
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be an object, got {type(data).__name__}")
-    numbers = {}
-    for key in ("bandwidth", "grid_min", "grid_max", "grid_resolution"):
-        numbers[key] = _number(data, f"{name}.{key}")
-        if not math.isfinite(numbers[key]):
-            raise ValueError(f"{name}.{key} must be finite, got {numbers[key]!r}")
-    bandwidth, grid_min, grid_max, resolution = numbers.values()
+    bandwidth, grid_min, grid_max, resolution = (
+        _number(data, f"{name}.{key}")
+        for key in ("bandwidth", "grid_min", "grid_max", "grid_resolution"))
+    _check_grid(bandwidth, grid_min, grid_max, resolution, prefix=f"{name}.")
     if "grid_values" not in data:
         raise KeyError(f"{name}.grid_values")
     try:
-        values = np.asarray(data["grid_values"], dtype=float)
+        values = np.asarray(data["grid_values"])
+        if (values.ndim != 1 or values.dtype.kind not in "iuf"
+                or bool in map(type, data["grid_values"])):  # numpy takes true for 1.0
+            raise TypeError
     except (TypeError, ValueError):
         raise ValueError(f"{name}.grid_values must be a list of numbers") from None
-    if not (resolution >= 2 and resolution.is_integer()):  # as ``fit_kde`` requires
-        raise ValueError(f"{name}.grid_resolution must be a whole number >= 2, got {resolution!r}")
-    if not bandwidth > 0.0:
-        raise ValueError(f"{name}.bandwidth must be > 0, got {bandwidth!r}")
-    if not grid_min < grid_max:
-        raise ValueError(
-            f"{name}.grid_min must be below {name}.grid_max, got {grid_min!r} >= {grid_max!r}"
-        )
-    if values.ndim != 1 or values.size != resolution:
-        raise ValueError(
-            f"{name}.grid_values has {values.size} values, expected {resolution:.0f}"
-        )
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"{name}.grid_values[{i}] must be finite and >= 0, got {float(values[i])!r}"
-        )
-    return KdeDensity(
-        bandwidth=bandwidth,
-        grid_min=grid_min,
-        grid_max=grid_max,
-        grid_values=values,
-    )
+    if values.size != resolution:
+        raise ValueError(f"{name}.grid_values has {values.size} values, expected {resolution:.0f}")
+    density = KdeDensity(bandwidth, grid_min, grid_max, values.astype(float, copy=False))
+    _check_values(density, prefix=f"{name}.")
+    return density
 
 
 def save_model(model: DensityModel, path: str | Path) -> None:
@@ -361,11 +374,13 @@ def load_model(path: str | Path) -> DensityModel:
     """Load a model saved with :func:`save_model`.
 
     Rejects, naming the field: a ``prior_genuine`` outside (0, 1), a class
-    entry that is not an object, a field that is not a number, a bandwidth
-    that is not finite and positive, grid bounds that are not finite or not
-    increasing, a grid resolution that is not a whole number >= 2, grid
-    values that are not finite or are negative, and two classes on
-    different grids.
+    entry that is not an object, a field that is not a JSON number (a string or
+    boolean is not), grid values that are not a flat list of numbers, and two
+    classes on different grids. Each class must pass the one grid rule that
+    :func:`fit_kde` applies too: a finite, positive bandwidth, finite bounds
+    ``grid_min < grid_max`` whose span does not overflow, and a resolution that
+    is a whole number >= 2; and the grid-value rule: values finite and >= 0, and
+    no cell whose interpolation slope overflows.
     """
     path = Path(path)
     try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityModel
+from .density import DensityModel, _require_finite
 from .pic import accepts, pic_values
 
 
@@ -129,16 +129,6 @@ def _validated_confidences(confidences, correct) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"length mismatch: {conf.size} confidences vs {corr.size} outcomes")
     _require_finite(conf, "confidences", unit=True)
     return conf, corr
-
-
-def _require_finite(values: np.ndarray, name: str, unit: bool = False) -> None:
-    """Fail naming the first index not finite, or then, with ``unit``, outside [0, 1]."""
-    bad, must = np.flatnonzero(~np.isfinite(values)), "be finite"
-    if unit and not bad.size:
-        bad, must = np.flatnonzero((values < 0.0) | (values > 1.0)), "lie in [0, 1]"
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{name} must {must}, got {float(values[i])!r} at index {i}")
 
 
 def _binned(keys: np.ndarray, n_bins: int, values: np.ndarray, *others: np.ndarray):

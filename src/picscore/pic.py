@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GENUINE, IMPOSTER, ScoreTable, fail_first_row
-from .density import DensityModel, eval_density
+from .density import DensityModel, _require_finite, eval_density
 
 _BLOCK_ROWS = 1 << 15
 
@@ -179,8 +179,7 @@ def fuse_groups(model: DensityModel, scores, sizes):
     if (sizes.ndim != 1 or sizes.dtype.kind not in "iu"
             or ((sizes < 1) | (sizes > arr.size)).any() or sizes.sum() != arr.size):
         raise ValueError(f"sizes must be a 1-d array of integers >= 1 summing to {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError("scores must all be finite")
+    _require_finite(arr, "scores")
     llrs = log_likelihood_ratio(model, arr)
     # Whole groups, a block at a time: each block ends with the last group that
     # ends within the next ``step`` rows. A Python float and its list entry take

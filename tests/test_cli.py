@@ -130,7 +130,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(("bandwidth", "message"), [
         ("inf", "bandwidth must be finite and positive, got inf"),
-        ("1e308", "grid range must be finite with lo < hi, got (-inf, inf)"),
+        ("1e308", "grid_min must be finite, got -inf"),
         ("1e-320", "bandwidth 1e-320 is too small"),
     ], ids=["inf", "1e308", "1e-320"])
     def test_bandwidth_that_cannot_be_saved_exit_2(self, tmp_path, synth_csv, capsys,
@@ -190,6 +190,24 @@ class TestScoreCommand:
         bad = tmp_path / "bad_model.json"
         bad.write_text(json.dumps(doc))
         assert run_inprocess("score", bad, synth_csv, tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize("command", ["score", "fuse", "eval-lrc", "curve"])
+    def test_model_whose_grid_span_overflows_exit_2(self, tmp_path, synth_csv, model_file,
+                                                    capsys, command):
+        doc = json.loads(Path(model_file).read_text())
+        for name in ("genuine", "imposter"):
+            doc[name]["grid_min"], doc[name]["grid_max"] = -1e308, 1e308  # finite bounds
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        out, before = tmp_path / "out.csv", set(tmp_path.iterdir())
+        args = {"score": ("score", bad, synth_csv, out), "fuse": ("fuse", bad, synth_csv, out),
+                "eval-lrc": ("eval", synth_csv, out, "--estimator", "lrc",
+                             "--train", synth_csv, "--model", bad),
+                "curve": ("curve", synth_csv, bad, out)}[command]
+        assert run_inprocess(*args) == 2
+        assert ("genuine.grid_min must be below genuine.grid_max with a finite span, "
+                "got (-1e+308, 1e+308)") in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == before  # nothing written
 
 
 @pytest.fixture()

@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from picscore.dataset import ScoreTable
 from picscore.density import (
     DENSITY_FLOOR,
+    MODEL_FORMAT,
     MODEL_VERSION,
     DensityModel,
     default_bandwidth,
@@ -70,14 +73,22 @@ class TestFitKde:
         with pytest.raises(ValueError, match="bandwidth"):
             fit_kde([0.1, 0.2], bandwidth=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_index(self, bad):
+        message = f"training scores must be finite, got {bad!r} at index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_kde([0.1, bad, 0.2])
+
     @pytest.mark.parametrize(("kwargs", "message"), [
         ({"bandwidth": math.inf}, "bandwidth must be finite and positive, got inf"),
         ({"bandwidth": math.nan}, "bandwidth must be finite and positive, got nan"),
-        ({"bandwidth": 1e308}, "grid range must be finite with lo < hi, got (-inf, inf)"),
-        ({"bandwidth": 3e307}, "got (-1.5e+308, 1.5e+308)"),  # its width overflows
-        ({"grid_range": (0.0, math.inf)}, "must be finite with lo < hi, got (0.0, inf)"),
-        ({"grid_range": (1.0, 0.0)}, "must be finite with lo < hi, got (1.0, 0.0)"),
-        ({"resolution": 1}, "grid resolution must be >= 2, got 1"),
+        ({"bandwidth": 1e308}, "grid_min must be finite, got -inf"),
+        ({"bandwidth": 3e307}, "grid_min must be below grid_max with a finite span, "
+                               "got (-1.5e+308, 1.5e+308)"),  # its width overflows
+        ({"grid_range": (0.0, math.inf)}, "grid_max must be finite, got inf"),
+        ({"grid_range": (1.0, 0.0)}, "grid_min must be below grid_max with a finite span, "
+                                     "got (1.0, 0.0)"),
+        ({"resolution": 1}, "grid_resolution must be a whole number >= 2, got 1.0"),
     ], ids=["inf", "nan", "1e308", "3e307", "infinite-range", "reversed-range", "resolution-1"])
     def test_fit_that_cannot_be_saved_is_rejected(self, kwargs, message):
         with warnings.catch_warnings():
@@ -87,6 +98,9 @@ class TestFitKde:
             if "bandwidth" in kwargs:  # the grid range of a model is its classes'
                 with pytest.raises(ValueError, match=re.escape(message)):
                     fit_model(_toy_set([0.6, 0.9], [0.1, 0.2]), **kwargs)
+
+    def test_whole_number_resolution_given_as_float_fits(self):
+        assert fit_kde([0.1, 0.2], resolution=16.0) == fit_kde([0.1, 0.2], resolution=16)
 
     def test_grid_spans_five_bandwidths(self):
         density = fit_kde([0.2, 0.8], bandwidth=0.05)
@@ -294,6 +308,17 @@ class TestFitModel:
                     f"deviation overflows (most extreme {extreme!r})")):
                 fit_model(_toy_set(classes["genuine"], classes["imposter"]))
 
+    @pytest.mark.parametrize("bandwidth", [1e-300, 1e-200])
+    def test_bandwidth_too_small_for_its_grid_is_rejected(self, bandwidth):
+        # Grid cells a fraction of a bandwidth wide at a peak of 0.4 / bandwidth: the
+        # interpolation slope overflows, and both classes' lookups would give inf.
+        table = _toy_set([0.0, 0.0], [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^grid_values\[\d+\] to \[\d+\] rise too "
+                                                 r"steeply: the slope over a grid step of "):
+                fit_model(table, bandwidth=bandwidth)
+
     def test_identical_classes_give_identical_grids(self):
         scores = [0.2, 0.4, 0.6, 0.8]
         model = fit_model(_toy_set(scores, scores))
@@ -497,7 +522,7 @@ class TestSerialization:
             load_model(path)
 
     @pytest.mark.parametrize("key", ["bandwidth", "grid_min", "grid_max", "grid_resolution"])
-    @pytest.mark.parametrize("bad", ["x", [1.0], {"a": 1}])
+    @pytest.mark.parametrize("bad", ["x", [1.0], {"a": 1}, "0.5", True])
     def test_non_numeric_field_names_field(self, tmp_path, key, bad):
         path, doc = self._saved_doc(tmp_path)
         doc["imposter"][key] = bad
@@ -506,13 +531,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_model(path)
 
-    @pytest.mark.parametrize("bad", ["x", [0.5], {"a": 1}, None])
+    @pytest.mark.parametrize("bad", ["x", [0.5], {"a": 1}, None, "0.5", True])
     def test_non_numeric_prior_names_field(self, tmp_path, bad):
         path, doc = self._saved_doc(tmp_path)
         doc["prior_genuine"] = bad
         path.write_text(json.dumps(doc))
         message = f"prior_genuine must be a number, got {bad!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
+            load_model(path)
+
+    def test_integer_too_large_for_a_float_names_field(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        huge = "1" + "0" * 400  # an int in JSON, beyond float range
+        path.write_text(json.dumps(doc).replace('"prior_genuine": 0.5', f'"prior_genuine": {huge}'))
+        with pytest.raises(ValueError, match=f"prior_genuine must be a number, got {huge}$"):
             load_model(path)
 
     @pytest.mark.parametrize("field", [
@@ -533,6 +565,29 @@ class TestSerialization:
         doc["genuine"]["grid_values"][17] = bad
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"genuine\.grid_values must be a list of numbers"):
+            load_model(path)
+
+    @pytest.mark.parametrize("shape", ["nested", "scalar", "strings", "boolean"])
+    def test_grid_values_not_a_flat_list_of_numbers_names_field(self, tmp_path, shape):
+        path, doc = self._saved_doc(tmp_path)
+        values = doc["genuine"]["grid_values"]
+        doc["genuine"]["grid_values"] = {"nested": [[v] for v in values], "scalar": values[0],
+                                         "strings": [str(v) for v in values],
+                                         "boolean": [True, *values[1:]]}[shape]
+        path.write_text(json.dumps(doc))
+        message = f"corrupt model file {path}: genuine.grid_values must be a list of numbers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    def test_grid_values_too_steep_to_interpolate_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        for name in ("genuine", "imposter"):
+            doc[name]["grid_min"], doc[name]["grid_max"] = 0.0, 0.5  # cells 1/510 wide
+            doc[name]["grid_values"][10] = 1e308
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                "genuine.grid_values[9] to [10] rise too steeply: the slope over a grid step "
+                "of 0.00196078431372549")):
             load_model(path)
 
     @pytest.mark.parametrize("entry", [[], [1.0, 2.0], "genuine", 3])
@@ -559,3 +614,72 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"imposter\.grid_values\[17\]"):
             load_model(path)
+
+
+def _model_doc(grid_min, grid_max, resolution, genuine_values, imposter_values, prior=0.5,
+               bandwidths=(0.1, 0.1)):
+    classes = {
+        name: {"bandwidth": h, "grid_min": grid_min, "grid_max": grid_max,
+               "grid_resolution": resolution, "grid_values": values}
+        for name, h, values in zip(("genuine", "imposter"), bandwidths,
+                                   (genuine_values, imposter_values))
+    }
+    return {"format": MODEL_FORMAT, "version": MODEL_VERSION, "prior_genuine": prior, **classes}
+
+
+@st.composite
+def model_docs(draw):
+    """Model documents over any finite grid up to +-1e308, with any finite values >= 0."""
+    bound = st.floats(-1e308, 1e308)
+    resolution = draw(st.integers(2, 64))
+    values = st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                      min_size=resolution, max_size=resolution)
+    return _model_doc(draw(bound), draw(bound), resolution, draw(values), draw(values),
+                      prior=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                      bandwidths=draw(st.tuples(*[st.floats(1e-300, 1e300)] * 2)))
+
+
+class TestOneGridRule:
+    """``fit_kde`` and ``load_model`` apply one grid rule; what it accepts is safe to use."""
+
+    @given(model_docs(), st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    @example(_model_doc(-1e308, 1e308, 4, [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]), [0.0])
+    @example(_model_doc(0.0, 0.5, 2, [0.0, 1e308], [0.0, 1e308]), [0.25])  # slope 2e308
+    @settings(max_examples=150, deadline=None)
+    def test_every_loadable_model_gives_finite_posteriors(self, tmp_path_factory, doc, queries):
+        path = tmp_path_factory.getbasetemp() / "drawn-model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_model(path)
+        except ValueError:
+            return
+        grid = model.genuine.grid_points()
+        middles = grid[:-1] + np.diff(grid) / 2.0
+        xs = np.array([-1e308, 1e308, *grid, *middles, *queries])
+        values = pic_values(model, xs)
+        assert np.isfinite(values).all() and ((values >= 0.0) & (values <= 1.0)).all()
+
+    @given(st.one_of(st.floats(), st.sampled_from([0.0, -0.5, 1e-300, 1e308])),
+           st.floats(), st.floats(),
+           st.one_of(st.integers(-2, 64), st.floats(-2.0, 64.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_grid_load_rejects_fit_rejects_with_the_same_text(
+            self, tmp_path_factory, bandwidth, grid_min, grid_max, resolution):
+        values = [1.0] * max(0, int(resolution))  # right for every whole resolution
+        doc = _model_doc(grid_min, grid_max, resolution, values, values,
+                         bandwidths=(bandwidth, bandwidth))
+        path = tmp_path_factory.getbasetemp() / "drawn-grid.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except ValueError as exc:
+            loaded = str(exc).removeprefix(f"corrupt model file {path}: ")
+        else:
+            return
+        assert loaded.startswith("genuine.")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as fitted:
+                fit_kde([0.1, 0.2], bandwidth=bandwidth, resolution=resolution,
+                        grid_range=(grid_min, grid_max))
+        assert str(fitted.value) == loaded.replace("genuine.", "")

@@ -207,6 +207,12 @@ class TestPicMulti:
         with pytest.raises(ValueError, match="finite"):
             pic_multi(model, [0.5, float("inf")])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_names_index(self, synth_model, bad):
+        _, model = synth_model
+        with pytest.raises(ValueError, match=f"^scores must be finite, got {bad!r} at index 2$"):
+            fuse_groups(model, [0.5, 0.6, bad], [1, 2])
+
     @given(st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_value_always_in_unit_interval(self, scores):
