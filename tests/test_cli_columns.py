@@ -3,6 +3,9 @@
 ``reference_score`` and ``reference_fuse`` are the earlier row-by-row
 commands (``csv.DictReader`` rows, one density lookup per fusion group),
 kept here as the reference the column code must match byte for byte.
+``reference_eval`` and ``reference_curve`` read rows with ``csv.reader`` and
+``float()``, call only the public numeric functions, and write ``"%.6f"``
+fields as the README's format section states.
 """
 
 import csv
@@ -13,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picscore import cli
+from picscore.baselines import dtc_confidence, fit_dtc
 from picscore.cli import main
 from picscore.dataset import GENUINE, IMPOSTER, IdColumn, ScoreTable, load_scores, save_scores
 from picscore.density import fit_model, load_model, save_model
+from picscore.metrics import calibration_report, ccc, fnmr_at_fmr, true_confidence
 from picscore.pic import log_likelihood_ratio, pair_groups, pic_threshold_for_fmr, pic_values
 from picscore.synth import SynthConfig, generate
 from test_dataset import through_pipe
@@ -276,6 +282,149 @@ class TestAgainstRowReference:
         assert f"(max {max_refs} refs)" in capsys.readouterr().out
         manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
         assert manifest["parameters"]["max_refs"] == max_refs
+
+
+def reference_rows(path):
+    """A CSV file's non-blank data rows as dicts keyed by the stripped, lower-cased header."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        rows = filter(None, csv.reader(handle))
+        keys = [name.strip().lower() for name in next(rows)]
+        return [dict(zip(keys, row)) for row in rows]
+
+
+def is_genuine_text(field):
+    return field.strip().lower() == GENUINE
+
+
+def write_reference(path, header, rows):
+    """Rows of formatted fields, joined by ``,`` and ended by ``\n``."""
+    with open(path, "w", newline="") as handle:
+        handle.write("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
+def six(value):
+    return "%.6f" % value  # ``nan`` for an empty bin
+
+
+def reference_eval(input_path, prefix, estimator, fmr, bins, train_path=None):
+    """``eval`` with ``--estimator pic`` or ``dtc`` (``--train train_path``), row by row."""
+    rows = reference_rows(input_path)
+    is_genuine = [is_genuine_text(row["label"]) for row in rows]
+    if estimator == "pic":  # dtc's values come from its fit, below
+        values = [float(row["pic"]) for row in rows]
+        accepted = [is_genuine_text(row["decision"]) for row in rows]
+        confidences = [float(row["confidence"]) for row in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # an unreachable FMR target
+        if estimator == "dtc":
+            train = reference_rows(train_path)
+            est = fit_dtc(ScoreTable(np.array([float(row["score"]) for row in train]),
+                                     np.array([is_genuine_text(row["label"]) for row in train])),
+                          fmr)
+            values = [float(row["score"]) for row in rows]
+            accepted = [value >= est.threshold for value in values]
+            confidences = dtc_confidence(est, np.array(values)).tolist()
+        verification = fnmr_at_fmr([v for v, g in zip(values, is_genuine) if g],
+                                   [v for v, g in zip(values, is_genuine) if not g], fmr)
+    report = calibration_report(confidences, [a == g for a, g in zip(accepted, is_genuine)],
+                                bins)
+    write_reference(f"{prefix}.calibration.csv",
+                    ["bin_lo", "bin_hi", "count", "p_true", "p_pred_mean", "p_pred_std"],
+                    [[six(lo), six(hi), str(count), six(true), six(mean), six(std)]
+                     for lo, hi, count, true, mean, std in zip(
+                         report.bin_lo, report.bin_hi, report.count.tolist(), report.p_true,
+                         report.p_pred_mean, report.p_pred_std)])
+    write_reference(f"{prefix}.summary.csv", ["key", "value"], [
+        ["estimator", estimator], ["decision_filter", "all"],
+        ["n_samples", str(report.n_samples)], ["ece_bins", str(bins)],
+        ["ece", six(report.ece)], ["mce", six(report.mce)], ["target_fmr", str(fmr)],
+        ["threshold", six(verification.threshold)], ["fmr", six(verification.fmr)],
+        ["fnmr", six(verification.fnmr)], ["n_genuine", str(verification.n_genuine)],
+        ["n_imposter", str(verification.n_imposter)]])
+
+
+def reference_curve(input_path, model_path, out_path, bins):
+    """``curve``, row by row."""
+    rows = reference_rows(input_path)
+    truth = true_confidence(load_model(model_path), np.array([float(row["score"]) for row in rows]),
+                            np.array([is_genuine_text(row["decision"]) for row in rows]))
+    series = ccc(truth, [float(row["confidence"]) for row in rows], bins)
+    write_reference(out_path, ["bin_center", "pred_mean", "pred_std", "count"],
+                    [[six(center), six(mean), six(std), str(count)] for center, mean, std, count
+                     in zip(series.bin_center, series.pred_mean, series.pred_std,
+                            series.count.tolist())])
+
+
+def crlf_with_blank_lines(data: bytes) -> bytes:
+    """``\r\n`` line ends, and a blank line after every seventh line (no field holds a line end)."""
+    lines = data.decode().splitlines()
+    return "".join(line + ("\r\n\r\n" if i % 7 == 3 else "\r\n")
+                   for i, line in enumerate(lines)).encode()
+
+
+def bom_and_upper_header(data: bytes) -> bytes:
+    header, rest = data.split(b"\n", 1)
+    return b"\xef\xbb\xbf" + header.upper() + b"\n" + rest
+
+
+class TestEvalAndCurveAgainstRowReference:
+    """``eval --estimator pic``, ``eval --estimator dtc`` and ``curve`` against their
+    references, byte for byte, on the renderings ``score`` and ``fuse`` are checked on.
+
+    A rendering is a score file (``dtc`` reads it, and is trained on it) and
+    ``score``'s output on it, written again the same way (``pic`` and
+    ``curve`` read that). ``eval`` needs labels, so it runs only on the plain
+    variants that have a label column.
+    """
+
+    LABELED = ["blank-lines", "padded", "no-final-newline"]
+    RENDERINGS = ["awkward", "bom-upper-header", *TestAgainstRowReference.PLAIN]
+
+    @pytest.fixture
+    def files(self, tmp_path, model_path, request):
+        """``(scores, scored)`` of the rendering named by the test's ``name``."""
+        name = request.node.callspec.params["name"]
+        if name == "awkward":
+            raw, render = awkward_csv(tmp_path / "raw.csv").read_bytes(), crlf_with_blank_lines
+        elif name == "bom-upper-header":
+            save_scores(generate(SynthConfig(n_genuine=200, n_imposter=200, seed=8)),
+                        tmp_path / "raw.csv")
+            raw, render = (tmp_path / "raw.csv").read_bytes(), bom_and_upper_header
+        else:
+            raw, render = TestAgainstRowReference.PLAIN[name].encode(), bytes
+        scores, scored = tmp_path / "scores.csv", tmp_path / "scored.csv"
+        scores.write_bytes(render(raw))
+        assert run("score", model_path, scores, scored, "--fmr", "0.05") == 0
+        scored.write_bytes(render(scored.read_bytes()))
+        return scores, scored
+
+    @staticmethod
+    def run_on(path, through, *args):
+        """``cli.main`` with ``path`` as its first argument, a file or a pipe of its bytes."""
+        if through == "pipe":
+            return through_pipe(path.read_bytes(), lambda fd: run(args[0], fd, *args[1:]))
+        return run(args[0], path, *args[1:])
+
+    @pytest.mark.parametrize("through", ["file", "pipe"])
+    @pytest.mark.parametrize("estimator", ["pic", "dtc"])
+    @pytest.mark.parametrize("name", ["awkward", "bom-upper-header", *LABELED])
+    def test_eval_bytes(self, tmp_path, files, name, estimator, through):
+        scores, scored = files
+        source = scored if estimator == "pic" else scores
+        options = ["--estimator", estimator, "--fmr", "0.05", "--train", scores]
+        assert self.run_on(source, through, "eval", tmp_path / "new", *options) == 0
+        reference_eval(source, tmp_path / "ref", estimator, 0.05, 10, scores)
+        for suffix in (".calibration.csv", ".summary.csv"):
+            assert ((tmp_path / f"new{suffix}").read_bytes()
+                    == (tmp_path / f"ref{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("through", ["file", "pipe"])
+    @pytest.mark.parametrize("name", RENDERINGS)
+    def test_curve_bytes(self, tmp_path, model_path, files, name, through):
+        _, scored = files
+        assert self.run_on(scored, through, "curve", model_path, tmp_path / "new.csv") == 0
+        reference_curve(scored, model_path, tmp_path / "ref.csv", 30)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def reference_groups(probes, claimed, max_refs):
