@@ -27,7 +27,6 @@ from .dataset import (
     label_column,
     load_scores,
     read_columns,
-    read_to_append,
     save_scores,
     split_subject_exclusive,
     write_rows,
@@ -123,21 +122,21 @@ def cmd_score(args) -> None:
     from .pic import decide, pic_threshold_for_fmr, pic_values
 
     model = load_model(args.model)
-    header, n_rows, columns, lines = read_to_append(args.input, ("score",))
-    keys = {name.strip().lower() for name in header}
+    read = read_columns(args.input, ("score",), lines=True)
+    keys = {name.strip().lower() for name in read.header}
     for appended in APPENDED_COLUMNS:
         if appended in keys:
             raise ValueError(f"{args.input}: column {appended!r} already present")
 
     # The scores are dropped once their posteriors exist.
-    values = pic_values(model, columns.pop("score"))
+    values = pic_values(model, read.columns.pop("score"))
     threshold = pic_threshold_for_fmr(args.fmr)
     is_genuine, confidence = decide(values, threshold)
 
-    write_rows(args.out, header + list(APPENDED_COLUMNS),
-               [values, label_column(is_genuine), confidence], lines=lines)
+    write_rows(args.out, read.header + list(APPENDED_COLUMNS),
+               [values, label_column(is_genuine), confidence], lines=read.lines)
     _write_manifest(args, {"model": args.model, "scores": args.input}, {"scored": args.out})
-    print(f"scored {n_rows} rows at pic threshold {_fmt(threshold)}")
+    print(f"scored {read.n_rows} rows at pic threshold {_fmt(threshold)}")
 
 
 def cmd_fuse(args) -> None:
@@ -173,7 +172,7 @@ def cmd_fuse(args) -> None:
 def _eval_pic(args):
     """``(is_genuine, values, accepted, confidences)``, read from a scored or fused file."""
     needed = ("label", "pic", "decision", "confidence")
-    _, _, columns = read_columns(args.input, needed)
+    columns = read_columns(args.input, needed).columns
     return [columns[name] for name in needed]
 
 
@@ -189,6 +188,10 @@ def _eval_baseline(args):
     from .density import load_model
     from .pic import accepts
 
+    if not args.train:
+        raise ValueError(f"--train is required for estimator {args.estimator!r}")
+    if args.estimator == "lrc" and not args.model:
+        raise ValueError("--model is required for estimator 'lrc'")
     try:
         table = load_scores(args.input, ())
     except MissingColumns as error:
@@ -196,8 +199,6 @@ def _eval_baseline(args):
             raise
         raise ValueError(f"{args.input}: estimator {args.estimator!r} needs raw scores "
                          "(fused input supports the pic estimator only)") from None
-    if not args.train:
-        raise ValueError(f"--train is required for estimator {args.estimator!r}")
     train = load_scores(args.train, ("subject_a", "subject_b"))
     scores = table.score
 
@@ -208,8 +209,6 @@ def _eval_baseline(args):
         est = fit_erbc(train, args.fmr)
         confidences = erbc_confidence(est, scores)
     else:  # lrc
-        if not args.model:
-            raise ValueError("--model is required for estimator 'lrc'")
         model = load_model(args.model)
         est = fit_lrc(train, model, args.fmr)
         confidences = lrc_confidence(est, model, scores)
@@ -275,14 +274,14 @@ def cmd_curve(args) -> None:
     from .metrics import ccc, true_confidence
 
     model = load_model(args.test_model)
-    _, n_rows, columns = read_columns(args.input, ("score", "decision", "confidence"))
-    truth = true_confidence(model, columns.pop("score"), columns.pop("decision"))
-    series = ccc(truth, columns.pop("confidence"), args.bins)
+    read = read_columns(args.input, ("score", "decision", "confidence"))
+    truth = true_confidence(model, read.columns.pop("score"), read.columns.pop("decision"))
+    series = ccc(truth, read.columns.pop("confidence"), args.bins)
 
     write_rows(args.out, CCC_COLUMNS, [getattr(series, column) for column in CCC_COLUMNS])
     _write_manifest(args, {"scored": args.input, "test_model": args.test_model},
                     {"curve": args.out})
-    print(f"wrote {args.bins}-bin calibration curve for {n_rows} samples to {args.out}")
+    print(f"wrote {args.bins}-bin calibration curve for {read.n_rows} samples to {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """The columnar score table, CSV reading and writing, and subject-exclusive splitting.
 
-The CSV readers (``read_columns``, and ``read_to_append``, which adds each row's
-line) and the CSV writer (``write_rows``) also serve every CLI command.
+The one CSV reader (``read_columns``, which also gives each row's line on
+request) and the CSV writer (``write_rows``) also serve every CLI command.
 """
 
 from __future__ import annotations
@@ -154,15 +154,22 @@ class IdColumn(NamedTuple):
     values: np.ndarray
 
 
-def read_columns(
-    path: str | Path,
-    names: Iterable[str] | None = None,
-) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn]]:
+class CsvRead(NamedTuple):
+    """What ``read_columns`` read from a CSV file."""
+
+    header: list[str]
+    n_rows: int
+    columns: dict[str, np.ndarray | IdColumn]
+    lines: Sequence[str] | None
+
+
+def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
+                 lines: bool = False) -> CsvRead:
     """Read a CSV file with a header row into columns, each parsed by its name.
 
-    Returns ``(header, n_rows, columns)``: the header as written, the number
-    of data rows, and the columns, each keyed by its name stripped and
-    lower-cased, in header order. ``names`` (lower case) selects the
+    Returns a ``CsvRead``: the ``header`` as written, the number of data
+    rows ``n_rows``, and the ``columns``, each keyed by its name stripped
+    and lower-cased, in header order. ``names`` (lower case) selects the
     columns returned, and ``None`` every column.
     Quoting and line endings follow the ``csv`` module; blank lines are
     skipped and not counted as rows, and a leading UTF-8 byte-order mark
@@ -206,39 +213,25 @@ def read_columns(
     ``float()``, which accepts some text numpy does not, such as ``1_0``.
     Each label column becomes flags before the numbers are checked, and
     frees numpy's table.
+
+    ``CsvRead.lines`` is ``None`` unless ``lines`` asks for it, for a file
+    to be written out again. Then it holds every data row as the CSV line,
+    without its line end, that ``write_rows`` writes for it; pass them to
+    ``write_rows`` as its ``lines``. A plain file, a regular one that numpy
+    reads from its path and that holds no ``"``, is already written that
+    way: ``lines`` holds only the offsets of its non-blank lines, found as
+    the file is first scanned, and reads and decodes a slice of them from
+    the file when it is taken (see ``_Lines``). ``write_rows`` checks the
+    file before it opens its output, and reads its bytes whole if the
+    output is this very file, by its own path, a hard link or a symlink.
+    The check, and taking a slice, fail with ``ValueError`` naming the file
+    if it is no longer the file that was read: another device or inode,
+    size or modification time. Any other input is read whole, and its
+    ``lines`` are a list of its rows quoted again.
     """
-    header, n_rows, columns, _ = _read(path, names, copy=False)
-    return header, n_rows, columns
-
-
-def read_to_append(
-    path: str | Path,
-    names: Iterable[str],
-) -> tuple[list[str], int, dict[str, np.ndarray | IdColumn], Sequence[str]]:
-    """``read_columns(path, names)`` plus ``lines``, for a file to be written out again.
-
-    ``lines`` holds every data row as the CSV line, without its line end,
-    that ``write_rows`` writes for it; pass them to ``write_rows`` as its
-    ``lines``. A plain file, a regular one that numpy reads from its path
-    and that holds no ``"``, is already written that way: ``lines`` holds
-    only the offsets of its non-blank lines, found as the file is first
-    scanned, and reads and decodes a slice of them from the file when it
-    is taken (see ``_Lines``). ``write_rows`` checks the file before it
-    opens its output, and reads its bytes whole if the output is this very
-    file, by its own path, a hard link or a symlink. The check, and taking
-    a slice, fail with ``ValueError`` naming the file if it is no longer
-    the file that was read: another device or inode, size or modification
-    time. Any other input is read whole, and its ``lines`` are a list of
-    its rows quoted again.
-    """
-    return _read(path, names, copy=True)
-
-
-def _read(path, names, copy: bool):
-    """``read_columns``, and with ``copy`` the data lines of ``read_to_append``."""
     with open(path, newline="") as handle:
         status = os.fstat(handle.fileno())
-        route, ends = _route(path, status, line_ends=copy)
+        route, ends = _route(path, status, line_ends=lines)
         source, size = handle, status.st_size
         if route == _TEXT:  # read once; ``_scan_rows`` and ``lines`` may read it again
             data = handle.buffer.read()
@@ -293,10 +286,11 @@ def _read(path, names, copy: bool):
                 table = None
         if table is None:
             n_rows, columns = _scan_rows(source, keys, wanted)
-        lines = None
-        if copy and route == _PLAIN:
+        if not lines:
+            lines = None
+        elif route == _PLAIN:
             lines = _Lines(path, ends, reader.line_num, source.encoding, status)
-        elif copy:  # a list, read whole: the output may be this very file
+        else:  # a list, read whole: the output may be this very file
             lines = [",".join(_quoted(row)) for row in _data_rows(source)]
     if not n_rows:
         raise ValueError(f"{path}: no records")
@@ -312,7 +306,7 @@ def _read(path, names, copy: bool):
         i, _, message = min(errors)
         raise RowError(i + 1, message)
     columns.update((name, _blank(n_rows)) for name in names if name not in columns)
-    return header, n_rows, columns, lines
+    return CsvRead(header, n_rows, columns, lines)
 
 
 def _parsed(key: str, column: np.ndarray):
@@ -402,7 +396,7 @@ class _Lines(Sequence):
         if not rows:
             return []
         start, stop = int(self._ends[rows.start]) + 1, int(self._ends[rows.stop])
-        text = self._read(start, stop) if self._data is None else self._data[start:stop]
+        text = self._bytes(start, stop) if self._data is None else self._data[start:stop]
         return [line for line in text.decode(self._encoding).split("\n") if line]
 
     def hold(self, path) -> None:
@@ -416,11 +410,11 @@ class _Lines(Sequence):
             same = _identity(os.stat(path))[:2] == self._identity[:2]
         except OSError:
             same = False
-        data = self._read(0, self._identity[2] if same else 0)
+        data = self._bytes(0, self._identity[2] if same else 0)
         if same:
             self._data = data
 
-    def _read(self, start: int, stop: int) -> bytes:
+    def _bytes(self, start: int, stop: int) -> bytes:
         with open(self._path, "rb") as raw:
             raw.seek(start)
             data = raw.read(stop - start)
@@ -549,11 +543,12 @@ def write_rows(
     reads, except that ``csv.writer`` leaves a ``\\r`` bare, which reads back
     as a line break. Rows are formatted and written a few thousand at a time.
 
-    ``lines``, as ``read_to_append`` returns them, hold each row's leading
-    fields already written as CSV; each is written as it is, followed by
-    the row's fields from ``columns``. They are sliced a chunk of rows at a
-    time, so lines that are read from their file on slicing are never all
-    read at once; when ``path`` is that file, they are read whole first.
+    ``lines``, as ``read_columns(..., lines=True)`` returns them, hold each
+    row's leading fields already written as CSV; each is written as it is,
+    followed by the row's fields from ``columns``. They are sliced a chunk
+    of rows at a time, so lines that are read from their file on slicing
+    are never all read at once; when ``path`` is that file, they are read
+    whole first.
     """
     lengths = [len(column.codes if isinstance(column, IdColumn) else column)
                for column in ([] if lines is None else [lines]) + list(columns)]
@@ -646,7 +641,7 @@ def load_scores(path: str | Path, ids: Sequence[str] = ID_COLUMNS) -> ScoreTable
     fails as ``read_columns`` finds it; then the table's own checks, such as
     a genuine row between two different subjects, name their lowest row.
     """
-    _, _, columns = read_columns(path, ("score", "label", *ids))
+    columns = read_columns(path, ("score", "label", *ids)).columns
     return ScoreTable(columns.pop("score"), columns.pop("label"), **columns)
 
 

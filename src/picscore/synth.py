@@ -38,6 +38,9 @@ class SynthConfig:
     refs_per_probe: int = 1
 
     def __post_init__(self):
+        for name in ("genuine_mean", "imposter_mean", "genuine_std", "imposter_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.genuine_std <= 0 or self.imposter_std <= 0:
             raise ValueError("standard deviations must be positive")
         if self.genuine_mean <= self.imposter_mean:

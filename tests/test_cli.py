@@ -60,6 +60,15 @@ class TestSynthCommand:
         proc = run_subprocess(child_env, "synth", tmp_path / "x.csv", "--n-genuine", 0)
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("option, value", [("--genuine-std", "nan"),
+                                               ("--imposter-mean", "inf")])
+    def test_non_finite_param_names_it(self, tmp_path, capsys, option, value):
+        out = tmp_path / "x.csv"
+        assert run_inprocess("synth", out, option, value) == 2
+        name = option[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
 
 class TestSplitCommand:
     def test_disjoint_subjects(self, tmp_path, synth_csv):
@@ -295,6 +304,18 @@ class TestEvalCommand:
         code = run_inprocess("eval", scored_csv, tmp_path / "r", "--estimator", "lrc",
                              "--train", synth_csv)
         assert code == 2
+
+    @pytest.mark.parametrize("estimator, options, message", [
+        ("dtc", [], "--train is required for estimator 'dtc'"),
+        ("erbc", [], "--train is required for estimator 'erbc'"),
+        ("lrc", ["--train", "missing-train.csv"], "--model is required for estimator 'lrc'"),
+    ])
+    def test_missing_option_is_named_before_any_file_is_read(self, tmp_path, capsys, estimator,
+                                                             options, message):
+        code = run_inprocess("eval", tmp_path / "missing.csv", tmp_path / "r",
+                             "--estimator", estimator, *options)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_fused_input(self, tmp_path, synth_csv, model_file):
         import warnings
@@ -553,3 +574,56 @@ class TestStrictChild:
                           "genuine,0.9,genuine,0.9\ngén,0.1,imposter,0.9\n", encoding="utf-8")
         proc = self.strict(child_env, tmp_path, "eval", source, tmp_path / "r")
         assert (proc.returncode, proc.stderr) == (2, "error: row 2: unknown label 'gén'\n")
+
+
+def dispatched_cpu_features():
+    """The SIMD features numpy dispatches to on this host, beyond its baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+class TestSimdPaths:
+    """``train`` and ``score`` in two children: one on numpy's native SIMD path, one with
+    every feature numpy dispatched here disabled (``NPY_DISABLE_CPU_FEATURES``, which acts
+    only on the process that sets it).
+
+    ``scored.csv`` and every manifest must be byte-equal. The two models' fields must be
+    equal, except ``grid_values``, which may differ by at most ``MAX_ULPS`` units in the
+    last place: the kernel sums round differently at different vector widths. 2 ulp is
+    the largest difference measured on this input, with numpy 2.4.6 on an x86-64 CPU
+    with AVX-512 (117 of 4,096 genuine and 121 imposter values differ). On a host where
+    numpy dispatches nothing, the two runs take the same path, and the test passes
+    trivially.
+    """
+
+    MAX_ULPS = 2
+
+    def test_outputs_equal_and_models_within_ulps(self, tmp_path, child_env):
+        source = tmp_path / "scores.csv"
+        assert run_inprocess("synth", source, "--n-genuine", 2000, "--n-imposter", 2000,
+                             "--n-subjects", 50, "--refs-per-probe", 3, "--seed", 4) == 0
+        assert run_inprocess("split", source, "--out-train", tmp_path / "train.csv",
+                             "--out-test", tmp_path / "test.csv", "--seed", 4) == 0
+        script = ("from picscore.cli import main\n"
+                  "assert main(['train', '../train.csv', 'model.json']) == 0\n"
+                  "assert main(['score', 'model.json', '../test.csv', 'scored.csv']) == 0\n")
+        paths = {"native": {}, "baseline": {"NPY_DISABLE_CPU_FEATURES":
+                                            " ".join(dispatched_cpu_features())}}
+        for name, env in paths.items():
+            (tmp_path / name).mkdir()
+            proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path / name,
+                                  capture_output=True, text=True, env={**child_env, **env})
+            assert proc.returncode == 0, proc.stderr
+        native, baseline = tmp_path / "native", tmp_path / "baseline"
+        for name in ("scored.csv", "scored.csv.manifest.json", "model.json.manifest.json"):
+            assert (native / name).read_bytes() == (baseline / name).read_bytes(), name
+        models = [json.loads((folder / "model.json").read_text()) for folder in (native, baseline)]
+        for key in ("genuine", "imposter"):
+            values = [np.array(model[key].pop("grid_values")) for model in models]
+            # Non-negative doubles order as their bit patterns do: the gap counts ulps.
+            ulps = np.abs(values[0].view(np.int64) - values[1].view(np.int64))
+            assert ulps.max() <= self.MAX_ULPS, key
+        assert models[0] == models[1]

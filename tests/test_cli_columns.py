@@ -611,7 +611,7 @@ class TestMessages:
                           "p1,s1,genuine,1,0.9,genuine,0.9\n")
         self.fails_with(capsys, f"error: {source}: estimator 'dtc' needs raw scores "
                         "(fused input supports the pic estimator only)\n",
-                        "eval", source, tmp_path / "r", "--estimator", "dtc")
+                        "eval", source, tmp_path / "r", "--estimator", "dtc", "--train", source)
 
     @pytest.mark.parametrize("argv, column, value", [
         (["eval", "in.csv", "r"], "pic", "-0.5"),

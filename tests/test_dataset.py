@@ -29,7 +29,6 @@ from picscore.dataset import (
     ScoreTable,
     load_scores,
     read_columns,
-    read_to_append,
     save_scores,
     split_subject_exclusive,
     write_rows,
@@ -346,11 +345,11 @@ def one_object_per_value(column):
 
 
 def assert_reads_like_reference(path, names, labels=(), ids=()):
-    """``read_columns`` and ``read_to_append`` with ``labels`` as the label columns and
-    ``ids`` as the id columns, against ``reference_read`` and ``reference_labels``; a row
-    error also through a pipe."""
+    """``read_columns``, without and with ``lines``, with ``labels`` as the label columns
+    and ``ids`` as the id columns, against ``reference_read`` and ``reference_labels``; a
+    row error also through a pipe."""
     data = path.read_bytes()
-    reads = [lambda: read_columns(path, names), lambda: read_to_append(path, names)[:3],
+    reads = [lambda: read_columns(path, names), lambda: read_columns(path, names, lines=True),
              lambda: through_pipe(data, lambda source: read_columns(source, names))]
     with (mock.patch.object(dataset, "_LABEL_COLUMNS", tuple(labels)),
           mock.patch.object(dataset, "ID_COLUMNS", tuple(ids))):
@@ -387,9 +386,10 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
                     read()
                 assert (got.value.row, str(got.value)) == flags
             return
-        got_header, got_rows, got_columns = read_columns(path, names)
-        append_header, append_rows, append_columns, lines = read_to_append(path, names)
+        got_header, got_rows, got_columns, no_lines = read_columns(path, names)
+        append_header, append_rows, append_columns, lines = read_columns(path, names, lines=True)
     assert (got_header, got_rows) == (append_header, append_rows) == (header, n_rows)
+    assert no_lines is None  # only on request
     # The reader strips each id value, parses each label and leaves an absent id blank.
     columns = {key: [field.strip() for field in column] if key in ids else
                reference_labels(column, key).tolist() if key in labels else column
@@ -438,10 +438,10 @@ class TestReadColumns:
         names = ["note", "score", "label", *ID_COLUMNS, "pic", "decision", "confidence"]
 
         def read(source):
-            return read_columns(source, names)
+            return read_columns(source, names).columns
 
         with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
-            _, _, columns = through_pipe(text.encode(), read) if route == "pipe" else read(path)
+            columns = through_pipe(text.encode(), read) if route == "pipe" else read(path)
         assert scan.called == (route == "fallback")
         assert {key: column.dtype for key, column in columns.items() if key not in ID_COLUMNS} == {
             "note": object, "score": np.float64, "pic": np.float64, "confidence": np.float64,
@@ -457,7 +457,7 @@ class TestReadColumns:
     def test_columns_in_header_order(self, tmp_path):
         path = tmp_path / "table.csv"
         path.write_text("C,b,a\n1,2,3\n")
-        _, _, columns = read_columns(path, ["a", "c"])
+        columns = read_columns(path, ["a", "c"]).columns
         assert list(columns) == ["c", "a"]
 
     def test_header_only_file_warns_nothing(self, tmp_path):
@@ -487,7 +487,7 @@ class TestReadColumns:
     def test_quoted_cr_is_kept(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'score,label,probe_id\n0.5,genuine,"p\r1"\n0.4,imposter,p2\n')
-        _, _, columns = read_columns(path)
+        columns = read_columns(path).columns
         assert decoded(columns["probe_id"]).tolist() == ["p\r1", "p2"]
         assert columns["label"].tolist() == [True, False]
 
@@ -504,14 +504,14 @@ class TestReadColumns:
     def test_padded_labels_load(self, tmp_path, padded):
         path = tmp_path / "scores.csv"
         path.write_bytes(f"score,label\n0.5,{padded}\n0.4,imposter \n".encode())
-        _, _, columns = read_columns(path)
+        columns = read_columns(path).columns
         assert columns["label"].tolist() == [True, False]
         assert load_scores(path).is_genuine.tolist() == [True, False]
 
     def test_blank_lines_and_quoted_newline_before_first_row(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_bytes(b'\n\nscore,label,"free\n\ntext"\n\n0.5,genuine,"a\nb"\n0.4,imposter,c\n')
-        header, n_rows, columns = read_columns(path)
+        header, n_rows, columns, _ = read_columns(path)
         assert (header, n_rows) == (["score", "label", "free\n\ntext"], 2)
         assert columns["free\n\ntext"].tolist() == ["a\nb", "c"]
         assert columns["label"].tolist() == [True, False]
@@ -520,7 +520,7 @@ class TestReadColumns:
         # Far more than the header read buffers and a pipe holds at once.
         text = "score,label,probe_id\n" + "".join(
             f"0.{i % 10},{LABELS[i % 2]},p{i}\n" for i in range(20000))
-        header, n_rows, columns = through_pipe(text.encode(), read_columns)
+        header, n_rows, columns, _ = through_pipe(text.encode(), read_columns)
         assert (header, n_rows) == (["score", "label", "probe_id"], 20000)
         assert decoded(columns["probe_id"])[-1] == "p19999"
         assert columns["label"].tolist() == [True, False] * 10000
@@ -543,7 +543,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes("\nScore , probe_id,x\n 0.5 ,a\x85b, 1 \n\n0.25,é,".encode())
         with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            header, n_rows, columns, lines = read_to_append(path, ["score"])
+            header, n_rows, columns, lines = read_columns(path, ["score"], lines=True)
         assert isinstance(loadtxt.call_args.args[0], str)
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.dtype("U0")
         assert (header, n_rows) == (["Score ", " probe_id", "x"], 2)
@@ -567,9 +567,9 @@ class TestReadColumns:
         path.write_bytes(text.format(("\r\n" if "\r" in text else "\n").join(rows)).encode())
         with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
             if route.endswith("pipe"):
-                _, n_rows, columns = through_pipe(path.read_bytes(), read_columns)
+                _, n_rows, columns, _ = through_pipe(path.read_bytes(), read_columns)
             else:
-                _, n_rows, columns = read_columns(path)
+                _, n_rows, columns, _ = read_columns(path)
         assert scan.called == scanned
         assert decoded(columns["probe_id"]).tolist()[:5] == ["p1", "p1", "p2", "p1", "p2"]
         assert decoded(columns["reference_id"]).tolist()[:5] == ["r1", "r2", "r1", "r1", "r3"]
@@ -583,7 +583,7 @@ class TestReadColumns:
             path.write_bytes("score,probe_id\n0.1, p1\n0.2,p2\n0.3,p1\t\n0.4,p1\u3000\n{},p2\n"
                              .format(last_score).encode())
             with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
-                _, _, columns = read_columns(path, ["score", "probe_id"])
+                columns = read_columns(path, ["score", "probe_id"]).columns
             assert scan.called == scanned
             stripped = columns["probe_id"]
             assert stripped.values.tolist() == ["p1", "p2"]
@@ -594,7 +594,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         rows = [f"0.{i},p{i % 3}" for i in range(10)]
         path.write_bytes(("\n\nscore,probe_id\n\n" + "\n\n".join(rows) + "\n").encode())
-        _, n_rows, _, lines = read_to_append(path, ["score"])
+        _, n_rows, _, lines = read_columns(path, ["score"], lines=True)
         assert n_rows == len(lines) == 10 and list(lines) == rows
         for part in (slice(None), slice(3, 7), slice(-4, None), slice(8, 3), slice(None, None, 3),
                      slice(9, 0, -2), slice(5, 50)):
@@ -605,7 +605,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n0.3,p3\n")
         with mock.patch.object(dataset, "_SCAN_BYTES", 4):  # line ends across scan chunks
-            _, _, _, lines = read_to_append(path, ["score"])
+            lines = read_columns(path, ["score"], lines=True).lines
         assert lines._data is None  # no bytes held
         with mock.patch("builtins.open", wraps=open) as opened:
             assert lines[1:3] == ["0.2,p2", "0.3,p3"]
@@ -621,8 +621,8 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(data)
         with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
-            _, _, columns = (through_pipe(data, read_columns) if route == "pipe"
-                             else read_columns(path))
+            columns = (through_pipe(data, read_columns) if route == "pipe"
+                       else read_columns(path)).columns
         assert scan.called == (route == "scan")
         probes = columns["probe_id"]
         rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
@@ -665,7 +665,7 @@ class TestReadColumns:
 
         with mock.patch.object(dataset.os, "fstat", large), \
                 mock.patch.object(dataset.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            _, _, columns = read_columns(path, ["probe_id"])
+            columns = read_columns(path, ["probe_id"]).columns
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.intp  # numpy's table
         assert columns["probe_id"].codes.dtype == np.uint8  # the codes copied out of it
         assert columns["probe_id"].codes.tolist() == [0, 1]
@@ -680,7 +680,7 @@ class TestReadColumns:
         path = tmp_path / "scores.csv"
         path.write_bytes(text.encode())
         def read(source):
-            return read_to_append(source, ["score"])
+            return read_columns(source, ["score"], lines=True)
 
         _, n_rows, columns, lines = through_pipe(text.encode(), read) if pipe else read(path)
         assert n_rows == 2 and lines == [reference_line(row) for row in csv.reader(
@@ -699,8 +699,8 @@ class TestReadColumns:
         path.write_bytes(text.encode())
         names = ["score", "label", "probe_id"]
         reads = [lambda source: read_columns(source, names),
-                 lambda source: read_to_append(source, names)[:3]]
-        (header, n_rows, columns), (append_header, append_rows, append_columns) = [
+                 lambda source: read_columns(source, names, lines=True)]
+        (header, n_rows, columns, _), (append_header, append_rows, append_columns, _) = [
             through_pipe(text.encode(), read) if pipe else read(path) for read in reads]
         assert (append_header, append_rows) == (header, n_rows) == (names, 2)
         assert layout(append_columns) == layout(columns)
@@ -718,7 +718,7 @@ class TestReadColumns:
             return table.score.tolist(), table.is_genuine.tolist(), decoded(table.probe_id).tolist()
 
         def appended(source):
-            header, n_rows, columns, lines = read_to_append(source, names)
+            header, n_rows, columns, lines = read_columns(source, names, lines=True)
             return header, n_rows, layout(columns), list(lines)
 
         def read(data):
@@ -791,7 +791,7 @@ class TestWriteRows:
             with pytest.raises(ValueError, match="no records$"):
                 read_columns(path)
             return
-        got_header, n_rows, got = read_columns(path)
+        got_header, n_rows, got, _ = read_columns(path)
         assert (got_header, n_rows) == (header, len(columns[0]))
         assert [column.tolist() for column in got.values()] == columns
 
@@ -865,7 +865,7 @@ def parsed(parse, columns, names):
 def read_parsed(path, names):
     """``read_columns(path)``'s named columns as bytes, or ``(row, message)`` of its error."""
     try:
-        _, _, columns = read_columns(path)
+        columns = read_columns(path).columns
     except RowError as exc:
         return exc.row, str(exc)
     return [columns[name].tobytes() for name in names]

@@ -105,6 +105,11 @@ class TestGenerate:
             SynthConfig(n_subjects=1)
         with pytest.raises(ValueError):
             SynthConfig(refs_per_probe=0)
+        # Non-finite: the field is named, before any other check.
+        for name in ("genuine_mean", "imposter_mean", "genuine_std", "imposter_std"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+                    SynthConfig(**{name: value}, n_genuine=0)
 
 
 class TestAnalyticPosterior:
