@@ -297,7 +297,7 @@ def is_genuine_text(field):
 
 
 def write_reference(path, header, rows):
-    """Rows of formatted fields, joined by ``,`` and ended by ``\n``."""
+    """Rows of formatted fields, joined by ``,`` and ended by ``\\n``."""
     with open(path, "w", newline="") as handle:
         handle.write("".join(",".join(row) + "\n" for row in [header, *rows]))
 
@@ -356,7 +356,8 @@ def reference_curve(input_path, model_path, out_path, bins):
 
 
 def crlf_with_blank_lines(data: bytes) -> bytes:
-    """``\r\n`` line ends, and a blank line after every seventh line (no field holds a line end)."""
+    """``\\r\\n`` line ends, and a blank line after one line in seven (no field holds a
+    line end)."""
     lines = data.decode().splitlines()
     return "".join(line + ("\r\n\r\n" if i % 7 == 3 else "\r\n")
                    for i, line in enumerate(lines)).encode()
@@ -380,10 +381,9 @@ class TestEvalAndCurveAgainstRowReference:
     LABELED = ["blank-lines", "padded", "no-final-newline"]
     RENDERINGS = ["awkward", "bom-upper-header", *TestAgainstRowReference.PLAIN]
 
-    @pytest.fixture
-    def files(self, tmp_path, model_path, request):
-        """``(scores, scored)`` of the rendering named by the test's ``name``."""
-        name = request.node.callspec.params["name"]
+    @staticmethod
+    def files(tmp_path, model_path, name):
+        """``(scores, scored)``: the rendering ``name`` of a score file and of its ``score``."""
         if name == "awkward":
             raw, render = awkward_csv(tmp_path / "raw.csv").read_bytes(), crlf_with_blank_lines
         elif name == "bom-upper-header":
@@ -408,8 +408,8 @@ class TestEvalAndCurveAgainstRowReference:
     @pytest.mark.parametrize("through", ["file", "pipe"])
     @pytest.mark.parametrize("estimator", ["pic", "dtc"])
     @pytest.mark.parametrize("name", ["awkward", "bom-upper-header", *LABELED])
-    def test_eval_bytes(self, tmp_path, files, name, estimator, through):
-        scores, scored = files
+    def test_eval_bytes(self, tmp_path, model_path, name, estimator, through):
+        scores, scored = self.files(tmp_path, model_path, name)
         source = scored if estimator == "pic" else scores
         options = ["--estimator", estimator, "--fmr", "0.05", "--train", scores]
         assert self.run_on(source, through, "eval", tmp_path / "new", *options) == 0
@@ -420,8 +420,8 @@ class TestEvalAndCurveAgainstRowReference:
 
     @pytest.mark.parametrize("through", ["file", "pipe"])
     @pytest.mark.parametrize("name", RENDERINGS)
-    def test_curve_bytes(self, tmp_path, model_path, files, name, through):
-        _, scored = files
+    def test_curve_bytes(self, tmp_path, model_path, name, through):
+        _, scored = self.files(tmp_path, model_path, name)
         assert self.run_on(scored, through, "curve", model_path, tmp_path / "new.csv") == 0
         reference_curve(scored, model_path, tmp_path / "ref.csv", 30)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
