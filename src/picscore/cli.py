@@ -146,37 +146,29 @@ def cmd_fuse(args) -> None:
 
     model = load_model(args.model)
     table = load_scores(args.input, ("probe_id", "subject_b"))
-    max_refs = min(args.max_refs, len(table))  # keeps every row, in numpy's integer range
-    first, sizes, kept = pair_groups(table, max_refs)
+    first, sizes, used, kept = pair_groups(table, args.max_refs)
     ids = [IdColumn(codes[first], values) for codes, values in (table.probe_id, table.subject_b)]
     n_rows, is_genuine, scores = len(table), table.is_genuine[first], table.score[kept]
     del table, first, kept  # only the kept scores go into fusion
-    n_used = np.minimum(sizes, max_refs)
-    values, _ = fuse_groups(model, scores, n_used)
+    values, _ = fuse_groups(model, scores, used)
     is_accepted, confidence = decide(values, pic_threshold_for_fmr(args.fmr))
 
     write_rows(args.out, FUSED_COLUMNS, [
         *ids,
         label_column(is_genuine),
-        n_used,
+        used,
         values,
         label_column(is_accepted),
         confidence,
     ])
     _write_manifest(args, {"model": args.model, "scores": args.input}, {"fused": args.out})
     print(f"fused {n_rows} rows into {sizes.size} groups (max {args.max_refs} refs)")
-    print(f"truncated {int(np.count_nonzero(sizes > max_refs))} groups to "
-          f"{args.max_refs} refs, leaving {n_rows - int(n_used.sum())} rows unused")
+    print(f"truncated {int(np.count_nonzero(sizes > used))} groups to "
+          f"{args.max_refs} refs, leaving {n_rows - int(used.sum())} rows unused")
 
 
-def _eval_pic(args):
-    """``(is_genuine, values, accepted, confidences)``, read from a scored or fused file."""
-    needed = ("label", "pic", "decision", "confidence")
-    columns = read_columns(args.input, needed).columns
-    return [columns[name] for name in needed]
-
-
-def _eval_baseline(args):
+def _baseline(args, scores):
+    """``(accepted, confidences)`` of ``scores`` under the baseline fitted on ``--train``."""
     from .baselines import (
         dtc_confidence,
         erbc_confidence,
@@ -188,20 +180,7 @@ def _eval_baseline(args):
     from .density import load_model
     from .pic import accepts
 
-    if not args.train:
-        raise ValueError(f"--train is required for estimator {args.estimator!r}")
-    if args.estimator == "lrc" and not args.model:
-        raise ValueError("--model is required for estimator 'lrc'")
-    try:
-        table = load_scores(args.input, ())
-    except MissingColumns as error:
-        if "score" not in error.missing:
-            raise
-        raise ValueError(f"{args.input}: estimator {args.estimator!r} needs raw scores "
-                         "(fused input supports the pic estimator only)") from None
     train = load_scores(args.train, ("subject_a", "subject_b"))
-    scores = table.score
-
     if args.estimator == "dtc":
         est = fit_dtc(train, args.fmr)
         confidences = dtc_confidence(est, scores)
@@ -212,16 +191,35 @@ def _eval_baseline(args):
         model = load_model(args.model)
         est = fit_lrc(train, model, args.fmr)
         confidences = lrc_confidence(est, model, scores)
-
-    return table.is_genuine, scores, accepts(scores, est.threshold), confidences
+    return accepts(scores, est.threshold), confidences
 
 
 def cmd_eval(args) -> None:
     from .metrics import calibration_report, fnmr_at_fmr
 
-    evaluate = _eval_pic if args.estimator == "pic" else _eval_baseline
-    is_genuine, values, accepted, confidences = evaluate(args)
+    pic = args.estimator == "pic"
+    if not (pic or args.train):
+        raise ValueError(f"--train is required for estimator {args.estimator!r}")
+    if args.estimator == "lrc" and not args.model:
+        raise ValueError("--model is required for estimator 'lrc'")
+    needed = ("label", "pic", "decision", "confidence") if pic else ("score", "label")
+    try:
+        columns = read_columns(args.input, needed).columns
+    except MissingColumns as error:
+        if pic or "score" not in error.missing:
+            raise
+        raise ValueError(f"{args.input}: estimator {args.estimator!r} needs raw scores "
+                         "(fused input supports the pic estimator only)") from None
+    is_genuine = columns.pop("label")
+    if pic:
+        values, accepted, confidences = map(columns.pop, needed[1:])
+    else:
+        values = columns.pop("score")
+        accepted, confidences = _baseline(args, values)
 
+    # The decisions' own error counts, over all rows.
+    false_matches = int(np.count_nonzero(accepted & ~is_genuine))
+    false_non_matches = int(np.count_nonzero(is_genuine & ~accepted))
     correct = accepted == is_genuine
     if args.decisions != "all":
         keep = accepted == (args.decisions == GENUINE)
@@ -249,11 +247,15 @@ def cmd_eval(args) -> None:
         ("ece", _fmt(report.ece)),
         ("mce", _fmt(report.mce)),
         ("target_fmr", args.fmr),
-        ("threshold", _fmt(verification.threshold)),
+        ("threshold", repr(verification.threshold)),
         ("fmr", _fmt(verification.fmr)),
         ("fnmr", _fmt(verification.fnmr)),
         ("n_genuine", verification.n_genuine),
         ("n_imposter", verification.n_imposter),
+        ("decision_false_matches", false_matches),
+        ("decision_false_non_matches", false_non_matches),
+        ("decision_fmr", _fmt(false_matches / verification.n_imposter)),
+        ("decision_fnmr", _fmt(false_non_matches / verification.n_genuine)),
     ]
     keys, values = zip(*summary_rows)
     write_rows(summary_path, ("key", "value"), [keys, list(map(str, values))])

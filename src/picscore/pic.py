@@ -124,9 +124,10 @@ def pic_single(model: DensityModel, s: float) -> PicScore:
 def pair_groups(table: ScoreTable, max_refs: int):
     """``table``'s rows grouped by (probe, claimed identity), ``probe_id`` and ``subject_b``.
 
-    Returns ``(first, sizes, kept)``, the groups in order of first row: each group's first
-    row; its size; and its first ``max_refs`` rows in file order, group after group, as
-    ``fuse_groups`` takes them. Fails at the lowest row with a blank id or a mixed label.
+    Returns ``(first, sizes, used, kept)``, the groups in order of first row: each group's
+    first row; its size; ``used``, its size capped at ``max_refs`` (0 below 1); and its first
+    ``used`` rows in file order, group after group, as ``fuse_groups`` takes them with
+    ``used`` as their sizes. Fails at the lowest row with a blank id or a mixed label.
     """
     probes, claimed = table.probe_id, table.subject_b
     # Pair keys, and every index array, in 4 bytes where their range fits.
@@ -157,7 +158,7 @@ def pair_groups(table: ScoreTable, max_refs: int):
     fail_first_row(blank | mixed, lambda i: "probe_id and subject_b are required for fusion"
                    if blank[i] else f"group ({probes.values[probes.codes[i]]}, "
                    f"{claimed.values[claimed.codes[i]]}) mixes genuine and imposter labels")
-    return first, sizes, order[place]
+    return first, sizes, used, order[place]
 
 
 def fuse_groups(model: DensityModel, scores, sizes):

@@ -346,6 +346,25 @@ class TestEvalCommand:
         )
         assert ".py:" not in proc.stderr
 
+    def test_summary_writes_the_exact_threshold_and_the_decisions_errors(self, tmp_path):
+        """Every imposter's ``pic`` is 0, so the threshold is the float just above it; one
+        genuine row was decided imposter, an error the value column's FNMR of 0 does not show."""
+        fused = tmp_path / "fused.csv"
+        fused.write_text(
+            "probe_id,claimed_id,label,n_used,pic,decision,confidence\n"
+            "p1,s1,genuine,1,0.900000,genuine,0.900000\n"
+            "p2,s2,genuine,1,0.400000,imposter,0.600000\n"
+            + "p3,s1,imposter,1,0.000000,imposter,1.000000\n" * 4
+        )
+        assert run_inprocess("eval", fused, tmp_path / "r", "--fmr", "0.5") == 0
+        rows = dict(line.split(",", 1)
+                    for line in Path(f"{tmp_path / 'r'}.summary.csv").read_text().splitlines())
+        assert rows["threshold"] == "5e-324" and float(rows["threshold"]) == np.nextafter(0, 1)
+        assert (rows["fmr"], rows["fnmr"]) == ("0.000000", "0.000000")
+        decisions = [rows[f"decision_{key}"]
+                     for key in ("false_matches", "false_non_matches", "fmr", "fnmr")]
+        assert decisions == ["0", "1", "0.000000", "0.500000"]
+
     def test_decision_filter(self, tmp_path, scored_csv):
         assert run_inprocess("eval", scored_csv, tmp_path / "g", "--decisions", "genuine") == 0
 

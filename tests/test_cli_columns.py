@@ -8,6 +8,7 @@ kept here as the reference the column code must match byte for byte.
 fields as the README's format section states.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -16,7 +17,9 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +329,9 @@ def reference_eval(input_path, prefix, estimator, fmr, bins, train_path=None):
             confidences = dtc_confidence(est, np.array(values)).tolist()
         verification = fnmr_at_fmr([v for v, g in zip(values, is_genuine) if g],
                                    [v for v, g in zip(values, is_genuine) if not g], fmr)
+    # The decisions' errors, over every row.
+    false_matches = sum(a and not g for a, g in zip(accepted, is_genuine))
+    false_non_matches = sum(g and not a for a, g in zip(accepted, is_genuine))
     report = calibration_report(confidences, [a == g for a, g in zip(accepted, is_genuine)],
                                 bins)
     write_reference(f"{prefix}.calibration.csv",
@@ -338,9 +344,13 @@ def reference_eval(input_path, prefix, estimator, fmr, bins, train_path=None):
         ["estimator", estimator], ["decision_filter", "all"],
         ["n_samples", str(report.n_samples)], ["ece_bins", str(bins)],
         ["ece", six(report.ece)], ["mce", six(report.mce)], ["target_fmr", str(fmr)],
-        ["threshold", six(verification.threshold)], ["fmr", six(verification.fmr)],
+        ["threshold", repr(verification.threshold)], ["fmr", six(verification.fmr)],
         ["fnmr", six(verification.fnmr)], ["n_genuine", str(verification.n_genuine)],
-        ["n_imposter", str(verification.n_imposter)]])
+        ["n_imposter", str(verification.n_imposter)],
+        ["decision_false_matches", str(false_matches)],
+        ["decision_false_non_matches", str(false_non_matches)],
+        ["decision_fmr", six(false_matches / is_genuine.count(False))],
+        ["decision_fnmr", six(false_non_matches / is_genuine.count(True))]])
 
 
 def reference_curve(input_path, model_path, out_path, bins):
@@ -436,7 +446,8 @@ def reference_groups(probes, claimed, max_refs):
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes
     rank = np.arange(groups.size) - np.repeat(starts, sizes)
-    return order[starts], sizes, order[rank < max_refs]
+    used = np.minimum(sizes, max(0, min(max_refs, groups.size)))
+    return order[starts], sizes, used, order[rank < max_refs]
 
 
 def grouped(probes, claimed, max_refs):
@@ -478,13 +489,201 @@ class TestPairGroups:
             assert [part.tolist() for part in got] == [part.tolist() for part in want]
             assert all(part.dtype == np.int32 for part in got)  # 4-byte row indices
 
+    INTERLEAVED = (IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object)),
+                   IdColumn(np.array([0, 0, 0, 1, 0, 0, 0]), np.array(["s", "t"], dtype=object)))
+
     def test_truncates_interleaved_groups(self):
-        probes = IdColumn(np.array([1, 0, 1, 1, 0, 1, 0]), np.array(["p", "q"], dtype=object))
-        claimed = IdColumn(np.array([0, 0, 0, 1, 0, 0, 0]), np.array(["s", "t"], dtype=object))
-        first, sizes, kept = grouped(probes, claimed, 2)
+        first, sizes, used, kept = grouped(*self.INTERLEAVED, 2)
         assert first.tolist() == [0, 1, 3]
         assert sizes.tolist() == [3, 3, 1]
+        assert used.tolist() == [2, 2, 1]
         assert kept.tolist() == [0, 2, 1, 4, 3]
+
+    @pytest.mark.parametrize("max_refs", [0, -1, 2**31, 2**63, 10**20])
+    def test_matches_unique_past_any_cap(self, max_refs):
+        """``pair_groups`` clamps any integer: none used below 1, every row past the count."""
+        got = grouped(*self.INTERLEAVED, max_refs)
+        want = reference_groups(*self.INTERLEAVED, max_refs)
+        assert [part.tolist() for part in got] == [part.tolist() for part in want]
+
+
+def data_rows(data):
+    """A file's header keys, stripped and lower-cased, and its non-blank data rows."""
+    rows = [row for row in csv.reader(io.StringIO(data.decode("utf-8-sig"), newline="")) if row]
+    return [name.strip().lower() for name in rows[0]], rows[1:]
+
+
+def first_bad_row(data, reads):
+    """``(row, message)`` of the first bad field among the columns ``reads``, or ``None``.
+
+    An independent scan of the file's bytes: ``csv.reader`` rows and ``float()``. A
+    row with the wrong field count comes first; then the lowest row, and within it the
+    leftmost column read, as the ``read_columns`` docstring states.
+    """
+    keys, rows = data_rows(data)
+    for number, row in enumerate(rows, 1):
+        if len(row) != len(keys):
+            return number, f"expected {len(keys)} fields, got {len(row)}"
+    for number, row in enumerate(rows, 1):
+        for key, field in zip(keys, row):
+            message = field_error(key, field) if key in reads else None
+            if message:
+                return number, message
+    return None
+
+
+def field_error(key, field):
+    """The message for a bad ``field`` of column ``key``, or ``None``; an id may hold anything."""
+    if key in ("label", "decision"):
+        return None if field.strip().lower() in (GENUINE, IMPOSTER) else f"unknown {key} {field!r}"
+    if key not in ("score", "pic", "confidence"):
+        return None
+    try:
+        value = float(field)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        return f"invalid {key} value {field.strip()!r}"
+    if key != "score" and not 0.0 <= value <= 1.0:
+        return f"{key} must be in [0, 1], got {value!r}"
+    return None
+
+
+def first_bad_group(data):
+    """``(row, message)`` of ``fuse``'s first row with a blank id or a mixed label, or ``None``."""
+    keys, rows = data_rows(data)
+    labels = {}
+    for number, row in enumerate(rows, 1):
+        fields = dict(zip(keys, row))
+        pair = (fields["probe_id"].strip(), fields["subject_b"].strip())
+        label = is_genuine_text(fields["label"])
+        if "" in pair:
+            return number, "probe_id and subject_b are required for fusion"
+        if labels.setdefault(pair, label) != label:
+            return number, f"group ({pair[0]}, {pair[1]}) mixes genuine and imposter labels"
+    return None
+
+
+def corrupted(data, row, column, how, value):
+    """``data`` with data row ``row`` (0-based, modulo the count) changed at field ``column``
+    (modulo the width): replaced by ``value``, ``value`` inserted before it, or it dropped.
+
+    No field of these renderings holds a line end, so each line is one row; the row is
+    written again with the ``csv`` module's quoting and keeps its line end.
+    """
+    lines = data.split(b"\n")
+    rows = [i for i, line in enumerate(lines) if line.strip(b"\r")][1:]  # after the header
+    i = rows[row % len(rows)]
+    end = "\r" if lines[i].endswith(b"\r") else ""
+    fields = next(csv.reader([lines[i].decode().rstrip("\r")]))
+    j = column % len(fields)
+    if how == "replace":
+        fields[j] = value
+    elif how == "insert":
+        fields.insert(j, value)
+    else:
+        del fields[j]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=end).writerow(fields)
+    lines[i] = buffer.getvalue().encode()
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def renderings(tmp_path_factory, model_path):
+    """Each drawn rendering's ``(scores, scored)`` bytes, made once.
+
+    ``awkward`` is ``TestEvalAndCurveAgainstRowReference``'s (CRLF, quoted ids, padded
+    labels, blank lines: the text route); ``awkward-lf`` the same with ``\\n`` line ends
+    (numpy reads the path); ``plain`` and ``bom-upper-header`` a synthetic file as it is
+    saved and with a byte-order mark and an upper-case header (the plain route).
+    """
+    made = {}
+    for name, render in [("awkward", crlf_with_blank_lines),
+                         ("awkward-lf", lambda data: data.replace(b"\r\n", b"\n")),
+                         ("plain", bytes), ("bom-upper-header", bom_and_upper_header)]:
+        root = tmp_path_factory.mktemp(name)
+        raw = root / "raw.csv"
+        if name.startswith("awkward"):
+            awkward_csv(raw)
+        else:
+            save_scores(generate(SynthConfig(n_genuine=30, n_imposter=30, n_subjects=6,
+                                             refs_per_probe=2, seed=8)), raw)
+        scores, scored = root / "scores.csv", root / "scored.csv"
+        scores.write_bytes(render(raw.read_bytes()))
+        assert run("score", model_path, scores, scored, "--fmr", "0.05") == 0
+        made[name] = (scores.read_bytes(), render(scored.read_bytes()))
+    return made
+
+
+class TestDrawnInvalidInput:
+    """One corrupted field, or a row with one field more or fewer, in a drawn rendering.
+
+    Each command that reads the file exits 2 naming the row and message an independent
+    scan finds first, if the fault is in a column it reads or is a field count; otherwise
+    it exits 0. ``score``, ``fuse`` and ``eval --estimator dtc`` read the score file;
+    ``eval`` (pic) and ``curve`` read ``score``'s output.
+    """
+
+    # command -> (the file it reads, the columns it reads, its argv with INPUT for that file)
+    COMMANDS = {
+        "score": ("scores", {"score"}, ["score", "{model}", "INPUT", "{dir}/s.csv"]),
+        "fuse": ("scores", {"score", "label", "probe_id", "subject_b"},
+                 ["fuse", "{model}", "INPUT", "{dir}/f.csv", "--fmr", "0.05"]),
+        "eval-dtc": ("scores", {"score", "label"},
+                     ["eval", "INPUT", "{dir}/d", "--estimator", "dtc", "--fmr", "0.05",
+                      "--train", "{dir}/train.csv"]),
+        "eval-pic": ("scored", {"label", "pic", "decision", "confidence"},
+                     ["eval", "INPUT", "{dir}/p", "--fmr", "0.05"]),
+        "curve": ("scored", {"score", "decision", "confidence"},
+                  ["curve", "INPUT", "{model}", "{dir}/c.csv"]),
+    }
+    VALUES = st.one_of(
+        st.sampled_from(["nan", " NaN ", "-nan", "inf", "-Infinity"]),
+        # non-numbers, some quoted, padded, wider than any label or beyond ASCII
+        st.text(alphabet='abxz _-.,"\u00e9\t\u3000\u00ff\x85', max_size=9),
+        st.floats(allow_nan=False, allow_infinity=False).filter(
+            lambda value: not 0.0 <= value <= 1.0).map(repr),
+        st.sampled_from(["maybe", "genuin", " Imposters", "GENUINE!", "yes"]),
+    )
+
+    @given(name=st.sampled_from(["awkward", "awkward-lf", "plain", "bom-upper-header"]),
+           target=st.sampled_from(["scores", "scored"]), row=st.integers(0, 10**6),
+           column=st.integers(0, 10**6), how=st.sampled_from(["replace", "insert", "drop"]),
+           value=VALUES, through=st.sampled_from(["file", "pipe"]))
+    @settings(max_examples=60, deadline=None)
+    def test_exit_row_and_message(self, renderings, model_path, name, target, row, column, how,
+                                  value, through):
+        scores, scored = renderings[name]
+        data = corrupted({"scores": scores, "scored": scored}[target], row, column, how, value)
+        with tempfile.TemporaryDirectory() as root:
+            source = Path(root, "in.csv")
+            source.write_bytes(data)
+            Path(root, "train.csv").write_bytes(scores)
+            for command, (read_file, reads, argv) in self.COMMANDS.items():
+                if read_file != target:
+                    continue
+                want = first_bad_row(data, reads)
+                if want is None and command == "fuse":
+                    want = first_bad_group(data)
+                argv = [arg.format(model=model_path, dir=root) for arg in argv]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = run_with_input(source, through, argv)
+                if want is None:
+                    assert code == 0 and "error:" not in err.getvalue(), (command, err.getvalue())
+                else:
+                    assert code == 2, command
+                    assert err.getvalue().endswith(f"error: row {want[0]}: {want[1]}\n"), (
+                        command, err.getvalue())
+
+
+def run_with_input(path, through, argv):
+    """``cli.main`` with ``INPUT`` in ``argv`` the file ``path`` or a pipe of its bytes."""
+    if through == "pipe":
+        return through_pipe(path.read_bytes(), lambda fd: run(
+            *(fd if arg == "INPUT" else arg for arg in argv)))
+    return run(*(path if arg == "INPUT" else arg for arg in argv))
 
 
 class TestFieldCount:

@@ -100,15 +100,24 @@ def test_script_runs_the_function_that_python_m_runs():
     assert called == [attr]
 
 
+def test_version_is_stated_once():
+    """The package's version is ``picscore.__version__``, which ``--version`` and manifests use."""
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in doc["project"] and doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "picscore.__version__"}
+
+
 def test_readme_library_example_runs():
     """The README's "Library" code block, run as written."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
-    model, test, first, sizes, kept, values = (
-        ns[name] for name in ("model", "test", "first", "sizes", "kept", "values"))
+    model, test, first, sizes, used, kept, values = (
+        ns[name] for name in ("model", "test", "first", "sizes", "used", "kept", "values"))
     assert first[0] == 0 and values.shape == sizes.shape == ns["accepted"].shape
+    assert used.tolist() == np.minimum(sizes, 5).tolist()
     assert kept.size == int(np.minimum(sizes, 5).sum())
     n = min(int(sizes[0]), 5)  # the first group's fused scores open ``kept``
     assert values[0] == picscore.pic_multi(model, test.score[kept[:n]]).value
