@@ -84,21 +84,23 @@ def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> DtcEstimator:
 def dtc_confidence(est: DtcEstimator, s):
     """Distance-to-threshold confidence, clamped to [0, 1].
 
-    The spans divide scores clipped to the training range and threshold, so
-    none overflows; beyond the range that gives 1.0, as the clamp does.
+    Each span divides scores clipped to its own side of the threshold and to
+    the training range, so no quotient exceeds 1, even in the branch a score
+    does not take, and none overflows; beyond the range that gives 1.0, as
+    the clamp does. The quotient is halved after the division, so that a
+    subnormal distance does not underflow to 0 first.
     """
     t = est.threshold
     up_span = est.score_max - t
     down_span = t - est.score_min
 
     def confidence(x):
-        inside = np.clip(x, min(est.score_min, t), max(est.score_max, t))
         if up_span > 0:
-            above = 0.5 + 0.5 * (inside - t) / up_span
+            above = 0.5 + 0.5 * ((np.clip(x, t, est.score_max) - t) / up_span)
         else:
             above = np.where(x > t, 1.0, 0.5)
         if down_span > 0:
-            below = 0.5 + 0.5 * (t - inside) / down_span
+            below = 0.5 + 0.5 * ((t - np.clip(x, est.score_min, t)) / down_span)
         else:
             below = np.where(x < t, 1.0, 0.5)
         return np.clip(np.where(accepts(x, t), above, below), 0.0, 1.0)

@@ -237,9 +237,7 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
             data = handle.buffer.read()
             source, size = io.TextIOWrapper(io.BytesIO(data), encoding=handle.encoding,
                                             newline=""), len(data)
-        if source.read(1) != "\ufeff":  # a byte-order mark is not part of the header
-            source.seek(0)
-        reader = csv.reader(source)
+        reader = csv.reader(_rewound(source))
         header = _first_row(reader)
         if header is None:
             raise ValueError(f"{path}: no records (empty file)")
@@ -485,10 +483,18 @@ def _first_row(reader) -> list[str] | None:
     return row
 
 
+def _rewound(source):
+    """The text ``source`` at its start, past a leading byte-order mark: that is not
+    part of the header."""
+    source.seek(0)
+    if source.read(1) != "\ufeff":
+        source.seek(0)
+    return source
+
+
 def _data_rows(source):
     """The non-blank rows after the header of the text ``source``, read from its start."""
-    source.seek(0)
-    reader = csv.reader(source)
+    reader = csv.reader(_rewound(source))
     _first_row(reader)
     return filter(None, reader)
 

@@ -91,26 +91,35 @@ class TestDtc:
             assert dtc_confidence(est, np.array([MAX, -MAX, 1e300, -1e300])).tolist() == [1.0] * 4
             assert [dtc_confidence(est, x) for x in (MAX, -MAX)] == [1.0, 1.0]
 
-    @pytest.mark.parametrize("fitted", ["synth", "threshold-above-all"])
+    @pytest.mark.parametrize("fitted", ["synth", "threshold-above-all", "subnormal-span"])
     def test_fitted_confidences_are_unchanged(self, synth_train, fitted):
-        """Bit for bit as before, in the training range and beyond it.
+        """Bit for bit as before, in the training range and beyond it, with no warning.
 
-        With no imposter score allowed above it, the threshold is
-        ``nextafter(score_max)``: a clipped score there would flip the decision.
+        With no imposter score allowed above it, the threshold is ``nextafter``
+        of the highest imposter score: a clipped score there would flip the
+        decision. Above an imposter score of 0 the span below the threshold is
+        subnormal, and a quotient of the other branch would overflow.
         """
         if fitted == "synth":
             est = fit_dtc(synth_train, 1e-2)
         else:
+            scores, labels = (([0.5, 0.6, 0.7], [True, False, False])
+                              if fitted == "threshold-above-all" else ([1.0, 0.0], [True, False]))
             with pytest.warns(RuntimeWarning, match="returning a threshold above"):
-                est = fit_dtc(ScoreTable([0.5, 0.6, 0.7], [True, False, False]), 0.1)
-            assert est.threshold == np.nextafter(est.score_max, np.inf)
+                est = fit_dtc(ScoreTable(scores, labels), 0.1)
+            assert est.threshold == np.nextafter(max(scores[labels.index(False):]), np.inf)
         ends = [est.score_min, est.score_max, est.threshold]
         scores = np.array([*np.linspace(est.score_min, est.score_max, 1001), *ends,
                            *np.nextafter(ends, np.inf), *np.nextafter(ends, -np.inf), *EXTREMES])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = dtc_confidence(est, scores)
-        assert got.tobytes() == reference_dtc(est, scores).tobytes()
+        want = reference_dtc(est, scores)
+        if fitted == "subnormal-span":
+            # Every score below the threshold is at or below score_min: 1.0. The
+            # reference halves the subnormal distance at score_min to 0 first.
+            want[scores < est.threshold] = 1.0
+        assert got.tobytes() == want.tobytes()
 
     def test_in_unit_interval(self, synth_train):
         est = fit_dtc(synth_train, 1e-2)

@@ -1,11 +1,14 @@
 """The column-based CLI commands against per-row reference implementations.
 
 ``reference_score`` and ``reference_fuse`` are the earlier row-by-row
-commands (``csv.DictReader`` rows, one density lookup per fusion group),
+commands (``csv`` module rows, one density lookup per fusion group),
 kept here as the reference the column code must match byte for byte.
 ``reference_eval`` and ``reference_curve`` read rows with ``csv.reader`` and
 ``float()``, call only the public numeric functions, and write ``"%.6f"``
-fields as the README's format section states.
+fields as the README's format section states. Each reference drops a
+leading byte-order mark and blank lines, and matches column names stripped
+and in any case; ``TestDrawnRenderings`` checks all four on drawn tables in
+drawn renderings.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -45,7 +49,7 @@ def run(*args):
 
 def reference_score(model_path, input_path, out_path, fmr):
     model = load_model(model_path)
-    with open(input_path, newline="") as handle:
+    with open(input_path, newline="", encoding="utf-8-sig") as handle:
         fields = next(row for row in csv.reader(handle) if row)  # blank lines may lead
         rows = list(csv.DictReader(handle, fieldnames=fields))
     score = next(name for name in fields if name.strip().lower() == "score")
@@ -77,11 +81,10 @@ def reference_joint(model, scores):
 def reference_fuse(model_path, input_path, out_path, max_refs, fmr):
     model = load_model(model_path)
     groups = {}
-    with open(input_path, newline="") as handle:
-        for row in csv.DictReader(handle):
-            key = (row["probe_id"].strip(), row["subject_b"].strip())
-            group = groups.setdefault(key, {"label": row["label"].strip().lower(), "scores": []})
-            group["scores"].append(float(row["score"]))
+    for row in reference_rows(input_path):
+        key = (row["probe_id"].strip(), row["subject_b"].strip())
+        group = groups.setdefault(key, {"label": row["label"].strip().lower(), "scores": []})
+        group["scores"].append(float(row["score"]))
     threshold = pic_threshold_for_fmr(fmr)
     with open(out_path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -684,6 +687,126 @@ def run_with_input(path, through, argv):
         return through_pipe(path.read_bytes(), lambda fd: run(
             *(fd if arg == "INPUT" else arg for arg in argv)))
     return run(*(path if arg == "INPUT" else arg for arg in argv))
+
+
+PROBES = ["p1", "p,2", 'p"3', " p4 ", 'p,"5"']
+SUBJECTS = ["A", "B,b", 'C"c', " D\t"]
+NOTES = ["", "x", "a,b", 'say "hi"', " é中 "]
+LABEL_PADS = ["", " ", "\t", "\xa0", "\u3000"]
+
+
+@st.composite
+def drawn_tables(draw):
+    """``(header, rows)`` of a valid score file with canonical labels.
+
+    It holds a genuine and an imposter group at least, ids with commas,
+    quotes and padding, equal subjects on a genuine row, and maybe a
+    ``note`` column.
+    """
+    fixed = [("g", "G", True), ("i", "I", False)]
+    labels = {(probe, claimed): genuine for probe, claimed, genuine in fixed}
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        probe, claimed = draw(st.sampled_from(PROBES)), draw(st.sampled_from(SUBJECTS))
+        genuine = labels.setdefault((probe.strip(), claimed.strip()), draw(st.booleans()))
+        rows.append((probe, claimed, genuine))
+    for row in fixed:
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    note = draw(st.booleans())
+    header = [*HEADER, "note"] if note else HEADER
+    table = []
+    for i, (probe, claimed, genuine) in enumerate(rows):
+        subject = claimed if genuine else draw(st.sampled_from(SUBJECTS))
+        score = draw(st.sampled_from([repr, six]))(draw(st.floats(-0.5, 1.5)))
+        table.append([score, GENUINE if genuine else IMPOSTER, probe, f"r,{i}", subject,
+                      claimed, *([draw(st.sampled_from(NOTES))] if note else [])])
+    return header, table
+
+
+class Rendering(NamedTuple):
+    """How a table is written: line end, byte-order mark, header case, the share of
+    fields quoted that need no quotes, a seed for the column order, blank lines and
+    label padding, and whether the command reads a file or a pipe."""
+
+    end: str
+    bom: bool
+    case: str
+    quoted: float
+    seed: int
+    through: str
+
+
+RENDERINGS = st.builds(Rendering, st.sampled_from(["\n", "\r\n"]), st.booleans(),
+                       st.sampled_from(["lower", "upper", "title"]),
+                       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1),
+                       st.sampled_from(["file", "pipe"]))
+
+
+def rendered(header, rows, how):
+    """The bytes of ``(header, rows)`` written as ``how`` says; each ``label`` and
+    ``decision`` field stripped, then in a drawn case and padding."""
+    rng = random.Random(how.seed)
+    order = rng.sample(range(len(header)), len(header))
+    labels = [name.strip().lower() in ("label", "decision") for name in header]
+
+    def line(fields):
+        quoted = ['"' + field.replace('"', '""') + '"'
+                  if rng.random() < how.quoted or any(c in field for c in ',"\r\n') else field
+                  for field in fields]
+        return how.end * (rng.random() < 0.2) + ",".join(quoted) + how.end
+
+    def label(field):
+        text = "".join(c.upper() if rng.random() < 0.5 else c for c in field.strip().lower())
+        return rng.choice(LABEL_PADS) + text + rng.choice(LABEL_PADS)
+
+    text = line([getattr(str, how.case)(header[i]) for i in order]) + "".join(
+        line([label(row[i]) if labels[i] else row[i] for i in order]) for row in rows)
+    return ("\ufeff" * how.bom + text).encode()
+
+
+class TestDrawnRenderings:
+    """``score``, ``fuse``, ``eval`` (pic and dtc) and ``curve`` on a drawn table in a drawn
+    rendering, byte for byte against their references.
+
+    ``score``, ``fuse`` and ``eval --estimator dtc`` (trained on the same file) read
+    the rendering; ``eval`` (pic) and ``curve`` read ``score``'s output, rendered
+    again the same way.
+    """
+
+    @given(table=drawn_tables(), how=RENDERINGS, max_refs=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_the_references(self, model_path, table, how, max_refs):
+        with tempfile.TemporaryDirectory() as root:
+            root = Path(root)
+            scores, scored = root / "scores.csv", root / "scored.csv"
+            scores.write_bytes(rendered(*table, how))
+
+            def same(source, argv, reference, *outputs):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                        io.StringIO()):
+                    assert run_with_input(source, how.through, argv) == 0, argv
+                reference()
+                for out in outputs:
+                    assert (root / f"new{out}").read_bytes() == (root / f"ref{out}").read_bytes()
+
+            same(scores, ["score", model_path, "INPUT", root / "new.csv", "--fmr", "0.05"],
+                 lambda: reference_score(model_path, scores, root / "ref.csv", 0.05), ".csv")
+            header, *rows = filter(None, csv.reader(io.StringIO(
+                (root / "new.csv").read_text(), newline="")))
+            scored.write_bytes(rendered(header, rows, how))
+            same(scores, ["fuse", model_path, "INPUT", root / "new.csv", "--fmr", "0.05",
+                          "--max-refs", max_refs],
+                 lambda: reference_fuse(model_path, scores, root / "ref.csv", max_refs, 0.05),
+                 ".csv")
+            eval_outputs = (".calibration.csv", ".summary.csv")
+            same(scores, ["eval", "INPUT", root / "new", "--estimator", "dtc", "--fmr", "0.05",
+                          "--train", scores],
+                 lambda: reference_eval(scores, root / "ref", "dtc", 0.05, 10, scores),
+                 *eval_outputs)
+            same(scored, ["eval", "INPUT", root / "new", "--fmr", "0.05"],
+                 lambda: reference_eval(scored, root / "ref", "pic", 0.05, 10), *eval_outputs)
+            same(scored, ["curve", "INPUT", model_path, root / "new.csv"],
+                 lambda: reference_curve(scored, model_path, root / "ref.csv", 30), ".csv")
 
 
 class TestFieldCount:

@@ -706,11 +706,15 @@ class TestReadColumns:
         assert layout(append_columns) == layout(columns)
         assert isinstance(columns["probe_id"], IdColumn)
 
-    @pytest.mark.parametrize("route", ["plain", "quoted", "pipe"])
-    def test_a_byte_order_mark_reads_like_none(self, tmp_path, route):
-        # The quoted route also quotes the first header name, right after the mark.
-        text = ('"score",label,probe_id\n0.5,genuine,"p,1"\n0.25,imposter,p2\n' if route == "quoted"
-                else "score,label,probe_id\n0.5,genuine,p1\n\n0.25,imposter,p2\n")
+    @pytest.mark.parametrize("lead", ["", "\n\n"], ids=["header-first", "blank-lines-first"])
+    @pytest.mark.parametrize("route", ["plain", "quoted", "pipe", "scan"])
+    def test_a_byte_order_mark_reads_like_none(self, tmp_path, route, lead):
+        # The quoted route also quotes the first header name, right after the mark;
+        # ``scan`` has a score only ``float()`` parses, so the rows are read again.
+        text = lead + ('"score",label,probe_id\n0.5,genuine,"p,1"\n0.25,imposter,p2\n'
+                       if route == "quoted" else
+                       "score,label,probe_id\n{},genuine,p1\n\n0.25,imposter,p2\n".format(
+                           "1_0" if route == "scan" else "0.5"))
         names = ["score", "label", "probe_id"]
 
         def loaded(source):
