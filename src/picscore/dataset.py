@@ -193,26 +193,24 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     The header is read with ``csv.reader`` and the data rows with numpy's C
     tokenizer (``np.loadtxt``), which parses numbers with
     ``PyOS_string_to_double``, the parser behind ``float()``. numpy opens
-    the file itself where ``_route`` finds that safe, and reads a label
-    column into 9-byte latin-1 fields: ``imposter``, the longest label,
-    fits, and a field that fills all 9 may have been cut. Any other input,
-    a pipe included, is read once into memory, and numpy reads that text
-    line by line. numpy codes an id column as it is read: it passes each id
-    field to a dict lookup that gives a new string the next code, and
-    stores only the code. Each distinct value is then stripped, values that
-    become equal share one code, and the codes are copied out at the
-    narrowest width that holds them: 1 byte for up to 256 distinct values,
-    2 for up to 65,536.
+    the file itself where ``_route`` finds that safe. Any other input, a
+    pipe included, is read once into memory, and numpy reads that text
+    line by line. numpy codes an id or label column as it is read: it
+    passes each field to a dict lookup that gives a new string the next
+    code, and stores only the code. An id column's distinct values are
+    then stripped, values that become equal share one code, and the codes
+    are copied out at the narrowest width that holds them: 1 byte for up to
+    256 distinct values, 2 for up to 65,536. A label column's distinct
+    values are each matched once, and its codes index the result.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. When numpy
-    rejects the file, a number column holds a non-finite value, or a label
-    field fills all 9 bytes, the same text is read again as strings
-    with ``csv.reader`` (``_scan_rows``), which names the first row with a
-    bad field count, and otherwise each number field is parsed with
-    ``float()``, which accepts some text numpy does not, such as ``1_0``.
-    Each label column becomes flags before the numbers are checked, and
-    frees numpy's table.
+    rejects the file or a number column holds a non-finite value, the same
+    text is read again as strings with ``csv.reader`` (``_scan_rows``),
+    which names the first row with a bad field count, and otherwise each
+    number field is parsed with ``float()``, which accepts some text numpy
+    does not, such as ``1_0``. Each label column becomes flags before the
+    numbers are checked, and frees numpy's table.
 
     ``CsvRead.lines`` is ``None`` unless ``lines`` asks for it, for a file
     to be written out again. Then it holds every data row as the CSV line,
@@ -248,15 +246,13 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
         names = keys if names is None else list(names)
         wanted = set(names)
         floats = wanted.intersection(keys, _NUMBER_COLUMNS)
-        narrow = wanted.intersection(keys, _LABEL_COLUMNS) if route != _TEXT else set()
         interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
-                     if key in wanted and key in ID_COLUMNS}
-        # An id's code is below the number of rows, so below the file's size in bytes.
+                     if key in wanted and (key in ID_COLUMNS or key in _LABEL_COLUMNS)}
+        # A code is below the number of rows, so below the file's size in bytes.
         code = np.int32 if size <= np.iinfo(np.int32).max else np.intp
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
-                                      f"S{_LABEL_WIDTH}" if key in narrow else
                                       code if i in interners else
                                       object if key in wanted else "U0"
                                       for i, key in enumerate(keys)]})
@@ -272,13 +268,14 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
         except ValueError:
             table = None
         if table is not None:
-            # Id columns first, each freeing its dict, then copies of the number
-            # columns, so that no column keeps the table's strings alive.
-            ids = {i: _id_column(table[f"f{i}"], interners.pop(i)) for i in list(interners)}
-            columns = {key: ids[i] if i in ids else table[f"f{i}"].copy() if key in floats else
-                       table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
-            if (all(np.isfinite(columns[key]).all() for key in floats)
-                    and not any(map(_fills_width, (columns[key] for key in narrow)))):
+            # Coded columns first, each freeing its dict (a label's codes stay a view of
+            # the table), then copies of number columns, so none keeps the table's strings.
+            coded = {i: _id_column(table[f"f{i}"], interners.pop(i)) if keys[i] in ID_COLUMNS
+                     else IdColumn(table[f"f{i}"], np.array([*interners.pop(i)], dtype=object))
+                     for i in list(interners)}
+            columns = {key: coded[i] if i in coded else table[f"f{i}"].copy() if key in floats
+                       else table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
+            if all(np.isfinite(columns[key]).all() for key in floats):
                 n_rows = table.size
             else:
                 table = None
@@ -307,13 +304,14 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     return CsvRead(header, n_rows, columns, lines)
 
 
-def _parsed(key: str, column: np.ndarray):
+def _parsed(key: str, column: np.ndarray | IdColumn):
     """A column as ``read_columns`` returns it, and ``[(index, message)]`` of its first
     bad field, or ``[]``."""
-    if key in _LABEL_COLUMNS:
-        codes = label_codes(column)
-        return codes == 0, [(i, f"unknown {key} {_text(column[i])!r}")
-                            for i in np.flatnonzero(codes > 1)[:1].tolist()]
+    if key in _LABEL_COLUMNS:  # each distinct value is matched once
+        codes, values = column
+        flags = label_codes(values)
+        bad = np.flatnonzero((flags > 1)[codes])[:1].tolist() if flags.max() > 1 else []
+        return (flags == 0)[codes], [(i, f"unknown {key} {values[codes[i]]!r}") for i in bad]
     if key not in _NUMBER_COLUMNS:
         return column, []
     values = (column if column.dtype == np.float64 else
@@ -349,18 +347,6 @@ def _interned(fields: Sequence[str]) -> IdColumn:
     interner = defaultdict(itertools.count().__next__)
     codes = np.fromiter(map(interner.__getitem__, fields), dtype=np.intp, count=len(fields))
     return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
-
-
-def _fills_width(column: np.ndarray) -> bool:
-    """Whether a field of an ``S`` column fills all its bytes: its last byte is not NUL.
-
-    Reads that byte of each field through a view, so no array of a
-    row's size is built.
-    """
-    width = column.dtype.itemsize
-    last = np.dtype({"names": ["last"], "formats": ["u1"], "offsets": [width - 1],
-                     "itemsize": width})
-    return bool(column.view(last)["last"].any())
 
 
 class _Lines(Sequence):
@@ -430,16 +416,12 @@ def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 16
-# Columns read into fixed-width bytes fields on numpy's path route.
+# Columns of labels, read as codes into their distinct values, and ``label_codes``' codes.
 _LABEL_COLUMNS = ("label", "decision")
-# ``label_codes``' codes of the labels, and the labels as a bytes field holds them.
 _LABEL_CODES = {GENUINE: 0, IMPOSTER: 1}
-_LABEL_BYTES = tuple(label.encode("latin-1") for label in LABELS)
 # Columns of finite numbers, and those among them that are probabilities, in [0, 1].
 _PROBABILITY_COLUMNS = ("pic", "confidence")
 _NUMBER_COLUMNS = ("score", *_PROBABILITY_COLUMNS)
-# Width in bytes of a label field read by numpy: one more than the longest label.
-_LABEL_WIDTH = max(map(len, LABELS)) + 1
 # How numpy reads a file: from text in memory, from its path, or from its path with no quote.
 _TEXT, _PATH, _PLAIN = "text", "path", "plain"
 
@@ -450,14 +432,15 @@ def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
 
     ``status`` is ``os.fstat`` of a handle open on ``path``. The file must
     be a regular one: a pipe or FIFO would be drained by the scan. numpy
-    opens a path with universal newlines and decompresses it by suffix,
-    and drops trailing NULs from fixed-width string fields, so the file
-    must hold no ``\r`` and no NUL byte and have no compressed suffix;
-    otherwise the route is ``_TEXT``. Such a file is ``_PLAIN`` when it
-    also holds no ``"``: then each line is one row, and its fields are its
-    text split at every ``,``. With ``line_ends``, ``ends`` of a ``_PLAIN``
-    file holds the offset of each of its ``\n`` bytes, found in the same
-    scan, and then its size; otherwise ``ends`` is ``None``.
+    opens a path with universal newlines and decompresses it by suffix, so
+    the file must hold no ``\r`` and have no compressed suffix; otherwise
+    the route is ``_TEXT``. So is a file with a NUL byte, as it always was,
+    though numpy's path read keeps a NUL in every field read. Any other file
+    is ``_PLAIN`` when it also holds no ``"``: then each line is one row,
+    and its fields are its text split at every ``,``. With ``line_ends``,
+    ``ends`` of a ``_PLAIN`` file holds the offset of each of its ``\n``
+    bytes, found in the same scan, and then its size; otherwise ``ends`` is
+    ``None``.
     """
     if (not stat.S_ISREG(status.st_mode)
             or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
@@ -502,12 +485,11 @@ def _data_rows(source):
 def _scan_rows(source, keys: list[str], wanted: set[str]):
     """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
 
-    ``source`` is the text. Runs only after numpy has rejected the file,
-    found a non-finite number or read a label field that fills all 9
-    bytes: raises ``RowError`` at the first row whose field count
-    differs from the header's, and otherwise returns ``(n_rows, columns)``
-    with every wanted column as ``str`` objects, an id column coded as an
-    ``IdColumn``.
+    ``source`` is the text. Runs only after numpy has rejected the file or
+    found a non-finite number: raises ``RowError`` at the first row whose
+    field count differs from the header's, and otherwise returns
+    ``(n_rows, columns)`` with every wanted column as ``str`` objects, an
+    id or label column coded as an ``IdColumn``.
     """
     width = len(keys)
     # One flat list of all fields: a list per row would leave one
@@ -525,6 +507,7 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     del flat, extend
     return table.size // width, {
         key: _id_column(*_interned(table[i::width])) if key in ID_COLUMNS
+        else _interned(table[i::width]) if key in _LABEL_COLUMNS
         else table[i::width].copy()
         for i, key in enumerate(keys) if key in wanted}
 
@@ -605,29 +588,10 @@ def _write_lines(handle, columns: list[list[str]]) -> None:
     handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def label_codes(column: Sequence[str] | np.ndarray) -> np.ndarray:
-    """Each label stripped and lower-cased, as a uint8 code: 0 ``genuine``, 1 ``imposter``, 2 other.
-
-    ``column`` holds ``str`` objects or, as numpy may read a label column,
-    latin-1 bytes. Exact ``genuine`` and ``imposter`` are
-    matched on the whole array at once, bytes against bytes; only the other
-    distinct values are decoded, stripped and lower-cased.
-    """
-    if not isinstance(column, np.ndarray):
-        column = np.asarray(column, dtype=object)
-    genuine, imposter = _LABEL_BYTES if column.dtype.kind == "S" else LABELS
-    codes = (column != genuine).view(np.uint8)
-    rest = np.flatnonzero(codes & (column != imposter))
-    if rest.size:
-        raw = column[rest].tolist()
-        code = {value: _LABEL_CODES.get(_text(value).strip().lower(), 2) for value in set(raw)}
-        codes[rest] = list(map(code.__getitem__, raw))
-    return codes
-
-
-def _text(field) -> str:
-    """A label field as text: bytes are decoded as latin-1, as numpy encoded them."""
-    return field.decode("latin-1") if isinstance(field, bytes) else str(field)
+def label_codes(column: Sequence[str]) -> np.ndarray:
+    """Each label stripped and lower-cased, as a uint8: 0 ``genuine``, 1 ``imposter``, 2 other."""
+    return np.fromiter((_LABEL_CODES.get(value.strip().lower(), 2) for value in column),
+                       dtype=np.uint8, count=len(column))
 
 
 def label_column(is_genuine: np.ndarray) -> IdColumn:

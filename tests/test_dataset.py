@@ -482,7 +482,9 @@ class TestReadColumns:
               contextlib.suppress(RowError)):
             read_columns(path)
         assert isinstance(loadtxt.call_args.args[0], str) == by_path
-        assert loadtxt.call_args.kwargs["dtype"]["f1"] == ("|S9" if by_path else object)
+        # A code into the column's distinct values, as an id column is read, on every route.
+        assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.int32
+        assert 1 in loadtxt.call_args.kwargs["converters"]
 
     def test_quoted_cr_is_kept(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -912,26 +914,8 @@ def label_texts(draw):
 
 LABEL_TEXTS = st.one_of(label_texts(), st.text(st.sampled_from(["a", "É", "é", "中", " "]),
                                                 max_size=10))
-# Texts that fit a 9-byte latin-1 field.
-FIELD_TEXTS = LABEL_TEXTS.filter(lambda text: len(text) <= 9 and max(text, default="") < "\u0100")
-
-
 class TestLabelBytes:
-    """Label columns read as latin-1 bytes parse as the same values as ``str`` do."""
-
-    @given(st.lists(FIELD_TEXTS, min_size=1, max_size=6),
-           st.sampled_from(["label", "decision"]))
-    @settings(max_examples=300, deadline=None)
-    def test_bytes_column_parses_as_text(self, values, name):
-        fields = np.array([value.encode("latin-1") for value in values], dtype="S9")
-        assert fields.tolist() == [value.encode("latin-1") for value in values]  # none was cut
-        with mock.patch.object(dataset, "_text", wraps=dataset._text) as decode:
-            assert dataset.label_codes(fields).tolist() == dataset.label_codes(values).tolist()
-        # Exact labels are matched as bytes, not decoded; the rest once per distinct value.
-        assert decode.call_count == 2 * len(set(values) - set(LABELS))
-        assert (parsed(reader_parse, {name: fields}, [name])
-                == parsed(reader_parse, {name: np.array(values, dtype=object)}, [name])
-                == parsed(reference_labels, {name: values}, [name]))
+    """Label columns read from a file's bytes, as codes, parse as their text does."""
 
     @given(st.lists(st.tuples(LABEL_TEXTS, LABEL_TEXTS), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None,
@@ -940,12 +924,19 @@ class TestLabelBytes:
         path = tmp_path / "labels.csv"
         path.write_bytes(("label,decision\n" + "".join(f"{a},{b}\n" for a, b in rows)).encode())
         names = ["label", "decision"]
-        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        with (mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+              mock.patch.object(dataset, "label_codes", wraps=dataset.label_codes) as match):
             got = read_parsed(path, names)
-        # Read by numpy into 9-byte fields, or again as text when numpy rejects one.
-        assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == ["|S9"] * 2
+        # Read by numpy as codes into each column's distinct values, as id columns are.
+        assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == [np.int32] * 2
         values = dict(zip(names, map(list, zip(*rows))))
         assert got == parsed(reference_labels, values, names)
+        # Each distinct value is matched once, the lowest bad row named: a column of
+        # str, coded, parses as the reference parses it.
+        assert all(len(call.args[0]) == len(set(call.args[0])) for call in match.call_args_list)
+        assert (parsed(reader_parse, {name: dataset._interned(values[name]) for name in names},
+                       names)
+                == parsed(reference_labels, values, names))
 
 
 class TestPartition:

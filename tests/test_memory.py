@@ -6,7 +6,8 @@ An id column costs one string per distinct value and a code per row, in
 apart. ``score`` keeps only the offsets of a plain file's lines and reads
 each chunk of them from the file as it writes it, so it holds neither the
 file nor a string per input row. A ``label`` or ``decision`` column is read
-into 9-byte fields, and numpy's table is freed once the columns are parsed.
+as codes into its distinct values, as an id column is, on every route, and
+numpy's table is freed once the columns are parsed.
 The float kernels (the log likelihood ratio, the posterior, the baselines'
 confidences) work a block of rows at a time, with a fixed amount of
 scratch. Each bound sits between the peak before these changes and
@@ -16,13 +17,13 @@ today's, in bytes per row of this 40k-row input:
 |---|---|---|---|
 | ``score`` | 126 | 74 | 100 |
 | ``fuse`` | 83 | 60 | 61 |
-| ``eval`` (pic) | 61 | 56 | 58.5 |
-| ``eval --estimator lrc`` | 81 | 56 | 68 |
-| ``eval --estimator dtc`` | 73 | 49 | 60 |
-| ``eval --estimator erbc`` | 74 | 51 | 62 |
-| ``curve`` | 76 | 53 | 64 |
-| ``synth`` | 232 | 133 | 150 |
-| ``split`` | 179 | 167 | 172 |
+| ``eval`` (pic) | 61 | 48 | 52 |
+| ``eval --estimator lrc`` | 81 | 52 | 68 |
+| ``eval --estimator dtc`` | 73 | 45 | 60 |
+| ``eval --estimator erbc`` | 74 | 47 | 62 |
+| ``curve`` | 76 | 54 | 64 |
+| ``synth`` | 232 | 128 | 150 |
+| ``split`` | 179 | 159 | 163 |
 
 At this size a block of rows is most of the input, so these figures hold
 the blocks' scratch too. What ``score`` holds per row is measured apart,
@@ -42,17 +43,29 @@ and ``subject_b``: about 260 bytes per row of this input with
 built one per row (about 232 bytes per row before, 165 after). It now builds
 its 4-byte codes from one group index, in place, with no 8-byte temporaries,
 and the subject check holds a 1- or 2-byte position per row where it held 8:
-133 today. ``split``'s traced peak is numpy's read of all six columns. It
+128 today. ``split``'s traced peak is numpy's read of all six columns. It
 fell from 178 to 167 when the reader began to copy each id column's codes
 out at the narrowest width and free its dict (the one that codes
 ``reference_id`` holds a distinct value per row) before it copies the
-score column. ``fuse`` fell from 62 to 60 with those codes and with
+score column, and to 159 when its label column became 4-byte codes where
+it was 9-byte fields; ``eval`` (pic), which reads two label columns, fell
+from 56 to 48 then. ``fuse`` fell from 62 to 60 with those codes and with
 ``pair_groups``' 4-byte pair keys and row indices.
 
 Input that is not plain (``\r\n`` line ends, a quoted column) costs
 ``score`` one string per line and numpy's read of its one number column:
 about 165-180 bytes per row, where reading every column as strings cost
-about 505 with ``\r\n`` and 480 with the quoted column.
+about 505 with ``\r\n`` and 480 with the quoted column. On a ``\r\n`` copy
+of the input (and of ``score``'s output), each command that reads a label
+column held a string per label field until labels were coded on that route
+too:
+
+| command | before | today | bound |
+|---|---|---|---|
+| ``fuse`` | 158 | 97 | 125 |
+| ``eval`` (pic) | 246 | 127 | 180 |
+| ``curve`` | 181 | 123 | 150 |
+| ``split`` | 273 | 211 | 240 |
 """
 
 import tracemalloc
@@ -87,6 +100,8 @@ def inputs(tmp_path_factory):
     save_model(fit_model(train, resolution=512), folder / "model.json")
     assert main(["score", str(folder / "model.json"), str(folder / "scores.csv"),
                  str(folder / "scored.csv")]) == 0
+    lines = (folder / "scored.csv").read_text().splitlines()
+    (folder / "scored_crlf.csv").write_text("".join(line + "\r\n" for line in lines))
     return folder
 
 
@@ -127,7 +142,7 @@ def test_synth_peak_bytes_per_row(tmp_path):
 def test_split_peak_bytes_per_row(inputs, tmp_path):
     argv = ["split", inputs / "scores.csv", "--out-train", tmp_path / "train.csv",
             "--out-test", tmp_path / "test.csv", "--seed", 3]
-    assert traced_peak_per_row(argv) < 172
+    assert traced_peak_per_row(argv) < 163
 
 
 def test_train_peak_bytes_per_row(inputs, tmp_path):
@@ -141,7 +156,7 @@ def test_score_peak_bytes_per_row_of_other_input(inputs, scores):
 
 
 @pytest.mark.parametrize("argv, bytes_per_row", [
-    (["eval", "scored.csv", "report"], 58.5),
+    (["eval", "scored.csv", "report"], 52),
     (["eval", "scored.csv", "lrc", "--estimator", "lrc", "--train", "train.csv",
       "--model", "model.json"], 68),
     (["eval", "scored.csv", "dtc", "--estimator", "dtc", "--train", "train.csv"], 60),
@@ -149,5 +164,18 @@ def test_score_peak_bytes_per_row_of_other_input(inputs, scores):
     (["curve", "scored.csv", "model.json", "curve.csv"], 64),
 ], ids=["eval", "eval-lrc", "eval-dtc", "eval-erbc", "curve"])
 def test_scored_file_peak_bytes_per_row(inputs, monkeypatch, argv, bytes_per_row):
+    monkeypatch.chdir(inputs)
+    assert traced_peak_per_row(argv) < bytes_per_row
+
+
+@pytest.mark.parametrize("argv, bytes_per_row", [
+    (["fuse", "model.json", "crlf.csv", "fuse.csv"], 125),
+    (["eval", "scored_crlf.csv", "report"], 180),
+    (["curve", "scored_crlf.csv", "model.json", "curve.csv"], 150),
+    (["split", "crlf.csv", "--out-train", "split_train.csv", "--out-test", "split_test.csv",
+      "--seed", 3], 240),
+], ids=["fuse", "eval", "curve", "split"])
+def test_label_reading_peak_bytes_per_row_of_crlf_input(inputs, monkeypatch, argv,
+                                                        bytes_per_row):
     monkeypatch.chdir(inputs)
     assert traced_peak_per_row(argv) < bytes_per_row
