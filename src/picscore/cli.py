@@ -107,6 +107,13 @@ def cmd_train(args) -> None:
     train = load_scores(args.input, ("subject_a", "subject_b"))
     model = fit_model(train, prior_genuine=args.prior, resolution=args.resolution,
                       bandwidth=args.bandwidth)
+    grid = model.genuine  # both classes share one grid
+    step = (grid.grid_max - grid.grid_min) / (grid.grid_resolution - 1)
+    bandwidth = min(model.genuine.bandwidth, model.imposter.bandwidth)
+    if step > bandwidth:
+        warnings.warn(f"grid step {step:.6g} exceeds the bandwidth {bandwidth:.6g}, so a lookup "
+                      "between grid points can miss the density; raise --resolution or remove "
+                      "outlying training scores", RuntimeWarning)
     save_model(model, args.out)
     _write_manifest(args, {"train": args.input}, {"model": args.out})
     print(f"genuine:  bandwidth {model.genuine.bandwidth:.6g}, "

@@ -155,8 +155,36 @@ class TestTrainCommand:
                                                        bandwidth):
         out = tmp_path / "m.json"
         assert run_inprocess("train", synth_csv, out, "--bandwidth", bandwidth) == 0
-        assert "warning" not in capsys.readouterr().err
+        # The grid step warning only: no overflow or other warning.
+        err = capsys.readouterr().err
+        assert err.startswith("warning: grid step ") and err.count("\n") == 1
+        assert f"exceeds the bandwidth {float(bandwidth):.6g}," in err
         assert load_model(out).genuine.bandwidth == float(bandwidth)
+
+    @pytest.mark.parametrize("outlier", [False, True], ids=["as-split", "with-1e308"])
+    def test_grid_step_above_the_bandwidth_warns(self, tmp_path, capsys, outlier):
+        """One training score of 1e308 stretches the grid to 4,096 points up to 1e308,
+        whose step dwarfs ``--bandwidth 0.05``: the kernels fall between grid points,
+        and ``eval`` of that model's scores would report FNMR 1. ``train`` still writes
+        the model and exits 0, with one warning line."""
+        scores, train = tmp_path / "scores.csv", tmp_path / "train.csv"
+        assert run_inprocess("synth", scores, "--n-genuine", 5000, "--n-imposter", 5000,
+                             "--seed", 3) == 0
+        assert run_inprocess("split", scores, "--out-train", train,
+                             "--out-test", tmp_path / "test.csv", "--seed", 3) == 0
+        if outlier:
+            with open(train, "a") as handle:
+                handle.write("1e308,imposter,,,,\n")
+        capsys.readouterr()
+        assert run_inprocess("train", train, tmp_path / "m.json", "--bandwidth", 0.05) == 0
+        out, err = capsys.readouterr()
+        if not outlier:
+            assert err == ""
+            return
+        assert "grid: [-0.359711, 1e+308] at 4096 points" in out
+        assert err == ("warning: grid step 2.442e+304 exceeds the bandwidth 0.05, so a lookup "
+                       "between grid points can miss the density; raise --resolution or remove "
+                       "outlying training scores\n")
 
     def test_empty_class_exit_2(self, tmp_path):
         bad = tmp_path / "one_class.csv"
