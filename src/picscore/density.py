@@ -138,7 +138,8 @@ class KdeDensity:
 
     @functools.cached_property
     def _grid(self) -> np.ndarray:
-        grid = np.linspace(self.grid_min, self.grid_max, self.grid_resolution)
+        with np.errstate(over="ignore"):  # see fit_kde
+            grid = np.linspace(self.grid_min, self.grid_max, self.grid_resolution)
         grid.flags.writeable = False
         return grid
 
@@ -222,7 +223,9 @@ def fit_kde(
     if not math.isfinite(1.0 / (scores.size * h * _SQRT_2PI)):
         raise ValueError(f"bandwidth {h} is too small: the kernel's peak height overflows")
 
-    grid = np.linspace(lo, hi, int(resolution))
+    # linspace's last point, (n - 1) steps, may round past the largest float; it then sets hi.
+    with np.errstate(over="ignore"):
+        grid = np.linspace(lo, hi, int(resolution))
     density = KdeDensity(h, lo, hi, kernel_density(scores, h, grid))
     _check_values(density)
     return density

@@ -662,6 +662,7 @@ class TestOneGridRule:
     @given(st.one_of(st.floats(), st.sampled_from([0.0, -0.5, 1e-300, 1e308])),
            st.floats(), st.floats(),
            st.one_of(st.integers(-2, 64), st.floats(-2.0, 64.0)))
+    @example(1.0, -np.finfo(float).max, 0.0, 13)  # 12 steps of max / 12 round past max
     @settings(max_examples=300, deadline=None)
     def test_a_grid_load_rejects_fit_rejects_with_the_same_text(
             self, tmp_path_factory, bandwidth, grid_min, grid_max, resolution):
@@ -683,3 +684,14 @@ class TestOneGridRule:
                 fit_kde([0.1, 0.2], bandwidth=bandwidth, resolution=resolution,
                         grid_range=(grid_min, grid_max))
         assert str(fitted.value) == loaded.replace("genuine.", "")
+
+    def test_a_span_near_the_largest_float_fits_without_a_warning(self):
+        """numpy's ``linspace`` takes the last grid point as 12 steps of max / 12, which
+        rounds past the largest float, and then sets it to the grid's end."""
+        largest = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = fit_kde([0.1, 0.2], bandwidth=1.0, resolution=13,
+                              grid_range=(-largest, 0.0))
+            grid = density.grid_points()
+        assert (grid[0], grid[-1]) == (-largest, 0.0) and np.isfinite(grid).all()
