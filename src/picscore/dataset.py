@@ -269,7 +269,8 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
             table = None
         if table is not None:
             # Coded columns first, each freeing its dict (a label's codes stay a view of
-            # the table), then copies of number columns, so none keeps the table's strings.
+            # the table), then copies of the number columns, so that no column keeps the
+            # table's strings alive.
             coded = {i: _id_column(table[f"f{i}"], interners.pop(i)) if keys[i] in ID_COLUMNS
                      else IdColumn(table[f"f{i}"], np.array([*interners.pop(i)], dtype=object))
                      for i in list(interners)}
@@ -433,11 +434,10 @@ def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
     ``status`` is ``os.fstat`` of a handle open on ``path``. The file must
     be a regular one: a pipe or FIFO would be drained by the scan. numpy
     opens a path with universal newlines and decompresses it by suffix, so
-    the file must hold no ``\r`` and have no compressed suffix; otherwise
-    the route is ``_TEXT``. So is a file with a NUL byte, as it always was,
-    though numpy's path read keeps a NUL in every field read. Any other file
-    is ``_PLAIN`` when it also holds no ``"``: then each line is one row,
-    and its fields are its text split at every ``,``. With ``line_ends``,
+    the file must hold no ``\r`` and have no compressed suffix; nor may it
+    hold a NUL byte. Otherwise the route is ``_TEXT``. Such a file is
+    ``_PLAIN`` when it also holds no ``"``: then each line is one row, and
+    its fields are its text split at every ``,``. With ``line_ends``,
     ``ends`` of a ``_PLAIN`` file holds the offset of each of its ``\n``
     bytes, found in the same scan, and then its size; otherwise ``ends`` is
     ``None``.

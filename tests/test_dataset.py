@@ -708,8 +708,11 @@ class TestReadColumns:
         assert layout(append_columns) == layout(columns)
         assert isinstance(columns["probe_id"], IdColumn)
 
-    @pytest.mark.parametrize("lead", ["", "\n\n"], ids=["header-first", "blank-lines-first"])
-    @pytest.mark.parametrize("route", ["plain", "quoted", "pipe", "scan"])
+    ROUTES = ("plain", "quoted", "pipe", "scan")
+
+    @pytest.mark.parametrize("route, lead", [(route, "") for route in ROUTES]
+                             + [(route, "\n\n") for route in ROUTES],
+                             ids=[*ROUTES, *(f"blank-lines-{route}" for route in ROUTES)])
     def test_a_byte_order_mark_reads_like_none(self, tmp_path, route, lead):
         # The quoted route also quotes the first header name, right after the mark;
         # ``scan`` has a score only ``float()`` parses, so the rows are read again.
