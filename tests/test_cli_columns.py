@@ -990,7 +990,10 @@ class TestMessages:
          "no rows with decision 'imposter' to evaluate"),
         (["genuine,0.9,genuine,0.9", "genuine,0.2,imposter,0.8"], [],
          "need both genuine and imposter rows for verification"),
-    ], ids=["no-imposter-decisions", "one-class"])
+        # Both hold: the decisions are checked first.
+        (["genuine,0.9,genuine,0.9", "genuine,0.8,genuine,0.8"], ["--decisions", "imposter"],
+         "no rows with decision 'imposter' to evaluate"),
+    ], ids=["no-imposter-decisions", "one-class", "no-imposter-decisions-one-class"])
     def test_eval_rows_it_cannot_evaluate(self, tmp_path, capsys, rows, argv, message):
         source = tmp_path / "in.csv"
         source.write_text("label,pic,decision,confidence\n" + "\n".join(rows) + "\n")
