@@ -122,16 +122,21 @@ def fit_lrc(
 
 
 def lrc_confidence(est: LrcEstimator, model: DensityModel, s):
-    """Likelihood-ratio confidence mapped onto [0.5, 1] per decision branch."""
+    """Likelihood-ratio confidence mapped onto [0.5, 1] per decision branch.
+
+    The oriented ratio is clipped to the training range before it is
+    divided by the span, so no quotient exceeds 1 or overflows, even when
+    the span is subnormal.
+    """
     span = est.abs_llr_max - est.abs_llr_min
 
     def confidence(x):
         oriented = log_likelihood_ratio(model, x)
         np.negative(oriented, out=oriented, where=np.logical_not(accepts(x, est.threshold)))
         if span > 0:
-            oriented -= est.abs_llr_min
-            oriented /= span
-            norm = np.clip(oriented, 0.0, 1.0, out=oriented)
+            norm = np.clip(oriented, est.abs_llr_min, est.abs_llr_max, out=oriented)
+            norm -= est.abs_llr_min
+            norm /= span
         else:
             norm = np.where(oriented >= est.abs_llr_max, 1.0, 0.0)
         norm *= 0.5

@@ -233,14 +233,15 @@ def cmd_eval(args) -> None:
         if not keep.any():
             raise ValueError(f"no rows with decision {args.decisions!r} to evaluate")
         confidences, correct = confidences[keep], correct[keep]
-    report = calibration_report(confidences, correct, args.ece_bins)
-    del accepted, confidences, correct  # verification needs only the values and labels
 
-    genuine_vals = values[is_genuine]
-    imposter_vals = values[~is_genuine]
+    # Verification first, so that the values are freed before the confidences are binned.
+    genuine_vals, imposter_vals = values[is_genuine], values[~is_genuine]
+    del values, accepted, is_genuine
     if genuine_vals.size == 0 or imposter_vals.size == 0:
         raise ValueError(f"{args.input}: need both genuine and imposter rows for verification")
     verification = fnmr_at_fmr(genuine_vals, imposter_vals, args.fmr)
+    del genuine_vals, imposter_vals
+    report = calibration_report(confidences, correct, args.ece_bins)
 
     calibration_path = f"{args.out}.calibration.csv"
     summary_path = f"{args.out}.summary.csv"

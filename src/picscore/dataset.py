@@ -200,17 +200,20 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     code, and stores only the code. An id column's distinct values are
     then stripped, values that become equal share one code, and the codes
     are copied out at the narrowest width that holds them: 1 byte for up to
-    256 distinct values, 2 for up to 65,536. A label column's distinct
-    values are each matched once, and its codes index the result.
+    256 distinct values, 2 for up to 65,536. A label column's codes take 1
+    byte; its distinct values are each matched once, and its codes index
+    the result.
 
     A column nobody asked for is read into a zero-width string field, so
-    its fields are counted but no string is built for them. When numpy
-    rejects the file or a number column holds a non-finite value, the same
-    text is read again as strings with ``csv.reader`` (``_scan_rows``),
-    which names the first row with a bad field count, and otherwise each
-    number field is parsed with ``float()``, which accepts some text numpy
-    does not, such as ``1_0``. Each label column becomes flags before the
-    numbers are checked, and frees numpy's table.
+    its fields are counted but no string is built for them. Every column
+    read is copied out of numpy's table, which is freed before any label
+    column becomes flags. When numpy rejects the file, a label column
+    with more than 256 distinct spellings included, or a number column
+    holds a non-finite value, the same text is read again as strings with
+    ``csv.reader`` (``_scan_rows``), which names the first row with a bad
+    field count, and otherwise each number field is parsed with
+    ``float()``, which accepts some text numpy does not, such as ``1_0``.
+    Each label column becomes flags before the numbers are checked.
 
     ``CsvRead.lines`` is ``None`` unless ``lines`` asks for it, for a file
     to be written out again. Then it holds every data row as the CSV line,
@@ -253,6 +256,7 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
                           "formats": [float if key in floats else
+                                      np.uint8 if key in _LABEL_COLUMNS and i in interners else
                                       code if i in interners else
                                       object if key in wanted else "U0"
                                       for i, key in enumerate(keys)]})
@@ -267,20 +271,19 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
                     converters={i: index.__getitem__ for i, index in interners.items()})
         except ValueError:
             table = None
+        columns = None
         if table is not None:
-            # Coded columns first, each freeing its dict (a label's codes stay a view of
-            # the table), then copies of the number columns, so that no column keeps the
-            # table's strings alive.
+            # Coded columns first, each freeing its dict, then every other column, each
+            # copied out, so that no column is a view of the table.
             coded = {i: _id_column(table[f"f{i}"], interners.pop(i)) if keys[i] in ID_COLUMNS
-                     else IdColumn(table[f"f{i}"], np.array([*interners.pop(i)], dtype=object))
+                     else IdColumn(table[f"f{i}"].copy(),
+                                   np.array([*interners.pop(i)], dtype=object))
                      for i in list(interners)}
-            columns = {key: coded[i] if i in coded else table[f"f{i}"].copy() if key in floats
-                       else table[f"f{i}"] for i, key in enumerate(keys) if key in wanted}
-            if all(np.isfinite(columns[key]).all() for key in floats):
-                n_rows = table.size
-            else:
-                table = None
-        if table is None:
+            columns = {key: coded[i] if i in coded else table[f"f{i}"].copy()
+                       for i, key in enumerate(keys) if key in wanted}
+            n_rows = table.size
+        del table  # its last reference: freed before the labels are parsed
+        if columns is None or not all(np.isfinite(columns[key]).all() for key in floats):
             n_rows, columns = _scan_rows(source, keys, wanted)
         if not lines:
             lines = None
@@ -293,7 +296,6 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     missing = [name for name in names if name not in columns and name not in ID_COLUMNS]
     if missing:
         raise MissingColumns(path, missing)
-    del table  # label columns, parsed first, hold its last views
     errors = []
     for key in sorted(columns, key=lambda key: key not in _LABEL_COLUMNS):
         columns[key], bad = _parsed(key, columns[key])
@@ -353,19 +355,23 @@ def _interned(fields: Sequence[str]) -> IdColumn:
 class _Lines(Sequence):
     """A plain file's non-blank lines after its first ``skip``, read from it a slice at a time.
 
-    Holds the offset at which the header and each line end: at a ``\n``,
-    which is the byte 0x0A in a file with no ``\r`` or NUL. A slice opens
-    the file, reads only its own bytes, closes it and decodes them; it
-    fails if the file is no longer the one ``status`` describes. ``hold``,
-    called before the write, keeps the bytes instead when the write is
-    over the file itself.
+    Holds the offset at which the header and each line end, in the width
+    ``_route`` gave them: at a ``\n``, which is the byte 0x0A in a file with
+    no ``\r`` or NUL. A slice opens the file, reads only its own bytes,
+    closes it and decodes them; it fails if the file is no longer the one
+    ``status`` describes. ``hold``, called before the write, keeps the bytes
+    instead when the write is over the file itself.
     """
 
     def __init__(self, path, ends: np.ndarray, skip: int, encoding: str,
                  status: os.stat_result):
         ends = ends[skip - 1:]
-        # The header's end, then each non-blank line's: a blank one ends 1 byte after the last.
-        self._ends = ends[np.append(True, np.diff(ends) > 1)]
+        # The header's end, then each non-blank line's: a blank one ends 1 byte after the
+        # last, as the file's size does after a final ``\n``. With no other blank line, the
+        # ends are a slice of those read.
+        non_blank = np.diff(ends) > 1
+        self._ends = (ends[:1 + np.count_nonzero(non_blank)] if non_blank[:-1].all()
+                      else ends[np.append(True, non_blank)])
         self._path, self._encoding, self._identity = path, encoding, _identity(status)
         self._data = None
 
@@ -439,13 +445,15 @@ def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
     ``_PLAIN`` when it also holds no ``"``: then each line is one row, and
     its fields are its text split at every ``,``. With ``line_ends``,
     ``ends`` of a ``_PLAIN`` file holds the offset of each of its ``\n``
-    bytes, found in the same scan, and then its size; otherwise ``ends`` is
-    ``None``.
+    bytes, found in the same scan, and then its size: 4 bytes each when
+    ``status.st_size`` is below 4 GiB, else ``np.intp``. Otherwise ``ends``
+    is ``None``.
     """
     if (not stat.S_ISREG(status.st_mode)
             or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
         return _TEXT, None
     route, ends, size = _PLAIN, [] if line_ends else None, 0
+    offset = np.uint32 if status.st_size < 2**32 else np.intp
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
             if b"\r" in chunk or b"\0" in chunk:
@@ -453,9 +461,10 @@ def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
             if b'"' in chunk:
                 route, ends = _PATH, None
             if ends is not None:
-                ends.append(size + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+                ends.append((size + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+                            .astype(offset))
             size += len(chunk)
-    return route, None if ends is None else np.concatenate([*ends, [size]])
+    return route, None if ends is None else np.concatenate([*ends, np.array([size], offset)])
 
 
 def _first_row(reader) -> list[str] | None:

@@ -165,6 +165,16 @@ class TestLrc:
         conf = lrc_confidence(est, synth_fitted, np.linspace(-3, 3, 301))
         assert np.all((conf >= 0) & (conf <= 1))
 
+    def test_subnormal_span_does_not_overflow(self, synth_fitted):
+        """A ratio beyond a subnormal span gives 1.0; one at or below its low end, 0.5."""
+        est = LrcEstimator(threshold=0.5, abs_llr_min=0.0, abs_llr_max=5e-324)
+        scores = np.array([0.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lrc_confidence(est, synth_fitted, scores)
+        oriented = np.where(scores >= 0.5, 1.0, -1.0) * log_likelihood_ratio(synth_fitted, scores)
+        assert got.tolist() == np.where(oriented > 0.0, 1.0, 0.5).tolist()
+
 
 class TestErbc:
     @pytest.mark.parametrize("sign", [1.0, -1.0])

@@ -641,9 +641,10 @@ class TestSimdPaths:
     equal, except ``grid_values``, which may differ by at most ``MAX_ULPS`` units in the
     last place: the kernel sums round differently at different vector widths. 2 ulp is
     the largest difference measured on this input, with numpy 2.4.6 on an x86-64 CPU
-    with AVX-512 (117 of 4,096 genuine and 121 imposter values differ). On a host where
-    numpy dispatches nothing, the two runs take the same path, and the test passes
-    trivially.
+    with AVX-512 (117 of 4,096 genuine and 121 imposter values differ). Only AVX-512
+    moves a value there: with it disabled, the AVX2 path writes the baseline's model byte
+    for byte. So on a host without AVX-512 the test passes trivially, as it does where
+    numpy dispatches nothing and the two runs take the same path.
     """
 
     MAX_ULPS = 2

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import math
 import random
 import os
@@ -482,8 +483,8 @@ class TestReadColumns:
               contextlib.suppress(RowError)):
             read_columns(path)
         assert isinstance(loadtxt.call_args.args[0], str) == by_path
-        # A code into the column's distinct values, as an id column is read, on every route.
-        assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.int32
+        # A 1-byte code into the column's distinct values, on every route.
+        assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.uint8
         assert 1 in loadtxt.call_args.kwargs["converters"]
 
     def test_quoted_cr_is_kept(self, tmp_path):
@@ -671,6 +672,45 @@ class TestReadColumns:
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.intp  # numpy's table
         assert columns["probe_id"].codes.dtype == np.uint8  # the codes copied out of it
         assert columns["probe_id"].codes.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("size, width", [(2**32 - 1, np.uint32), (2**32, np.intp)])
+    def test_line_ends_take_4_bytes_below_4_gib(self, tmp_path, size, width):
+        path = tmp_path / "scores.csv"
+        path.write_bytes(b"score\n0.1\n0.2\n")
+        status = list(os.stat(path))
+        status[stat.ST_SIZE] = size  # the file as if it held ``size`` bytes
+        route, ends = dataset._route(path, os.stat_result(status), line_ends=True)
+        assert route == dataset._PLAIN
+        assert ends.dtype == width and ends.tolist() == [5, 9, 13, 14]
+
+    @staticmethod
+    def spellings(n):
+        """``n`` distinct labels: each of ``LABELS`` in turn, some upper case, padded."""
+        return [(label.upper() if i % 3 == 0 else label) + " " * (i // 2)
+                for i, label in zip(range(n), itertools.cycle(LABELS))]
+
+    @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+    @pytest.mark.parametrize("unknown_row", [None, 280])
+    def test_labels_of_more_than_256_spellings_are_read_again(self, tmp_path, pipe,
+                                                              unknown_row):
+        """Their 1-byte codes overflow, numpy rejects the file and ``csv.reader`` reads it."""
+        labels = self.spellings(300)
+        if unknown_row:
+            labels[unknown_row - 1] = "bogus"
+        data = ("score,label\n" + "".join(f"0.5,{label}\n" for label in labels)).encode()
+        path = tmp_path / "scores.csv"
+        path.write_bytes(data)
+
+        def read(source):
+            try:
+                return [read_columns(source, ["label"]).columns["label"].tobytes()]
+            except RowError as exc:
+                return exc.row, str(exc)
+
+        with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+            got = through_pipe(data, read) if pipe else read(path)
+        assert scan.called
+        assert got == parsed(reference_labels, {"label": labels}, ["label"])
 
     @pytest.mark.parametrize("text, pipe, scores", [
         ('score,id\n0.5,"a,b"\n0.25,"c"\n', False, [0.5, 0.25]),
@@ -930,8 +970,8 @@ class TestLabelBytes:
         with (mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
               mock.patch.object(dataset, "label_codes", wraps=dataset.label_codes) as match):
             got = read_parsed(path, names)
-        # Read by numpy as codes into each column's distinct values, as id columns are.
-        assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == [np.int32] * 2
+        # Read by numpy as 1-byte codes into each column's distinct values.
+        assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == [np.uint8] * 2
         values = dict(zip(names, map(list, zip(*rows))))
         assert got == parsed(reference_labels, values, names)
         # Each distinct value is matched once, the lowest bad row named: a column of

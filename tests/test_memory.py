@@ -6,8 +6,10 @@ An id column costs one string per distinct value and a code per row, in
 apart. ``score`` keeps only the offsets of a plain file's lines and reads
 each chunk of them from the file as it writes it, so it holds neither the
 file nor a string per input row. A ``label`` or ``decision`` column is read
-as codes into its distinct values, as an id column is, on every route, and
-numpy's table is freed once the columns are parsed.
+as 1-byte codes into its distinct values, on every route, and numpy's
+table is freed once every column is copied out of it, before the labels
+are parsed. ``eval`` frees its values once it has verified, before it
+bins the confidences.
 The float kernels (the log likelihood ratio, the posterior, the baselines'
 confidences) work a block of rows at a time, with a fixed amount of
 scratch. Each bound sits between the peak before these changes and
@@ -15,22 +17,31 @@ today's, in bytes per row of this 40k-row input:
 
 | command | before | today | bound |
 |---|---|---|---|
-| ``score`` | 126 | 74 | 100 |
-| ``fuse`` | 83 | 60 | 61 |
-| ``eval`` (pic) | 61 | 48 | 52 |
+| ``score`` | 126 | 70 | 72 |
+| ``fuse`` | 83 | 59 | 61 |
+| ``eval`` (pic) | 61 | 38 | 43 |
 | ``eval --estimator lrc`` | 81 | 52 | 68 |
 | ``eval --estimator dtc`` | 73 | 45 | 60 |
 | ``eval --estimator erbc`` | 74 | 47 | 62 |
 | ``curve`` | 76 | 54 | 64 |
 | ``synth`` | 232 | 128 | 150 |
-| ``split`` | 179 | 159 | 163 |
+| ``split`` | 179 | 157 | 158 |
 
 At this size a block of rows is most of the input, so these figures hold
-the blocks' scratch too. What ``score`` holds per row is measured apart,
-as the rise of its peak from this input to one twice as long: about 70
-bytes per row before (the whole file, 52 bytes per row, among them) and
-about 19 today. Its bound, 40, is below the file's own size per row, so
-that any copy of the whole file fails it.
+the blocks' scratch too. ``eval --estimator erbc`` is also measured on
+four blocks of rows (131,072): 39 bytes per row while it held its values
+through the calibration, 29 today, with a bound of 34. What ``score``
+holds per row is measured apart, as the rise of its peak from this input
+to one twice as long: about 70 bytes per row before (the whole file, 52
+bytes per row, among them), 25 with 8-byte line offsets and 21 today with
+4-byte ones. Its bound, 23, is below the file's own size per row, so that
+any copy of the whole file fails it.
+
+When label codes went from 4 bytes to 1 and numpy's table came to be
+freed before the labels are parsed, ``score`` fell from 74 to 70 (its
+line offsets), ``eval`` (pic) from 48 to 38 (``eval`` verifying first
+too) and ``split`` from 159 to 157; each bound that moved by 1 byte per
+row or more was lowered to sit between the two.
 
 Earlier, one string per id field cost about 240 bytes per row for ``score``
 and 315 for ``fuse`` on this input.
@@ -54,18 +65,21 @@ from 56 to 48 then. ``fuse`` fell from 62 to 60 with those codes and with
 
 Input that is not plain (``\r\n`` line ends, a quoted column) costs
 ``score`` one string per line and numpy's read of its one number column:
-about 165-180 bytes per row, where reading every column as strings cost
-about 505 with ``\r\n`` and 480 with the quoted column. On a ``\r\n`` copy
-of the input (and of ``score``'s output), each command that reads a label
-column held a string per label field until labels were coded on that route
-too:
+about 165-175 bytes per row (180 with ``\r\n`` while numpy's table lived
+on as the lines were quoted again; its bound is 176), where reading every
+column as strings cost about 505 with ``\r\n`` and 480 with the quoted
+column. On a ``\r\n`` copy of the input (and of ``score``'s output), each
+command that reads a label column held a string per label field until
+labels were coded on that route too:
 
 | command | before | today | bound |
 |---|---|---|---|
-| ``fuse`` | 158 | 97 | 125 |
-| ``eval`` (pic) | 246 | 127 | 180 |
-| ``curve`` | 181 | 123 | 150 |
-| ``split`` | 273 | 211 | 240 |
+| ``fuse`` | 158 | 92 | 95 |
+| ``eval`` (pic) | 246 | 117 | 122 |
+| ``curve`` | 181 | 115 | 119 |
+| ``split`` | 273 | 209 | 210 |
+
+Before the label codes took 1 byte these were 97, 127, 122 and 211.
 """
 
 import tracemalloc
@@ -79,6 +93,7 @@ import picscore.pic  # noqa: F401
 from picscore.cli import main
 from picscore.dataset import save_scores
 from picscore.density import fit_model, save_model
+from picscore.pic import _BLOCK_ROWS
 from picscore.synth import SynthConfig, generate
 
 N_ROWS = 40000
@@ -110,23 +125,23 @@ def peak_bytes_per_row(inputs, command, scores):
         [command, inputs / "model.json", inputs / scores, inputs / f"{command}.csv"])
 
 
-def traced_peak_per_row(argv):
+def traced_peak_per_row(argv, n_rows=N_ROWS):
     tracemalloc.start()
     try:
         assert main([str(arg) for arg in argv]) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak / N_ROWS
+    return peak / n_rows
 
 
-@pytest.mark.parametrize("command, bytes_per_row", [("score", 100), ("fuse", 61)])
+@pytest.mark.parametrize("command, bytes_per_row", [("score", 72), ("fuse", 61)])
 def test_peak_bytes_per_input_row(inputs, command, bytes_per_row):
     assert peak_bytes_per_row(inputs, command, "scores.csv") < bytes_per_row
 
 
 def test_score_holds_less_per_row_than_its_input_file(inputs):
-    bound = 40
+    bound = 23
     assert (inputs / "scores.csv").stat().st_size / N_ROWS > bound
     rise = (peak_bytes_per_row(inputs, "score", "twice.csv")
             - peak_bytes_per_row(inputs, "score", "scores.csv"))
@@ -142,7 +157,7 @@ def test_synth_peak_bytes_per_row(tmp_path):
 def test_split_peak_bytes_per_row(inputs, tmp_path):
     argv = ["split", inputs / "scores.csv", "--out-train", tmp_path / "train.csv",
             "--out-test", tmp_path / "test.csv", "--seed", 3]
-    assert traced_peak_per_row(argv) < 163
+    assert traced_peak_per_row(argv) < 158
 
 
 def test_train_peak_bytes_per_row(inputs, tmp_path):
@@ -150,13 +165,14 @@ def test_train_peak_bytes_per_row(inputs, tmp_path):
     assert traced_peak_per_row(argv) < 300
 
 
-@pytest.mark.parametrize("scores", ["crlf.csv", "quoted.csv"])
-def test_score_peak_bytes_per_row_of_other_input(inputs, scores):
-    assert peak_bytes_per_row(inputs, "score", scores) < 250
+@pytest.mark.parametrize("scores, bytes_per_row", [("crlf.csv", 176), ("quoted.csv", 250)],
+                         ids=["crlf.csv", "quoted.csv"])
+def test_score_peak_bytes_per_row_of_other_input(inputs, scores, bytes_per_row):
+    assert peak_bytes_per_row(inputs, "score", scores) < bytes_per_row
 
 
 @pytest.mark.parametrize("argv, bytes_per_row", [
-    (["eval", "scored.csv", "report"], 52),
+    (["eval", "scored.csv", "report"], 43),
     (["eval", "scored.csv", "lrc", "--estimator", "lrc", "--train", "train.csv",
       "--model", "model.json"], 68),
     (["eval", "scored.csv", "dtc", "--estimator", "dtc", "--train", "train.csv"], 60),
@@ -169,13 +185,23 @@ def test_scored_file_peak_bytes_per_row(inputs, monkeypatch, argv, bytes_per_row
 
 
 @pytest.mark.parametrize("argv, bytes_per_row", [
-    (["fuse", "model.json", "crlf.csv", "fuse.csv"], 125),
-    (["eval", "scored_crlf.csv", "report"], 180),
-    (["curve", "scored_crlf.csv", "model.json", "curve.csv"], 150),
+    (["fuse", "model.json", "crlf.csv", "fuse.csv"], 95),
+    (["eval", "scored_crlf.csv", "report"], 122),
+    (["curve", "scored_crlf.csv", "model.json", "curve.csv"], 119),
     (["split", "crlf.csv", "--out-train", "split_train.csv", "--out-test", "split_test.csv",
-      "--seed", 3], 240),
+      "--seed", 3], 210),
 ], ids=["fuse", "eval", "curve", "split"])
 def test_label_reading_peak_bytes_per_row_of_crlf_input(inputs, monkeypatch, argv,
                                                         bytes_per_row):
     monkeypatch.chdir(inputs)
     assert traced_peak_per_row(argv) < bytes_per_row
+
+
+def test_eval_erbc_peak_bytes_per_row_of_four_blocks(inputs, tmp_path):
+    n_rows = 4 * _BLOCK_ROWS
+    scores = generate(SynthConfig(n_genuine=n_rows // 2, n_imposter=n_rows // 2,
+                                  refs_per_probe=8, seed=3))
+    save_scores(scores, tmp_path / "scores.csv")
+    argv = ["eval", tmp_path / "scores.csv", tmp_path / "erbc", "--estimator", "erbc",
+            "--train", inputs / "train.csv"]
+    assert traced_peak_per_row(argv, n_rows) < 34
