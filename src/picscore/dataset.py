@@ -208,12 +208,13 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     its fields are counted but no string is built for them. Every column
     read is copied out of numpy's table, which is freed before any label
     column becomes flags. When numpy rejects the file, a label column
-    with more than 256 distinct spellings included, or a number column
-    holds a non-finite value, the same text is read again as strings with
-    ``csv.reader`` (``_scan_rows``), which names the first row with a bad
-    field count, and otherwise each number field is parsed with
-    ``float()``, which accepts some text numpy does not, such as ``1_0``.
-    Each label column becomes flags before the numbers are checked.
+    holds more than 256 distinct spellings (more than its 1-byte codes
+    tell apart), or a number column holds a non-finite value, the same
+    text is read again as strings with ``csv.reader`` (``_scan_rows``),
+    which names the first row with a bad field count, and otherwise each
+    number field is parsed with ``float()``, which accepts some text numpy
+    does not, such as ``1_0``. Each label column becomes flags before the
+    numbers are checked.
 
     ``CsvRead.lines`` is ``None`` unless ``lines`` asks for it, for a file
     to be written out again. Then it holds every data row as the CSV line,
@@ -269,8 +270,10 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
                     dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
                     encoding=None, skiprows=0 if route == _TEXT else reader.line_num,
                     converters={i: index.__getitem__ for i, index in interners.items()})
-        except ValueError:
+        except ValueError:  # a bad field, or on numpy 2 a label code past 255
             table = None
+        if any(len(interners[i]) > 256 for i in interners if keys[i] in _LABEL_COLUMNS):
+            table = None  # numpy 1 wraps a label code past 255 around
         columns = None
         if table is not None:
             # Coded columns first, each freeing its dict, then every other column, each
@@ -366,12 +369,8 @@ class _Lines(Sequence):
     def __init__(self, path, ends: np.ndarray, skip: int, encoding: str,
                  status: os.stat_result):
         ends = ends[skip - 1:]
-        # The header's end, then each non-blank line's: a blank one ends 1 byte after the
-        # last, as the file's size does after a final ``\n``. With no other blank line, the
-        # ends are a slice of those read.
-        non_blank = np.diff(ends) > 1
-        self._ends = (ends[:1 + np.count_nonzero(non_blank)] if non_blank[:-1].all()
-                      else ends[np.append(True, non_blank)])
+        # The header's end, then each non-blank line's: a blank one ends 1 byte after the last.
+        self._ends = ends[np.append(True, np.diff(ends) > 1)]
         self._path, self._encoding, self._identity = path, encoding, _identity(status)
         self._data = None
 

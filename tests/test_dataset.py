@@ -290,6 +290,9 @@ def reference_labels(column, name):
     return np.array(flags, dtype=bool)
 
 
+LOADTXT = np.loadtxt  # numpy's own, for a test that replaces it
+
+
 def through_pipe(data: bytes, read):
     """``read("/dev/fd/N")`` while a thread feeds ``data`` into the pipe behind N."""
     reader_fd, writer_fd = os.pipe()
@@ -689,11 +692,22 @@ class TestReadColumns:
         return [(label.upper() if i % 3 == 0 else label) + " " * (i // 2)
                 for i, label in zip(range(n), itertools.cycle(LABELS))]
 
+    @staticmethod
+    def wrapping_loadtxt(*args, dtype, converters, **kwargs):
+        """``np.loadtxt`` as numpy 1 runs it: a code past its field's width wraps around."""
+        def wrapped(i):
+            code, top = converters[i], np.iinfo(dtype[i]).max + 1
+            return lambda field: code(field) % top
+        return LOADTXT(*args, dtype=dtype, converters={i: wrapped(i) for i in converters},
+                       **kwargs)
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["raises", "wraps"])
     @pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
     @pytest.mark.parametrize("unknown_row", [None, 280])
     def test_labels_of_more_than_256_spellings_are_read_again(self, tmp_path, pipe,
-                                                              unknown_row):
-        """Their 1-byte codes overflow, numpy rejects the file and ``csv.reader`` reads it."""
+                                                              unknown_row, wrap):
+        """Their 1-byte codes overflow, and ``csv.reader`` reads the file: whether numpy
+        rejects it (numpy 2) or wraps the codes around (numpy 1)."""
         labels = self.spellings(300)
         if unknown_row:
             labels[unknown_row - 1] = "bogus"
@@ -707,7 +721,9 @@ class TestReadColumns:
             except RowError as exc:
                 return exc.row, str(exc)
 
-        with mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan:
+        loadtxt = self.wrapping_loadtxt if wrap else LOADTXT
+        with (mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan,
+              mock.patch.object(np, "loadtxt", loadtxt)):
             got = through_pipe(data, read) if pipe else read(path)
         assert scan.called
         assert got == parsed(reference_labels, {"label": labels}, ["label"])
