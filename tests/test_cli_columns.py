@@ -1033,6 +1033,10 @@ class TestMessages:
         # In one column too, the lowest row is named, whatever its fault.
         (["genuine,-0.5,genuine,0.9", "genuine,y,genuine,0.9"],
          "row 1: pic must be in [0, 1], got -0.5"),
+        # An unknown label and a number out of range: the lower row, in either order.
+        (["bogus,0.9,genuine,0.9", "genuine,-0.5,genuine,0.9"], "row 1: unknown label 'bogus'"),
+        (["genuine,-0.5,genuine,0.9", "bogus,0.9,genuine,0.9"],
+         "row 1: pic must be in [0, 1], got -0.5"),
     ])
     def test_eval_names_lower_row(self, tmp_path, capsys, rows, message):
         source = tmp_path / "in.csv"
