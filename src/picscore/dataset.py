@@ -195,26 +195,25 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     ``PyOS_string_to_double``, the parser behind ``float()``. numpy opens
     the file itself where ``_route`` finds that safe. Any other input, a
     pipe included, is read once into memory, and numpy reads that text
-    line by line. numpy codes an id or label column as it is read: it
-    passes each field to a dict lookup that gives a new string the next
-    code, and stores only the code. An id column's distinct values are
-    then stripped, values that become equal share one code, and the codes
-    are copied out at the narrowest width that holds them: 1 byte for up to
-    256 distinct values, 2 for up to 65,536. A label column's codes take 1
-    byte; its distinct values are each matched once, and its codes index
-    the result.
+    line by line. numpy codes an id column as it is read: it passes each
+    field to a dict lookup that gives a new string the next code, and
+    stores only the code. The column's distinct values are then stripped,
+    values that become equal share one code, and the codes are copied out
+    at the narrowest width that holds them: 1 byte for up to 256 distinct
+    values, 2 for up to 65,536. A label column is read through a dict
+    lookup too, into a 1-byte flag per row: each new spelling is matched
+    once, to 0 for ``genuine``, 1 for ``imposter`` and 2 for any other.
 
     A column nobody asked for is read into a zero-width string field, so
     its fields are counted but no string is built for them. Every column
     read is copied out of numpy's table, which is freed before any label
-    column becomes flags. When numpy rejects the file, a label column
-    holds more than 256 distinct spellings (more than its 1-byte codes
-    tell apart), or a number column holds a non-finite value, the same
+    column becomes bool. When numpy rejects the file, a number column
+    holds a non-finite value or a label column an unknown label, the same
     text is read again as strings with ``csv.reader`` (``_scan_rows``),
     which names the first row with a bad field count, and otherwise each
-    number field is parsed with ``float()``, which accepts some text numpy
-    does not, such as ``1_0``. Each label column becomes flags before the
-    numbers are checked.
+    field is parsed again: a number with ``float()``, which accepts some
+    text numpy does not, such as ``1_0``, and a label by the same match.
+    Each label column is parsed before the numbers are checked.
 
     ``CsvRead.lines`` is ``None`` unless ``lines`` asks for it, for a file
     to be written out again. Then it holds every data row as the CSV line,
@@ -250,14 +249,15 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
         names = keys if names is None else list(names)
         wanted = set(names)
         floats = wanted.intersection(keys, _NUMBER_COLUMNS)
+        labels = wanted.intersection(keys, _LABEL_COLUMNS)
         interners = {i: defaultdict(itertools.count().__next__) for i, key in enumerate(keys)
-                     if key in wanted and (key in ID_COLUMNS or key in _LABEL_COLUMNS)}
+                     if key in wanted and key in ID_COLUMNS}
+        flags = {i: _LabelFlags() for i, key in enumerate(keys) if key in labels}
         # A code is below the number of rows, so below the file's size in bytes.
         code = np.int32 if size <= np.iinfo(np.int32).max else np.intp
         # Positional field names: a header may hold names numpy rejects or renames.
         dtype = np.dtype({"names": [f"f{i}" for i in range(len(keys))],
-                          "formats": [float if key in floats else
-                                      np.uint8 if key in _LABEL_COLUMNS and i in interners else
+                          "formats": [float if key in floats else np.uint8 if i in flags else
                                       code if i in interners else
                                       object if key in wanted else "U0"
                                       for i, key in enumerate(keys)]})
@@ -269,24 +269,22 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
                     source if route == _TEXT else os.path.join(os.getcwd(), path),
                     dtype=dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
                     encoding=None, skiprows=0 if route == _TEXT else reader.line_num,
-                    converters={i: index.__getitem__ for i, index in interners.items()})
-        except ValueError:  # a bad field, or on numpy 2 a label code past 255
+                    converters={i: index.__getitem__
+                                for i, index in {**interners, **flags}.items()})
+        except ValueError:  # a bad field
             table = None
-        if any(len(interners[i]) > 256 for i in interners if keys[i] in _LABEL_COLUMNS):
-            table = None  # numpy 1 wraps a label code past 255 around
         columns = None
         if table is not None:
-            # Coded columns first, each freeing its dict, then every other column, each
+            # Id columns first, each freeing its dict, then every other column, each
             # copied out, so that no column is a view of the table.
-            coded = {i: _id_column(table[f"f{i}"], interners.pop(i)) if keys[i] in ID_COLUMNS
-                     else IdColumn(table[f"f{i}"].copy(),
-                                   np.array([*interners.pop(i)], dtype=object))
-                     for i in list(interners)}
+            coded = {i: _id_column(table[f"f{i}"], interners.pop(i)) for i in list(interners)}
             columns = {key: coded[i] if i in coded else table[f"f{i}"].copy()
                        for i, key in enumerate(keys) if key in wanted}
             n_rows = table.size
         del table  # its last reference: freed before the labels are parsed
-        if columns is None or not all(np.isfinite(columns[key]).all() for key in floats):
+        # A bad number or label is named by the same text read again.
+        if (columns is None or not all(np.isfinite(columns[key]).all() for key in floats)
+                or any(columns[key].max(initial=0) > 1 for key in labels)):
             n_rows, columns = _scan_rows(source, keys, wanted)
         if not lines:
             lines = None
@@ -313,11 +311,12 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
 def _parsed(key: str, column: np.ndarray | IdColumn):
     """A column as ``read_columns`` returns it, and ``[(index, message)]`` of its first
     bad field, or ``[]``."""
-    if key in _LABEL_COLUMNS:  # each distinct value is matched once
-        codes, values = column
-        flags = label_codes(values)
-        bad = np.flatnonzero((flags > 1)[codes])[:1].tolist() if flags.max() > 1 else []
-        return (flags == 0)[codes], [(i, f"unknown {key} {values[codes[i]]!r}") for i in bad]
+    if key in _LABEL_COLUMNS:
+        flags = (column if column.dtype == np.uint8 else
+                 np.fromiter(map(_LabelFlags().__getitem__, column), dtype=np.uint8,
+                             count=len(column)))
+        return flags == 0, [(i, f"unknown {key} {column[i]!r}")
+                            for i in np.flatnonzero(flags > 1)[:1].tolist()]
     if key not in _NUMBER_COLUMNS:
         return column, []
     values = (column if column.dtype == np.float64 else
@@ -336,6 +335,14 @@ def _float(field: str) -> float:
         return float(field)
     except ValueError:
         return math.nan
+
+
+class _LabelFlags(dict):
+    """A label's flag by its spelling, worked out once: 0 genuine, 1 imposter, 2 other."""
+
+    def __missing__(self, label: str) -> int:
+        flag = self[label] = _LABEL_CODES.get(label.strip().lower(), 2)
+        return flag
 
 
 def _id_column(codes: np.ndarray, values: Sequence[str] | dict[str, int]) -> IdColumn:
@@ -422,7 +429,7 @@ def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
 # Suffixes that numpy's own open (``np.lib._datasource``) decompresses.
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 _SCAN_BYTES = 1 << 16
-# Columns of labels, read as codes into their distinct values, and ``label_codes``' codes.
+# Columns of labels, read as a 1-byte flag per row: these, and 2 for any other label.
 _LABEL_COLUMNS = ("label", "decision")
 _LABEL_CODES = {GENUINE: 0, IMPOSTER: 1}
 # Columns of finite numbers, and those among them that are probabilities, in [0, 1].
@@ -494,10 +501,10 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     """``read_columns``'s data rows read with ``csv.reader``, one row at a time.
 
     ``source`` is the text. Runs only after numpy has rejected the file or
-    found a non-finite number: raises ``RowError`` at the first row whose
-    field count differs from the header's, and otherwise returns
-    ``(n_rows, columns)`` with every wanted column as ``str`` objects, an
-    id or label column coded as an ``IdColumn``.
+    found a non-finite number or an unknown label: raises ``RowError`` at
+    the first row whose field count differs from the header's, and
+    otherwise returns ``(n_rows, columns)`` with every wanted column as
+    ``str`` objects, an id column coded as an ``IdColumn``.
     """
     width = len(keys)
     # One flat list of all fields: a list per row would leave one
@@ -515,7 +522,6 @@ def _scan_rows(source, keys: list[str], wanted: set[str]):
     del flat, extend
     return table.size // width, {
         key: _id_column(*_interned(table[i::width])) if key in ID_COLUMNS
-        else _interned(table[i::width]) if key in _LABEL_COLUMNS
         else table[i::width].copy()
         for i, key in enumerate(keys) if key in wanted}
 
@@ -594,12 +600,6 @@ def _write_lines(handle, columns: list[list[str]]) -> None:
     if len(columns) == 1:  # a lone empty field unquoted would read as a blank line
         columns = [[field or '""' for field in columns[0]]]
     handle.write("\n".join(map(",".join, zip(*columns))) + "\n")
-
-
-def label_codes(column: Sequence[str]) -> np.ndarray:
-    """Each label stripped and lower-cased, as a uint8: 0 ``genuine``, 1 ``imposter``, 2 other."""
-    return np.fromiter((_LABEL_CODES.get(value.strip().lower(), 2) for value in column),
-                       dtype=np.uint8, count=len(column))
 
 
 def label_column(is_genuine: np.ndarray) -> IdColumn:

@@ -543,7 +543,7 @@ class TestStrictChild:
                                    monkeypatch):
         source = tmp_path / "in.csv"
         header, *rows = synth_csv.read_text().splitlines()
-        # Labels in other cases and padded, so that label codes decode the odd values.
+        # Labels in other cases and padded, so that the odd spellings are matched.
         rows[::3] = [row.replace(",genuine,", ", Genuine,").replace(",imposter,", ",IMPOSTER,")
                      for row in rows[::3]]
         # One score far beyond the model's and the baselines' grids, in the scored

@@ -706,8 +706,9 @@ class TestReadColumns:
     @pytest.mark.parametrize("unknown_row", [None, 280])
     def test_labels_of_more_than_256_spellings_are_read_again(self, tmp_path, pipe,
                                                               unknown_row, wrap):
-        """Their 1-byte codes overflow, and ``csv.reader`` reads the file: whether numpy
-        rejects it (numpy 2) or wraps the codes around (numpy 1)."""
+        """Each field's flag takes 1 byte however many spellings there are, and
+        ``csv.reader`` reads the file again only to name an unknown label; a flag never
+        wraps around, as a code past 255 would on numpy 1."""
         labels = self.spellings(300)
         if unknown_row:
             labels[unknown_row - 1] = "bogus"
@@ -725,7 +726,7 @@ class TestReadColumns:
         with (mock.patch.object(dataset, "_scan_rows", wraps=dataset._scan_rows) as scan,
               mock.patch.object(np, "loadtxt", loadtxt)):
             got = through_pipe(data, read) if pipe else read(path)
-        assert scan.called
+        assert scan.called == (unknown_row is not None)
         assert got == parsed(reference_labels, {"label": labels}, ["label"])
 
     @pytest.mark.parametrize("text, pipe, scores", [
@@ -974,7 +975,7 @@ def label_texts(draw):
 LABEL_TEXTS = st.one_of(label_texts(), st.text(st.sampled_from(["a", "É", "é", "中", " "]),
                                                 max_size=10))
 class TestLabelBytes:
-    """Label columns read from a file's bytes, as codes, parse as their text does."""
+    """Label columns read from a file's bytes, as flags, parse as their text does."""
 
     @given(st.lists(st.tuples(LABEL_TEXTS, LABEL_TEXTS), min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None,
@@ -984,17 +985,20 @@ class TestLabelBytes:
         path.write_bytes(("label,decision\n" + "".join(f"{a},{b}\n" for a, b in rows)).encode())
         names = ["label", "decision"]
         with (mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt,
-              mock.patch.object(dataset, "label_codes", wraps=dataset.label_codes) as match):
+              mock.patch.object(dataset._LabelFlags, "__missing__", autospec=True,
+                                side_effect=dataset._LabelFlags.__missing__) as match):
             got = read_parsed(path, names)
-        # Read by numpy as 1-byte codes into each column's distinct values.
+        # Read by numpy as a 1-byte flag per field.
         assert [loadtxt.call_args.kwargs["dtype"][f] for f in ("f0", "f1")] == [np.uint8] * 2
         values = dict(zip(names, map(list, zip(*rows))))
         assert got == parsed(reference_labels, values, names)
-        # Each distinct value is matched once, the lowest bad row named: a column of
-        # str, coded, parses as the reference parses it.
-        assert all(len(call.args[0]) == len(set(call.args[0])) for call in match.call_args_list)
-        assert (parsed(reader_parse, {name: dataset._interned(values[name]) for name in names},
-                       names)
+        # Each distinct value is matched once by its column's flags.
+        matched = [(id(call.args[0]), call.args[1]) for call in match.call_args_list]
+        assert matched and len(matched) == len(set(matched))
+        # The lowest bad row named: a column of str, as ``_scan_rows`` gives it, parses as
+        # the reference parses it.
+        assert (parsed(reader_parse,
+                       {name: np.array(values[name], dtype=object) for name in names}, names)
                 == parsed(reference_labels, values, names))
 
 
