@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .dataset import (
     GENUINE,
     IdColumn,
     MissingColumns,
+    _replacing,
     label_column,
     load_scores,
     read_columns,
@@ -61,7 +62,8 @@ def _write_manifest(args, inputs: dict, outputs: dict) -> None:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     for out_path in outputs.values():
-        Path(str(out_path) + ".manifest.json").write_text(text)
+        with _replacing(f"{out_path}.manifest.json") as handle:
+            handle.write(text)
 
 
 def _fraction(text: str) -> float:
@@ -90,6 +92,9 @@ def cmd_synth(args) -> None:
 
 
 def cmd_split(args) -> None:
+    if os.path.realpath(args.out_train) == os.path.realpath(args.out_test):
+        raise ValueError(f"--out-train {args.out_train} and --out-test {args.out_test} "
+                         "are the same file")
     score_set = load_scores(args.input)
     train, test = split_subject_exclusive(score_set, args.fraction, args.seed)
     dropped = len(score_set) - len(train) - len(test)

@@ -16,6 +16,7 @@ import stat
 import warnings
 from collections import defaultdict
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -160,7 +161,7 @@ class CsvRead(NamedTuple):
     header: list[str]
     n_rows: int
     columns: dict[str, np.ndarray | IdColumn]
-    lines: Sequence[str] | None
+    lines: Iterable[str] | None
 
 
 def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
@@ -220,19 +221,16 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
     without its line end, that ``write_rows`` writes for it; pass them to
     ``write_rows`` as its ``lines``. A plain file, a regular one that numpy
     reads from its path and that holds no ``"``, is already written that
-    way: ``lines`` holds only the offsets of its non-blank lines, found as
-    the file is first scanned, and reads and decodes a slice of them from
-    the file when it is taken (see ``_Lines``). ``write_rows`` checks the
-    file before it opens its output, and reads its bytes whole if the
-    output is this very file, by its own path, a hard link or a symlink.
-    The check, and taking a slice, fail with ``ValueError`` naming the file
-    if it is no longer the file that was read: another device or inode,
-    size or modification time. Any other input is read whole, and its
-    ``lines`` are a list of its rows quoted again.
+    way: ``lines`` holds none of it, and each iteration reads the file again
+    from its start, in one pass (see ``_Lines``). That fails with
+    ``ValueError`` naming the file if it is no longer the file that was
+    read: another device or inode, size or modification time. Any other
+    input is read whole, and its ``lines`` are a list of its rows quoted
+    again.
     """
     with open(path, newline="") as handle:
         status = os.fstat(handle.fileno())
-        route, ends = _route(path, status, line_ends=lines)
+        route = _route(path, status)
         source, size = handle, status.st_size
         if route == _TEXT:  # read once; ``_scan_rows`` and ``lines`` may read it again
             data = handle.buffer.read()
@@ -286,12 +284,9 @@ def read_columns(path: str | Path, names: Iterable[str] | None = None, *,
         if (columns is None or not all(np.isfinite(columns[key]).all() for key in floats)
                 or any(columns[key].max(initial=0) > 1 for key in labels)):
             n_rows, columns = _scan_rows(source, keys, wanted)
-        if not lines:
-            lines = None
-        elif route == _PLAIN:
-            lines = _Lines(path, ends, reader.line_num, source.encoding, status)
-        else:  # a list, read whole: the output may be this very file
-            lines = [",".join(_quoted(row)) for row in _data_rows(source)]
+        lines = None if not lines else (
+            _Lines(path, reader.line_num, n_rows, source.encoding, status) if route == _PLAIN
+            else [",".join(_quoted(row)) for row in _data_rows(source)])
     if not n_rows:
         raise ValueError(f"{path}: no records")
     missing = [name for name in names if name not in columns and name not in ID_COLUMNS]
@@ -362,63 +357,37 @@ def _interned(fields: Sequence[str]) -> IdColumn:
     return IdColumn(codes, np.fromiter(interner, dtype=object, count=len(interner)))
 
 
-class _Lines(Sequence):
-    """A plain file's non-blank lines after its first ``skip``, read from it a slice at a time.
+class _Lines:
+    """A plain file's non-blank lines after its first ``skip``, read from it as they are iterated.
 
-    Holds the offset at which the header and each line end, in the width
-    ``_route`` gave them: at a ``\n``, which is the byte 0x0A in a file with
-    no ``\r`` or NUL. A slice opens the file, reads only its own bytes,
-    closes it and decodes them; it fails if the file is no longer the one
-    ``status`` describes. ``hold``, called before the write, keeps the bytes
-    instead when the write is over the file itself.
+    ``n_rows`` is their number, as the read counted them. Each iteration opens
+    the file and reads it in one pass, a block of whole lines at a time:
+    at a ``\n``, which is the byte 0x0A in a file with no ``\r`` or NUL. It
+    fails if the file is no longer the one ``status`` describes.
     """
 
-    def __init__(self, path, ends: np.ndarray, skip: int, encoding: str,
-                 status: os.stat_result):
-        ends = ends[skip - 1:]
-        # The header's end, then each non-blank line's: a blank one ends 1 byte after the last.
-        self._ends = ends[np.append(True, np.diff(ends) > 1)]
-        self._path, self._encoding, self._identity = path, encoding, _identity(status)
-        self._data = None
+    def __init__(self, path, skip: int, n_rows: int, encoding: str, status: os.stat_result):
+        self._path, self._skip, self._n_rows = path, skip, n_rows
+        self._encoding, self._identity = encoding, _identity(status)
 
     def __len__(self) -> int:
-        return self._ends.size - 1
+        return self._n_rows
 
-    def __getitem__(self, index):
-        rows = range(len(self))[index]
-        if isinstance(rows, int):
-            return self[rows:rows + 1][0]
-        if rows.step != 1:
-            return [self[i] for i in rows]
-        if not rows:
-            return []
-        start, stop = int(self._ends[rows.start]) + 1, int(self._ends[rows.stop])
-        text = self._bytes(start, stop) if self._data is None else self._data[start:stop]
-        return [line for line in text.decode(self._encoding).split("\n") if line]
+    def __iter__(self):
+        return itertools.chain.from_iterable(self._blocks())
 
-    def hold(self, path) -> None:
-        """Fail if the file changed after it was read; keep its bytes if ``path`` is it.
-
-        ``path`` is the file when it has the same device and inode, so
-        writing to it would truncate the lines; a path that does not exist
-        yet is not the file.
-        """
-        try:
-            same = _identity(os.stat(path))[:2] == self._identity[:2]
-        except OSError:
-            same = False
-        data = self._bytes(0, self._identity[2] if same else 0)
-        if same:
-            self._data = data
-
-    def _bytes(self, start: int, stop: int) -> bytes:
+    def _blocks(self):
         with open(self._path, "rb") as raw:
-            raw.seek(start)
-            data = raw.read(stop - start)
-            # After the read: a change before or during it shows here.
-            if _identity(os.fstat(raw.fileno())) != self._identity:
-                raise ValueError(f"{self._path}: the file changed after it was read")
-        return data
+            for _ in range(self._skip):
+                raw.readline()
+            while True:
+                block = raw.read(_SCAN_BYTES) + raw.readline()
+                # After the read: a change before or during it shows here.
+                if _identity(os.fstat(raw.fileno())) != self._identity:
+                    raise ValueError(f"{self._path}: the file changed after it was read")
+                if not block:
+                    return
+                yield filter(None, block.decode(self._encoding).split("\n"))
 
 
 def _identity(status: os.stat_result) -> tuple[int, int, int, int]:
@@ -439,9 +408,9 @@ _NUMBER_COLUMNS = ("score", *_PROBABILITY_COLUMNS)
 _TEXT, _PATH, _PLAIN = "text", "path", "plain"
 
 
-def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
-    """``(route, ends)``: ``_PATH`` or ``_PLAIN`` if numpy, opening ``path``, sees what
-    ``csv.reader`` sees, else ``_TEXT``.
+def _route(path: str | Path, status: os.stat_result) -> str:
+    """``_PATH`` or ``_PLAIN`` if numpy, opening ``path``, sees what ``csv.reader`` sees,
+    else ``_TEXT``.
 
     ``status`` is ``os.fstat`` of a handle open on ``path``. The file must
     be a regular one: a pipe or FIFO would be drained by the scan. numpy
@@ -449,28 +418,19 @@ def _route(path: str | Path, status: os.stat_result, line_ends: bool = False):
     the file must hold no ``\r`` and have no compressed suffix; nor may it
     hold a NUL byte. Otherwise the route is ``_TEXT``. Such a file is
     ``_PLAIN`` when it also holds no ``"``: then each line is one row, and
-    its fields are its text split at every ``,``. With ``line_ends``,
-    ``ends`` of a ``_PLAIN`` file holds the offset of each of its ``\n``
-    bytes, found in the same scan, and then its size: 4 bytes each when
-    ``status.st_size`` is below 4 GiB, else ``np.intp``. Otherwise ``ends``
-    is ``None``.
+    its fields are its text split at every ``,``.
     """
     if (not stat.S_ISREG(status.st_mode)
             or os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES):
-        return _TEXT, None
-    route, ends, size = _PLAIN, [] if line_ends else None, 0
-    offset = np.uint32 if status.st_size < 2**32 else np.intp
+        return _TEXT
+    route = _PLAIN
     with open(path, "rb") as raw:
         for chunk in iter(lambda: raw.read(_SCAN_BYTES), b""):
             if b"\r" in chunk or b"\0" in chunk:
-                return _TEXT, None
+                return _TEXT
             if b'"' in chunk:
-                route, ends = _PATH, None
-            if ends is not None:
-                ends.append((size + np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
-                            .astype(offset))
-            size += len(chunk)
-    return route, None if ends is None else np.concatenate([*ends, np.array([size], offset)])
+                route = _PATH
+    return route
 
 
 def _first_row(reader) -> list[str] | None:
@@ -533,7 +493,7 @@ def write_rows(
     path: str | Path,
     header: Sequence[str],
     columns: Sequence[Sequence],
-    lines: Sequence[str] | None = None,
+    lines: Iterable[str] | None = None,
 ) -> None:
     """Write a header row and columns of equal length as CSV, each line ended by ``\\n``.
 
@@ -544,29 +504,59 @@ def write_rows(
     and a row of one empty field is written ``""``.
     This is the ``csv`` module's default dialect, the one ``read_columns``
     reads, except that ``csv.writer`` leaves a ``\\r`` bare, which reads back
-    as a line break. Rows are formatted and written a few thousand at a time.
+    as a line break. Rows are formatted and written a few thousand at a time,
+    to a new file that then replaces ``path`` (``_replacing``).
 
     ``lines``, as ``read_columns(..., lines=True)`` returns them, hold each
     row's leading fields already written as CSV; each is written as it is,
-    followed by the row's fields from ``columns``. They are sliced a chunk
-    of rows at a time, so lines that are read from their file on slicing
-    are never all read at once; when ``path`` is that file, they are read
-    whole first.
+    followed by the row's fields from ``columns``. They are iterated once,
+    a chunk of rows at a time, so lines read from their file as they are
+    iterated are never all held at once. ``path`` may be their file: it is
+    replaced only once the last of them is read.
     """
     lengths = [len(column.codes if isinstance(column, IdColumn) else column)
                for column in ([] if lines is None else [lines]) + list(columns)]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns of unequal length: {lengths}")
-    if isinstance(lines, _Lines):
-        lines.hold(path)  # before ``open`` creates the output or truncates their file
-    with open(path, "w", newline="") as handle:
+    rows = None if lines is None else iter(lines)
+    with _replacing(path) as handle:
         _write_lines(handle, [_quoted([name]) for name in header])
         for start in range(0, lengths[0] if lengths else 0, _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             chunk = [_fields(column.values[column.codes[start:stop]]
                              if isinstance(column, IdColumn) else column[start:stop])
                      for column in columns]
-            _write_lines(handle, chunk if lines is None else [lines[start:stop], *chunk])
+            _write_lines(handle, chunk if rows is None else
+                         [list(itertools.islice(rows, _CHUNK_ROWS)), *chunk])
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A text handle on a new file that replaces ``path`` once the block ends without error.
+
+    The new file is written beside the file ``path`` resolves to, then renamed
+    over it, so a symlink is followed and only the named hard link gets the
+    new file; it keeps an existing target's permission bits. On any error the
+    new file is removed. A target that exists and is not a regular file, such
+    as a FIFO or a device, is written in place. So is one the process may not
+    write: ``open`` then refuses it, where a rename would replace it.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target) and os.access(target, os.W_OK)):
+        with open(path, "w", newline="") as handle:
+            yield handle
+        return
+    temporary = f"{target}.{os.getpid()}.tmp"
+    handle = open(temporary, "x", newline="")  # fails on a name taken: that file is not ours
+    try:
+        with handle:
+            yield handle
+        if os.path.exists(target):
+            os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temporary, target)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def _fields(chunk: Sequence) -> list[str]:

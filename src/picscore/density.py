@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import _replacing
+
 DENSITY_FLOOR = 1e-12
 
 MODEL_FORMAT = "picscore-density-model"
@@ -367,8 +369,7 @@ def save_model(model: DensityModel, path: str | Path) -> None:
         "genuine": _density_to_dict(model.genuine),
         "imposter": _density_to_dict(model.imposter),
     }
-    path = Path(path)
-    with path.open("w") as handle:
+    with _replacing(path) as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from picscore import dataset
 from picscore.cli import main
 from picscore.dataset import GENUINE, IMPOSTER, load_scores
 from picscore.density import eval_density, load_model
@@ -110,6 +114,20 @@ class TestSplitCommand:
         assert code == 2
         assert "cannot split: one side would be empty" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [source]
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    def test_one_file_for_both_sides_fails_before_any_write(self, tmp_path, synth_csv, capsys,
+                                                            link):
+        train = tmp_path / "x.csv"
+        test = tmp_path / "y.csv" if link else train
+        if link:
+            test.symlink_to(train)
+        before = sorted(tmp_path.iterdir())
+        code = run_inprocess("split", synth_csv, "--out-train", train, "--out-test", test)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --out-train {train} and --out-test {test} are the same file\n")
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_byte_identical_reruns(self, tmp_path, synth_csv):
         outs = []
@@ -505,6 +523,104 @@ class TestManifests:
             assert manifest["parameters"] == parameters
             assert manifest["inputs"] == inputs
             assert manifest["outputs"] == outputs
+
+
+class TestWritePath:
+    """Each output is written to a new file beside it, which then replaces it."""
+
+    @pytest.fixture()
+    def scored(self, tmp_path, synth_csv, model_file):
+        """``out.csv`` scored from ``synth_csv``, and its bytes and its manifest's."""
+        out = tmp_path / "out.csv"
+        assert run_inprocess("score", model_file, synth_csv, out) == 0
+        return out, out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()
+
+    def test_a_write_that_fails_keeps_the_earlier_file(self, tmp_path, synth_csv, model_file,
+                                                       scored, monkeypatch, capsys):
+        out, data, manifest = scored
+        before = sorted(tmp_path.iterdir())
+        write_lines, calls = dataset._write_lines, []
+
+        def third_fails(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            write_lines(*args)
+
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 50)
+        monkeypatch.setattr(dataset, "_write_lines", third_fails)
+        assert run_inprocess("score", model_file, synth_csv, out, "--fmr", "0.01") == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (out.read_bytes(), Path(f"{out}.manifest.json").read_bytes()) == (data, manifest)
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_model_write_that_fails_keeps_the_earlier_model(self, tmp_path, synth_csv,
+                                                              model_file, monkeypatch, capsys):
+        data = model_file.read_bytes()
+        manifest = Path(f"{model_file}.manifest.json").read_bytes()
+        before = sorted(tmp_path.iterdir())
+
+        def part_then_fail(doc, handle, **kwargs):
+            handle.write(json.dumps(doc, **kwargs)[:100])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", part_then_fail)
+        assert run_inprocess("train", synth_csv, model_file, "--resolution", 256) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert model_file.read_bytes() == data
+        assert Path(f"{model_file}.manifest.json").read_bytes() == manifest
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_temporary_name_in_use_is_left_alone(self, tmp_path, synth_csv, model_file,
+                                                   scored, capsys):
+        out, data, _ = scored
+        taken = tmp_path / f"out.csv.{os.getpid()}.tmp"
+        taken.write_bytes(b"not ours")
+        assert run_inprocess("score", model_file, synth_csv, out) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert (out.read_bytes(), taken.read_bytes()) == (data, b"not ours")
+
+    def test_permission_bits_are_kept(self, tmp_path, synth_csv, model_file, scored):
+        out, data, _ = scored
+        os.chmod(out, 0o640)
+        os.chmod(model_file, 0o604)
+        assert run_inprocess("score", model_file, synth_csv, out) == 0
+        assert run_inprocess("train", synth_csv, model_file) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640 and out.read_bytes() == data
+        assert stat.S_IMODE(model_file.stat().st_mode) == 0o604
+
+    def test_an_output_the_process_may_not_write_is_opened_in_place(
+            self, tmp_path, synth_csv, model_file, scored, monkeypatch):
+        """``open`` refuses such a file, where a rename would replace it; root may write it."""
+        out, data, _ = scored
+        inode = out.stat().st_ino
+        monkeypatch.setattr(dataset.os, "access", lambda path, mode: False)
+        assert run_inprocess("score", model_file, synth_csv, out) == 0
+        assert out.stat().st_ino == inode and out.read_bytes() == data
+
+    def test_a_fifo_is_written_in_place(self, tmp_path, synth_csv, model_file, scored):
+        _, data, _ = scored
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_inprocess("score", model_file, synth_csv, fifo) == 0
+        reader.join(timeout=60)
+        assert got == [data]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_a_symlink_stays_a_symlink(self, tmp_path, synth_csv, model_file, scored, exists):
+        _, data, _ = scored
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        if exists:
+            target.write_bytes(b"earlier\n")
+        link.symlink_to(target.name)
+        assert run_inprocess("score", model_file, synth_csv, link) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_bytes() == data
+        assert not Path(f"{target}.manifest.json").exists()
 
 
 class TestExitCodes:

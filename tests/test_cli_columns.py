@@ -226,17 +226,29 @@ class TestAgainstRowReference:
 
     @pytest.mark.parametrize("name", ["blank-lines", "padded", "no-final-newline", "non-ascii"])
     def test_score_over_its_own_input(self, tmp_path, model_path, name):
-        """The output is the input file by its own path, a hard link or a symlink."""
+        """The output is the input file by its own path, a hard link or a symlink.
+
+        A hard link gets a new file of its own: the input's other name keeps its bytes.
+        """
         source = tmp_path / "in.csv"
-        source.write_bytes(self.PLAIN[name].encode())
+        text = self.PLAIN[name].encode()
+        source.write_bytes(text)
         assert run("score", model_path, source, tmp_path / "other.csv") == 0
+        scored = (tmp_path / "other.csv").read_bytes()
         hard, soft = tmp_path / "hard.csv", tmp_path / "soft.csv"
         os.link(source, hard)
         soft.symlink_to(source)
         for out in (source, hard, soft):
-            source.write_bytes(self.PLAIN[name].encode())
+            source.write_bytes(text)
             assert run("score", model_path, source, out) == 0
-            assert source.read_bytes() == (tmp_path / "other.csv").read_bytes()
+            if out == hard:
+                assert (hard.read_bytes(), source.read_bytes()) == (scored, text)
+            else:
+                assert source.read_bytes() == scored
+        assert soft.is_symlink()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "hard.csv", "hard.csv.manifest.json", "in.csv", "in.csv.manifest.json",
+            "other.csv", "other.csv.manifest.json", "soft.csv", "soft.csv.manifest.json"]
 
     @pytest.mark.parametrize("change", ["longer", "same-size", "replaced"])
     def test_score_fails_when_its_input_changes_before_the_write(

@@ -403,7 +403,7 @@ def assert_reads_like_reference(path, names, labels=(), ids=()):
     assert {key: decoded(column).tolist() for key, column in append_columns.items()} == columns
     _, _, every_column = reference_read(path)
     assert list(lines) == list(map(reference_line, zip(*every_column.values())))
-    assert lines[:] == list(lines)
+    assert len(lines) == n_rows
     for key in set(ids).intersection(got_columns):
         assert one_object_per_value(decoded(got_columns[key]))
 
@@ -597,30 +597,34 @@ class TestReadColumns:
             assert one_object_per_value(stripped.values[stripped.codes])
 
     def test_lines_of_a_plain_file_slice_like_a_list(self, tmp_path):
+        """The lines iterate like a list: the same lines on each pass, as many as ``len``."""
         path = tmp_path / "scores.csv"
         rows = [f"0.{i},p{i % 3}" for i in range(10)]
         path.write_bytes(("\n\nscore,probe_id\n\n" + "\n\n".join(rows) + "\n").encode())
         _, n_rows, _, lines = read_columns(path, ["score"], lines=True)
         assert n_rows == len(lines) == 10 and list(lines) == rows
-        for part in (slice(None), slice(3, 7), slice(-4, None), slice(8, 3), slice(None, None, 3),
-                     slice(9, 0, -2), slice(5, 50)):
-            assert lines[part] == rows[part]
-        assert (lines[0], lines[-1]) == (rows[0], rows[-1])
+        assert list(lines) == rows
 
     def test_lines_of_a_plain_file_are_read_from_it_as_they_are_sliced(self, tmp_path):
+        """A plain file's lines are read from it as they are iterated, a block of whole lines
+        at a time, and fail if the file changed after it was read."""
         path = tmp_path / "scores.csv"
         path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n0.3,p3\n")
-        with mock.patch.object(dataset, "_SCAN_BYTES", 4):  # line ends across scan chunks
+        with mock.patch.object(dataset, "_SCAN_BYTES", 4), \
+                mock.patch("builtins.open", wraps=open) as opened:
             lines = read_columns(path, ["score"], lines=True).lines
-        assert lines._data is None  # no bytes held
-        with mock.patch("builtins.open", wraps=open) as opened:
-            assert lines[1:3] == ["0.2,p2", "0.3,p3"]
-            assert lines[2:2] == [] and lines[::-1] == ["0.3,p3", "0.2,p2", "0.1,p1"]
-        assert [call.args[0] for call in opened.call_args_list] == [path] * 4
+            opened.reset_mock()
+            iterator = iter(lines)
+            assert not opened.called  # not before the iteration
+            assert list(iterator) == ["0.1,p1", "0.2,p2", "0.3,p3"]
+        assert [call.args[0] for call in opened.call_args_list] == [path]
         path.write_bytes(b"score,probe_id\n0.1,p1\n0.2,p2\n0.4,p3\n")
         os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file changed"):
-            lines[0:1]
+            list(lines)
+        path.write_bytes(b"score,probe_id\n")  # cut short: the one read finds no line
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: the file changed"):
+            list(lines)
 
     def read_probe_ids(self, tmp_path, data, route):
         """``probe_id`` of ``data`` read by ``route``, checked against ``csv.reader``."""
@@ -675,16 +679,6 @@ class TestReadColumns:
         assert loadtxt.call_args.kwargs["dtype"]["f1"] == np.intp  # numpy's table
         assert columns["probe_id"].codes.dtype == np.uint8  # the codes copied out of it
         assert columns["probe_id"].codes.tolist() == [0, 1]
-
-    @pytest.mark.parametrize("size, width", [(2**32 - 1, np.uint32), (2**32, np.intp)])
-    def test_line_ends_take_4_bytes_below_4_gib(self, tmp_path, size, width):
-        path = tmp_path / "scores.csv"
-        path.write_bytes(b"score\n0.1\n0.2\n")
-        status = list(os.stat(path))
-        status[stat.ST_SIZE] = size  # the file as if it held ``size`` bytes
-        route, ends = dataset._route(path, os.stat_result(status), line_ends=True)
-        assert route == dataset._PLAIN
-        assert ends.dtype == width and ends.tolist() == [5, 9, 13, 14]
 
     @staticmethod
     def spellings(n):
