@@ -62,20 +62,20 @@ class ErbcEstimator:
     __eq__ = _equal_fields
 
 
-def _train_arrays(train: ScoreTable) -> tuple[np.ndarray, np.ndarray]:
+def _train_arrays(train: ScoreTable, target_fmr: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The genuine and imposter training scores, and the threshold at ``target_fmr``."""
     g = np.asarray(train.genuine_scores, dtype=float)
     f = np.asarray(train.imposter_scores, dtype=float)
     if g.size == 0 or f.size == 0:
         raise ValueError("baseline fitting needs both genuine and imposter training scores")
-    return g, f
+    return g, f, float(threshold_at_fmr(f, target_fmr))
 
 
 def fit_dtc(train: ScoreTable, target_fmr: float = 1e-3) -> DtcEstimator:
-    g, f = _train_arrays(train)
-    threshold = threshold_at_fmr(f, target_fmr)
+    g, f, threshold = _train_arrays(train, target_fmr)
     all_scores = np.concatenate([g, f])
     return DtcEstimator(
-        threshold=float(threshold),
+        threshold=threshold,
         score_min=float(all_scores.min()),
         score_max=float(all_scores.max()),
     )
@@ -111,11 +111,10 @@ def dtc_confidence(est: DtcEstimator, s):
 def fit_lrc(
     train: ScoreTable, model: DensityModel, target_fmr: float = 1e-3
 ) -> LrcEstimator:
-    g, f = _train_arrays(train)
-    threshold = threshold_at_fmr(f, target_fmr)
+    g, f, threshold = _train_arrays(train, target_fmr)
     abs_llr = np.abs(log_likelihood_ratio(model, np.concatenate([g, f])))
     return LrcEstimator(
-        threshold=float(threshold),
+        threshold=threshold,
         abs_llr_min=float(abs_llr.min()),
         abs_llr_max=float(abs_llr.max()),
     )
@@ -147,8 +146,7 @@ def lrc_confidence(est: LrcEstimator, model: DensityModel, s):
 
 
 def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
-    g, f = _train_arrays(train)
-    threshold = threshold_at_fmr(f, target_fmr)
+    g, f, threshold = _train_arrays(train, target_fmr)
     all_scores = np.concatenate([g, f])
     lo, hi = float(all_scores.min()), float(all_scores.max())
     scale = _grid_scale(lo, hi)
@@ -158,7 +156,7 @@ def fit_erbc(train: ScoreTable, target_fmr: float = 1e-3) -> ErbcEstimator:
     fmr_curve = (f_sorted.size - np.searchsorted(f_sorted, grid, side="left")) / f_sorted.size
     fnmr_curve = np.searchsorted(g_sorted, grid, side="left") / g_sorted.size
     return ErbcEstimator(
-        threshold=float(threshold),
+        threshold=threshold,
         grid_thresholds=grid,
         grid_fmr=fmr_curve,
         grid_fnmr=fnmr_curve,

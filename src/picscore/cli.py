@@ -281,7 +281,7 @@ def cmd_eval(args) -> None:
     print(f"estimator {args.estimator}: ECE {_fmt(report.ece)}, MCE {_fmt(report.mce)} "
           f"over {report.n_samples} samples ({args.ece_bins} bins)")
     print(f"FNMR {_fmt(verification.fnmr)} at FMR {_fmt(verification.fmr)} "
-          f"(target {args.fmr:g}, threshold {_fmt(verification.threshold)})")
+          f"(target {args.fmr:g}, threshold {verification.threshold!r})")
 
 
 def cmd_curve(args) -> None:

@@ -16,7 +16,7 @@ import stat
 import warnings
 from collections import defaultdict
 from collections.abc import Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -534,20 +534,26 @@ def write_rows(
 def _replacing(path: str | Path):
     """A text handle on a new file that replaces ``path`` once the block ends without error.
 
-    The new file is written beside the file ``path`` resolves to, then renamed
-    over it, so a symlink is followed and only the named hard link gets the
-    new file; it keeps an existing target's permission bits. On any error the
-    new file is removed. A target that exists and is not a regular file, such
-    as a FIFO or a device, is written in place. So is one the process may not
-    write: ``open`` then refuses it, where a rename would replace it.
+    The new file, ``<target>.<pid>.tmp``, is written beside the file ``path``
+    resolves to, then renamed over it, so a symlink is followed and only the
+    named hard link gets the new file; it keeps an existing target's
+    permission bits. Where that name is taken, as by a file a killed process
+    left, ``<target>.<pid>.<n>.tmp`` is tried for n = 1, 2, ...; a taken name
+    is neither written nor removed. On any error the new file is removed. A
+    target that exists and is not a regular file, such as a FIFO or a device,
+    is written in place. So is one the process may not write: ``open`` then
+    refuses it, where a rename would replace it.
     """
     target = os.path.realpath(path)
     if os.path.exists(target) and not (os.path.isfile(target) and os.access(target, os.W_OK)):
         with open(path, "w", newline="") as handle:
             yield handle
         return
-    temporary = f"{target}.{os.getpid()}.tmp"
-    handle = open(temporary, "x", newline="")  # fails on a name taken: that file is not ours
+    for n in itertools.count():  # a name taken is not ours: neither used nor removed
+        temporary = f"{target}.{os.getpid()}" + (f".{n}.tmp" if n else ".tmp")
+        with suppress(FileExistsError):
+            handle = open(temporary, "x", newline="")
+            break
     try:
         with handle:
             yield handle

@@ -246,7 +246,7 @@ def eval_density(density: KdeDensity, s):
     values = np.interp(arr.ravel(), density.grid_points(), density.grid_values,
                        left=DENSITY_FLOOR, right=DENSITY_FLOOR)
     np.maximum(values, DENSITY_FLOOR, out=values)
-    return float(values[0]) if arr.ndim == 0 else values.reshape(arr.shape)
+    return values.reshape(arr.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ distribution. Multi-score fusion multiplies per-score likelihoods, which
 is accumulated here as a sum of log likelihood ratios and squashed with a
 numerically stable sigmoid, so fusing hundreds of scores cannot underflow.
 
-The float kernels work ``_BLOCK_ROWS`` rows at a time, so beyond their
-input and output they hold a fixed amount of scratch memory. Each element
-goes through the same IEEE operations as in one whole-array pass, so the
-results do not depend on the block size.
+The float kernels work ``_BLOCK_ROWS`` rows at a time through one loop,
+``_blockwise``, so beyond their input and output they hold a fixed amount
+of scratch memory. A kernel works in place only on a block it allocated
+itself, never on its caller's array. Each element goes through the same
+IEEE operations as in one whole-array pass, so the results do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ class PicScore:
 def _blockwise(kernel, x):
     """``kernel`` of float64 ``x`` computed ``_BLOCK_ROWS`` elements at a time.
 
-    ``kernel`` maps a 1-d block to an array of the same size, one element
-    from one element. Returns a new float64 array shaped like ``x``, or a
-    float64 scalar for a 0-d ``x``.
+    The one loop of every elementwise kernel in the package. ``kernel`` maps
+    a 1-d block, a view of ``x`` that it must not write into, to an array of
+    the same size, one element from one element. Returns a new float64 array
+    shaped like ``x``, or, by the package's 0-d rule ``[()]``, a float64
+    scalar for a 0-d ``x``.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -50,25 +54,29 @@ def _blockwise(kernel, x):
     return out.reshape(x.shape)[()]
 
 
-def _stable_sigmoid(z):
+def _sigmoid_block(z: np.ndarray) -> np.ndarray:
     """``1 / (1 + e)`` where z >= 0, else ``e / (1 + e)``, with ``e = exp(-|z|)``.
 
     exp only ever sees non-positive arguments, so neither branch overflows.
-    A contiguous float64 array ``z`` is overwritten with the result, a block
-    of rows at a time, so that ``1 + e`` of one block is the only temporary.
+    The result is written over ``z``, a float64 block its caller allocated,
+    so that ``1 + e`` is the only temporary of a block's size.
     """
-    out = np.asarray(z, dtype=float)
-    flat = out.reshape(-1)
-    for start in range(0, flat.size, _BLOCK_ROWS):
-        block = flat[start:start + _BLOCK_ROWS]
-        positive = block >= 0.0
-        np.abs(block, out=block)
-        np.negative(block, out=block)
-        np.exp(block, out=block)
-        denominator = block + 1.0
-        np.copyto(block, 1.0, where=positive)  # the numerator
-        np.divide(block, denominator, out=block)
-    return float(flat[0]) if out.ndim == 0 else flat.reshape(out.shape)
+    positive = z >= 0.0
+    np.abs(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    denominator = z + 1.0
+    np.copyto(z, 1.0, where=positive)  # the numerator
+    return np.divide(z, denominator, out=z)
+
+
+def _stable_sigmoid(z):
+    """The numerically stable sigmoid of ``z``, a block at a time (``_sigmoid_block``).
+
+    Each block is copied before the kernel works over it, so ``z`` is left
+    as it is; a 0-d ``z`` gives a float64 scalar.
+    """
+    return _blockwise(lambda block: _sigmoid_block(block.copy()), z)
 
 
 def _prior_logit(model: DensityModel) -> float:
@@ -102,12 +110,12 @@ def _llr_block(model: DensityModel, x: np.ndarray) -> np.ndarray:
 def pic_values(model: DensityModel, scores):
     """Vectorized single-comparison posterior for an array of scores.
 
-    The posterior is computed in the buffer of the log likelihood ratios,
-    so beyond the scores and the result it holds one block's scratch.
+    One pass over the scores, a block at a time: the block's log likelihood
+    ratios, plus the prior log-odds, then the sigmoid over that sum. Beyond
+    the scores and the result it holds one block's scratch.
     """
-    z = log_likelihood_ratio(model, scores)
-    z += _prior_logit(model)
-    return _stable_sigmoid(z)
+    prior_logit = _prior_logit(model)
+    return _blockwise(lambda x: _sigmoid_block(_llr_block(model, x) + prior_logit), scores)
 
 
 def pic_single(model: DensityModel, s: float) -> PicScore:
@@ -117,7 +125,7 @@ def pic_single(model: DensityModel, s: float) -> PicScore:
     sigmoid of the log likelihood ratio plus the prior log-odds.
     """
     llr = float(log_likelihood_ratio(model, float(s)))
-    value = _stable_sigmoid(llr + _prior_logit(model))
+    value = float(_stable_sigmoid(llr + _prior_logit(model)))
     return PicScore(value=value, n_comparisons=1, log_lr_sum=llr)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import IdColumn, ScoreTable
-from .pic import _stable_sigmoid
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,7 @@ def analytic_posterior(config: SynthConfig, s, prior_genuine: float = 0.5):
     For equal variances and equal priors this reduces to
     sigmoid((mu_g - mu_f) * (s - (mu_g + mu_f) / 2) / sigma^2).
     """
-    if not 0.0 < prior_genuine <= 1.0:
-        raise ValueError(f"prior_genuine must be in (0, 1], got {prior_genuine}")
-    if prior_genuine == 1.0:
-        arr = np.asarray(s, dtype=float)
-        return 1.0 if arr.ndim == 0 else np.ones_like(arr)
-    prior_logit = math.log(prior_genuine) - math.log(1.0 - prior_genuine)
-    return _stable_sigmoid(_log_density_ratio(config, s) + prior_logit)
+    return _posterior(_log_density_ratio(config, s), prior_genuine)
 
 
 def analytic_fused_posterior(config: SynthConfig, scores, prior_genuine: float = 0.5) -> float:
@@ -133,10 +126,16 @@ def analytic_fused_posterior(config: SynthConfig, scores, prior_genuine: float =
     arr = np.asarray(scores, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("need at least one score")
+    return float(_posterior(math.fsum(_log_density_ratio(config, arr).tolist()), prior_genuine))
+
+
+def _posterior(log_ratio, prior_genuine: float):
+    """``pic._stable_sigmoid`` of ``log_ratio`` plus the prior log-odds; 1 where the prior is 1."""
+    from .pic import _stable_sigmoid  # here, so that generating scores does not load it
+
     if not 0.0 < prior_genuine <= 1.0:
         raise ValueError(f"prior_genuine must be in (0, 1], got {prior_genuine}")
     if prior_genuine == 1.0:
-        return 1.0
+        return np.ones_like(log_ratio)[()]
     prior_logit = math.log(prior_genuine) - math.log(1.0 - prior_genuine)
-    total = math.fsum(_log_density_ratio(config, arr).tolist())
-    return float(_stable_sigmoid(total + prior_logit))
+    return _stable_sigmoid(log_ratio + prior_logit)

@@ -392,9 +392,11 @@ class TestEvalCommand:
         )
         assert ".py:" not in proc.stderr
 
-    def test_summary_writes_the_exact_threshold_and_the_decisions_errors(self, tmp_path):
-        """Every imposter's ``pic`` is 0, so the threshold is the float just above it; one
-        genuine row was decided imposter, an error the value column's FNMR of 0 does not show."""
+    def test_summary_writes_the_exact_threshold_and_the_decisions_errors(self, tmp_path,
+                                                                          capsys):
+        """Every imposter's ``pic`` is 0, so the threshold is the float just above it, which
+        stdout prints as the summary writes it; one genuine row was decided imposter, an
+        error the value column's FNMR of 0 does not show."""
         fused = tmp_path / "fused.csv"
         fused.write_text(
             "probe_id,claimed_id,label,n_used,pic,decision,confidence\n"
@@ -406,6 +408,7 @@ class TestEvalCommand:
         rows = dict(line.split(",", 1)
                     for line in Path(f"{tmp_path / 'r'}.summary.csv").read_text().splitlines())
         assert rows["threshold"] == "5e-324" and float(rows["threshold"]) == np.nextafter(0, 1)
+        assert "(target 0.5, threshold 5e-324)\n" in capsys.readouterr().out
         assert (rows["fmr"], rows["fnmr"]) == ("0.000000", "0.000000")
         decisions = [rows[f"decision_{key}"]
                      for key in ("false_matches", "false_non_matches", "fmr", "fnmr")]
@@ -572,13 +575,18 @@ class TestWritePath:
         assert sorted(tmp_path.iterdir()) == before
 
     def test_a_temporary_name_in_use_is_left_alone(self, tmp_path, synth_csv, model_file,
-                                                   scored, capsys):
+                                                   scored):
+        """Names taken, as by files a killed process left, are skipped, not used or removed."""
         out, data, _ = scored
-        taken = tmp_path / f"out.csv.{os.getpid()}.tmp"
-        taken.write_bytes(b"not ours")
-        assert run_inprocess("score", model_file, synth_csv, out) == 2
-        assert "File exists" in capsys.readouterr().err
-        assert (out.read_bytes(), taken.read_bytes()) == (data, b"not ours")
+        out.write_bytes(b"old")
+        taken = [tmp_path / f"out.csv.{os.getpid()}{n}.tmp" for n in ("", ".1")]
+        for path in taken:
+            path.write_bytes(b"not ours")
+        before = sorted(tmp_path.iterdir())
+        assert run_inprocess("score", model_file, synth_csv, out) == 0
+        assert out.read_bytes() == data
+        assert [path.read_bytes() for path in taken] == [b"not ours"] * 2
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_permission_bits_are_kept(self, tmp_path, synth_csv, model_file, scored):
         out, data, _ = scored

@@ -49,6 +49,14 @@ def test_score_loads_only_its_modules(child_env, score_args):
     assert not {"picscore.synth", "picscore.baselines", "picscore.metrics"} & set(got["modules"])
 
 
+def test_synth_loads_only_its_modules(child_env, tmp_path):
+    got = probe(child_env, MAIN, "synth", tmp_path / "s.csv", "--n-genuine", 20,
+                "--n-imposter", 20)
+    assert got["status"] == 0
+    assert set(got["modules"]) == {"picscore", "picscore.cli", "picscore.dataset",
+                                   "picscore.synth"}
+
+
 def test_only_the_process_entry_freezes_the_gc(child_env, score_args):
     assert probe(child_env, MAIN, *score_args)["frozen"] == 0
     got = probe(child_env, RUN, *score_args)

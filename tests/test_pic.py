@@ -291,7 +291,8 @@ class TestDecide:
 
 
 def reference_sigmoid(z):
-    """The out-of-place sigmoid that ``pic`` computed before it worked in place."""
+    """The sigmoid as one out-of-place ``np.where``: the arithmetic ``pic``'s kernel
+    does in place on its own block."""
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
@@ -301,8 +302,8 @@ FLOATS = st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e-300, 745
 
 
 class TestInPlaceArithmetic:
-    """The posterior and the decision rule, computed in their buffers, against the
-    out-of-place arithmetic they replaced, bit for bit."""
+    """The posterior and the decision rule, computed in buffers they allocated, against
+    the same arithmetic out of place, bit for bit."""
 
     @given(FLOATS)
     @settings(max_examples=300, deadline=None)
@@ -376,6 +377,38 @@ class TestBlocks:
         assert sums.tobytes() == want_sums.tobytes()
         assert sums.tolist() == [math.fsum(log_likelihood_ratio(model, group).tolist())
                                  for group in np.split(scores, np.cumsum(sizes)[:-1])]
+
+
+class TestReadOnlyInputs:
+    """No kernel writes into an array it did not allocate: a read-only input gives the
+    bytes a writable copy gives, and is left as it was. Blocks of 64 rows, so that each
+    kernel works on several views of its input."""
+
+    KERNELS = {
+        "_stable_sigmoid": lambda model, x: pic._stable_sigmoid(x),
+        "pic_values": pic_values,
+        "log_likelihood_ratio": log_likelihood_ratio,
+        "fuse_groups": lambda model, x: np.concatenate(fuse_groups(model, x, [7] * 100)),
+        "dtc_confidence": lambda model, x: dtc_confidence(DtcEstimator(0.5, 0.0, 1.0), x),
+        "lrc_confidence": lambda model, x: lrc_confidence(LrcEstimator(0.5, 0.0, 8.0), model, x),
+        "erbc_confidence": lambda model, x: erbc_confidence(
+            ErbcEstimator(0.5, np.linspace(0.0, 1.0, 2048), np.linspace(0.9, 0.0, 2048),
+                          np.linspace(0.0, 0.8, 2048)), x),
+    }
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kernel(self, synth_model, name):
+        _, model = synth_model
+        scores = np.random.default_rng(10).normal(0.45, 0.4, 700)
+        scores[::50] *= 1000.0  # both sigmoid branches saturate, and scores leave the grid
+        frozen = scores.copy()
+        frozen.flags.writeable = False
+        kernel = self.KERNELS[name]
+        with mock.patch.object(pic, "_BLOCK_ROWS", 64):
+            got = kernel(model, frozen)
+            want = kernel(model, scores.copy())
+        assert got.tobytes() == want.tobytes()
+        assert frozen.tobytes() == scores.tobytes()
 
 
 def pic_score(value):
